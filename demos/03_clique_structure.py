@@ -11,7 +11,6 @@ from partition_complex import (
     classify_clique,
     classify_triangle,
     enumerate_simplices,
-    euler_characteristic,
     format_partition,
     fvector_by_fiber_counting,
     maximal_simplices,
@@ -51,5 +50,6 @@ print()
 
 print("euler characteristic and its shift, small n:")
 for n in range(1, 13):
-    chi, b = euler_characteristic(n)
+    chi = enumerate_simplices(build_graph(n)).euler_characteristic
+    b = chi - 1
     print(f"  n={n:2}  chi={chi:3}  b={b:3}")

@@ -16,22 +16,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graph import PartitionGraph, build_graph, edge_decompositions
+from .graph import PartitionGraph, edge_decompositions
 from .partitions import (
-    ADDABLE,
     Corner,
-    InadmissibleTransferError,
     InvalidPartitionError,
     Partition,
-    REMOVABLE,
+    TheoremViolationError,
     addable_corners,
-    apply_transfer,
+    admissible_transfers,
     as_partition,
-    height,
     removable_corners,
     _validated_addable,
     _validated_removable,
@@ -45,10 +41,6 @@ NOT_TRIANGLE = "none"
 
 class NotACliqueError(ValueError):
     """A vertex set that is not pairwise adjacent."""
-
-
-class TheoremViolationError(AssertionError):
-    """A machine-checked structural claim failed on concrete data."""
 
 
 @dataclass(frozen=True)
@@ -100,30 +92,33 @@ def star_fiber(lam: Iterable[int], c) -> list[Partition]:
     """All results of moving the cell at removable corner c elsewhere."""
     lam = as_partition(lam)
     c = _validated_removable(lam, c)
-    out = []
-    for a in addable_corners(lam):
-        if a.row == c.row:
-            continue
-        try:
-            out.append(apply_transfer(lam, c, a))
-        except InadmissibleTransferError:
-            continue
-    return out
+    return [mu for source, _, mu in admissible_transfers(lam) if source == c]
 
 
 def top_fiber(lam: Iterable[int], a) -> list[Partition]:
     """All results of moving some removable cell of lam to addable corner a."""
     lam = as_partition(lam)
     a = _validated_addable(lam, a)
-    out = []
-    for c in removable_corners(lam):
-        if c.row == a.row:
-            continue
-        try:
-            out.append(apply_transfer(lam, c, a))
-        except InadmissibleTransferError:
-            continue
-    return out
+    return [mu for _, target, mu in admissible_transfers(lam) if target == a]
+
+
+def _fibers(
+    g: PartitionGraph, vid: int
+) -> tuple[dict[Corner, list[int]], dict[Corner, list[int]]]:
+    """Star and top fibers of one vertex as target ids, from one transfer pass.
+
+    Star fibers are keyed in removable_corners order and top fibers in
+    addable_corners order, empty fibers included; each fiber lists its
+    targets in the order star_fiber and top_fiber return them.
+    """
+    lam = g.vertices[vid]
+    star: dict[Corner, list[int]] = {c: [] for c in removable_corners(lam)}
+    top: dict[Corner, list[int]] = {a: [] for a in addable_corners(lam)}
+    for c, a, mu in admissible_transfers(lam):
+        target = g.index[mu]
+        star[c].append(target)
+        top[a].append(target)
+    return star, top
 
 
 def classify_triangle(lam: Iterable[int], mu1: Iterable[int], mu2: Iterable[int]) -> TriangleClass:
@@ -206,17 +201,13 @@ def canonical_cover(g: PartitionGraph) -> list[CoverMember]:
     positions) are deterministic.
     """
     found: dict[tuple[int, ...], list[tuple[str, int, Corner]]] = {}
-    for base_id, lam in enumerate(g.vertices):
-        for c in removable_corners(lam):
-            fiber = star_fiber(lam, c)
-            if fiber:
-                vertices = tuple(sorted([base_id] + [g.index[mu] for mu in fiber]))
-                found.setdefault(vertices, []).append((STAR, base_id, c))
-        for a in addable_corners(lam):
-            fiber = top_fiber(lam, a)
-            if fiber:
-                vertices = tuple(sorted([base_id] + [g.index[mu] for mu in fiber]))
-                found.setdefault(vertices, []).append((TOP, base_id, a))
+    for base_id in range(len(g.vertices)):
+        star, top = _fibers(g, base_id)
+        for kind, fibers in ((STAR, star), (TOP, top)):
+            for corner, fiber in fibers.items():
+                if fiber:
+                    vertices = tuple(sorted([base_id] + fiber))
+                    found.setdefault(vertices, []).append((kind, base_id, corner))
     return [
         CoverMember(vertices, tuple(provenances))
         for vertices, provenances in sorted(found.items())
@@ -225,16 +216,16 @@ def canonical_cover(g: PartitionGraph) -> list[CoverMember]:
 
 def full_star_simplex(g: PartitionGraph, lam: Iterable[int], c) -> tuple[int, ...]:
     """Vertex ids of {lam} union its star fiber at c, sorted."""
-    lam = as_partition(lam)
-    members = [g.vertex_id(lam)] + [g.vertex_id(mu) for mu in star_fiber(lam, c)]
-    return tuple(sorted(members))
+    vid = g.vertex_id(lam)
+    c = _validated_removable(g.vertices[vid], c)
+    return tuple(sorted([vid] + _fibers(g, vid)[0][c]))
 
 
 def full_top_simplex(g: PartitionGraph, lam: Iterable[int], a) -> tuple[int, ...]:
     """Vertex ids of {lam} union its top fiber at a, sorted."""
-    lam = as_partition(lam)
-    members = [g.vertex_id(lam)] + [g.vertex_id(mu) for mu in top_fiber(lam, a)]
-    return tuple(sorted(members))
+    vid = g.vertex_id(lam)
+    a = _validated_addable(g.vertices[vid], a)
+    return tuple(sorted([vid] + _fibers(g, vid)[1][a]))
 
 
 def maximal_simplices(
@@ -245,21 +236,19 @@ def maximal_simplices(
     They are: full star- or top-simplices with fiber size >= 2, edges whose
     two fibers both have size 1, and isolated vertices as singletons (the
     last case only arises when the graph has a vertex with no moves at all).
+    Each edge (i, j) lies in exactly one star fiber and one top fiber of i,
+    so it is a facet when j is alone in one of each.
     """
     if cover is None:
         cover = canonical_cover(g)
     facets = {member.vertices for member in cover if len(member.vertices) >= 3}
-    for i, j in g.edges():
-        lam = g.vertices[i]
-        mu = g.vertices[j]
-        pairs = edge_decompositions(lam, mu)
-        assert pairs, "every edge must decompose as a transfer"
-        c, a = pairs[0]
-        if len(star_fiber(lam, c)) == 1 and len(top_fiber(lam, a)) == 1:
-            facets.add((i, j))
-    for vid in range(len(g.vertices)):
-        if not g.adjacency[vid]:
-            facets.add((vid,))
+    for i in range(len(g.vertices)):
+        star, top = _fibers(g, i)
+        lone_star = {fiber[0] for fiber in star.values() if len(fiber) == 1}
+        lone_top = {fiber[0] for fiber in top.values() if len(fiber) == 1}
+        facets.update((i, j) for j in lone_star & lone_top if i < j)
+        if not g.adjacency[i]:
+            facets.add((i,))
     return sorted(facets)
 
 
@@ -311,16 +300,16 @@ def fvector_by_fiber_counting(g: PartitionGraph) -> FVector:
     other members form a subset of size >= 2 of one height-raising fiber of
     lam, determined uniquely.  So the count in each size is a sum of
     binomials over (vertex, corner) pairs, with edges and vertices counted
-    directly.  Shares nothing with the facet machinery.
+    directly.  Shares only the fibers with the facet machinery, none of its
+    subset enumeration.
     """
     counts = [len(g.vertices), g.edge_count()]
     higher: list[int] = []
-    for lam in g.vertices:
-        base_height = height(lam)
-        fibers = [star_fiber(lam, c) for c in removable_corners(lam)]
-        fibers += [top_fiber(lam, a) for a in addable_corners(lam)]
-        for fiber in fibers:
-            raising = sum(1 for mu in fiber if height(mu) > base_height)
+    heights = g.heights
+    for vid in range(len(g.vertices)):
+        star, top = _fibers(g, vid)
+        for fiber in itertools.chain(star.values(), top.values()):
+            raising = sum(1 for mu in fiber if heights[mu] > heights[vid])
             for k in range(2, raising + 1):
                 while len(higher) < k - 1:
                     higher.append(0)
@@ -331,34 +320,9 @@ def fvector_by_fiber_counting(g: PartitionGraph) -> FVector:
     return FVector(tuple(counts))
 
 
-def euler_characteristic(n: int) -> tuple[int, int]:
-    """(chi, chi - 1) for the clique complex on partitions of n."""
-    g = build_graph(n)
-    fvector = enumerate_simplices(g)
-    chi = fvector.euler_characteristic
-    return chi, chi - 1
-
-
 def format_facet_lines(facets: Iterable[tuple[int, ...]]) -> str:
     """One facet per line as space-separated 1-based vertex ids."""
     return "".join(
         " ".join(str(vid + 1) for vid in facet) + "\n" for facet in facets
     )
 
-
-def write_facets(facets: Iterable[tuple[int, ...]], path: str | os.PathLike) -> None:
-    """Write format_facet_lines output to a file."""
-    with open(path, "w", newline="\n") as handle:
-        handle.write(format_facet_lines(facets))
-
-
-def read_facets(path: str | os.PathLike) -> list[tuple[int, ...]]:
-    """Read a facet file written by write_facets back into 0-based id tuples."""
-    facets = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            facets.append(tuple(sorted(int(token) - 1 for token in line.split())))
-    return facets

@@ -8,13 +8,13 @@ conjugates differ by lowering one column count and raising another by one.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional
 
 from .partitions import (
     Corner,
     InvalidPartitionError,
     Partition,
+    TheoremViolationError,
     addable_corners,
     admissible_transfers,
     as_partition,
@@ -52,9 +52,6 @@ class PartitionGraph:
         except KeyError:
             raise UnknownVertexError(f"{lam} is not a partition of {self.n}") from None
 
-    def neighbor_ids(self, vid: int) -> tuple[int, ...]:
-        return self.adjacency[vid]
-
     def degree(self, vid: int) -> int:
         return len(self.adjacency[vid])
 
@@ -90,7 +87,10 @@ def build_graph(n: int) -> PartitionGraph:
         adjacency.append(tuple(sorted(targets)))
     for i, nbrs in enumerate(adjacency):
         for j in nbrs:
-            assert i != j and i in adjacency[j], "transfer adjacency must be symmetric and irreflexive"
+            if i == j or i not in adjacency[j]:
+                raise TheoremViolationError(
+                    f"transfer adjacency is not symmetric and irreflexive at "
+                    f"{vertices[i]}, {vertices[j]}")
     return PartitionGraph(n, vertices, adjacency)
 
 
@@ -173,17 +173,3 @@ def format_legend(g: PartitionGraph) -> str:
     return "".join(
         f"{vid + 1} {format_partition(lam)}\n" for vid, lam in enumerate(g.vertices))
 
-
-def write_dimacs(g: PartitionGraph, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write(format_dimacs(g))
-
-
-def write_edge_list(g: PartitionGraph, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write(format_edge_list(g))
-
-
-def write_legend(g: PartitionGraph, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write(format_legend(g))

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from .partitions import TheoremViolationError
+
 
 class EmptyComplexError(ValueError):
     """A chain complex cannot be built from an empty facet list."""
@@ -134,7 +136,8 @@ def _check_boundaries_compose_to_zero(cplx: ChainComplex) -> None:
             for face, sign in column.items():
                 for face2, sign2 in lower[face].items():
                     acc[face2] = acc.get(face2, 0) + sign * sign2
-            assert all(v == 0 for v in acc.values()), "boundary of boundary must vanish"
+            if any(acc.values()):
+                raise TheoremViolationError(f"boundary of boundary must vanish in dimension {p}")
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
@@ -302,7 +305,6 @@ def reduced_homology(cplx: ChainComplex) -> HomologyReport:
         torsion[p - 1] = factors
     betti = tuple(fvector[p] - ranks[p] - ranks[p + 1] for p in range(top + 1))
     report = HomologyReport(fvector, betti, tuple(torsion))
-    assert sum((-1) ** p * b for p, b in enumerate(betti)) == report.euler_characteristic, (
-        "alternating betti sum must match the euler characteristic"
-    )
+    if sum((-1) ** p * b for p, b in enumerate(betti)) != report.euler_characteristic:
+        raise TheoremViolationError("alternating betti sum must match the euler characteristic")
     return report

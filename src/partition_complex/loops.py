@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .cliques import TheoremViolationError
 from .graph import PartitionGraph, edge_decompositions
 from .partitions import (
     InadmissibleTransferError,
+    TheoremViolationError,
     apply_transfer,
     format_partition,
     parse_partition,
@@ -179,7 +179,9 @@ def _replace_peak(loop: EdgeLoop) -> tuple[list[int], str]:
         return ids, "shortcut"
     # distinct removable corners always sit in distinct rows, so the
     # reindexing below never faces a tie
-    assert corner_before.row != corner_after.row
+    if corner_before.row == corner_after.row:
+        raise TheoremViolationError(
+            f"distinct removable corners {corner_before} and {corner_after} share a row")
     if corner_before.row <= corner_after.row:
         source, target = corner_after, add_before
     else:
@@ -213,13 +215,8 @@ def _check_descent(rule: str, old: EdgeLoop, new: EdgeLoop) -> None:
             f"{before} (length {len(old)}) -> {after} (length {len(new)})")
 
 
-def peak_reduce_step(loop: EdgeLoop) -> EdgeLoop:
-    """One reduction step: normalize if possible, otherwise rewrite a peak."""
-    new, _ = _tagged_step(loop)
-    return new
-
-
 def _tagged_step(loop: EdgeLoop) -> tuple[EdgeLoop, str]:
+    """One reduction step: normalize if possible, otherwise rewrite a peak."""
     if loop.is_constant:
         raise InvalidLoopError("a constant loop has no peak to reduce")
     normalized = normalize_loop(loop)

@@ -37,18 +37,6 @@ class NerveComplex:
     def vertex_count(self) -> int:
         return len(self.cover)
 
-    def is_simplex(self, member_ids: Iterable[int]) -> bool:
-        """True when the given members share at least one partition."""
-        ids = list(member_ids)
-        if not ids:
-            raise ValueError("a simplex needs at least one member")
-        common = self.member_sets[ids[0]]
-        for member_id in ids[1:]:
-            common = common & self.member_sets[member_id]
-            if not common:
-                return False
-        return bool(common)
-
 
 @dataclass(frozen=True)
 class AnchorSimplex:

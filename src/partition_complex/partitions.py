@@ -26,6 +26,10 @@ class InadmissibleTransferError(ValueError):
     """A transfer within a single row, or one that leaves the partition unchanged."""
 
 
+class TheoremViolationError(AssertionError):
+    """A machine-checked structural claim failed on concrete data."""
+
+
 Partition = tuple[int, ...]
 
 

@@ -14,20 +14,21 @@ from partition_complex.cliques import (
     classify_clique,
     classify_triangle,
     enumerate_simplices,
-    euler_characteristic,
     format_facet_lines,
     full_star_simplex,
     full_top_simplex,
     fvector_by_fiber_counting,
     maximal_simplices,
-    read_facets,
     star_fiber,
     top_fiber,
-    write_facets,
 )
-from partition_complex.graph import build_graph
+from partition_complex.graph import build_graph, edge_decompositions
 from partition_complex.oracles import all_cliques_reference, maximal_cliques_reference
-from partition_complex.partitions import InvalidPartitionError
+from partition_complex.partitions import (
+    InvalidPartitionError,
+    addable_corners,
+    removable_corners,
+)
 
 
 def test_star_fiber():
@@ -130,6 +131,33 @@ def test_full_simplices_match_fibers():
     assert g.vertex_id((3, 2, 1)) in top
 
 
+def test_bulk_fibers_match_partition_fibers():
+    """Cover, edge facets and full simplices agree with star_fiber/top_fiber."""
+    for n in range(1, 13):
+        g = build_graph(n)
+        expected_cover: dict = {}
+        lone_edges = set()
+        for vid, lam in enumerate(g.vertices):
+            for kind, corners, fiber_of, full_simplex in (
+                (STAR, removable_corners(lam), star_fiber, full_star_simplex),
+                (TOP, addable_corners(lam), top_fiber, full_top_simplex),
+            ):
+                for corner in corners:
+                    fiber = [g.vertex_id(mu) for mu in fiber_of(lam, corner)]
+                    members = tuple(sorted([vid] + fiber))
+                    assert full_simplex(g, lam, corner) == members
+                    if fiber:
+                        expected_cover.setdefault(members, []).append((kind, vid, corner))
+            for j in g.adjacency[vid]:
+                if vid < j:
+                    [(c, a)] = edge_decompositions(lam, g.vertices[j])
+                    if len(star_fiber(lam, c)) == 1 and len(top_fiber(lam, a)) == 1:
+                        lone_edges.add((vid, j))
+        cover = canonical_cover(g)
+        assert [(m.vertices, list(m.provenances)) for m in cover] == sorted(expected_cover.items())
+        assert {f for f in maximal_simplices(g, cover) if len(f) == 2} == lone_edges
+
+
 def test_maximal_simplices_small():
     g2 = build_graph(2)
     assert maximal_simplices(g2) == [(0, 1)]
@@ -165,14 +193,6 @@ def test_fiber_counting_agrees():
         assert fvector_by_fiber_counting(g).counts == enumerate_simplices(g).counts
 
 
-def test_euler_characteristic_pairs():
-    assert euler_characteristic(7) == (1, 0)
-    assert euler_characteristic(10) == (6, 5)
-
-
-def test_facet_lines_and_file_round_trip(tmp_path):
+def test_format_facet_lines():
     facets = [(0, 1), (1, 2, 3)]
     assert format_facet_lines(facets) == "1 2\n2 3 4\n"
-    path = tmp_path / "facets.txt"
-    write_facets(facets, path)
-    assert read_facets(path) == facets

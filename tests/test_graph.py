@@ -14,9 +14,6 @@ from partition_complex.graph import (
     format_edge_list,
     format_legend,
     neighbors,
-    write_dimacs,
-    write_edge_list,
-    write_legend,
 )
 from partition_complex.oracles import edges_by_conjugate_scan
 from partition_complex.partitions import (
@@ -131,16 +128,3 @@ def test_format_edge_list_and_legend():
     legend = format_legend(g).splitlines()
     assert legend[0] == "1 [3]"
     assert legend[-1] == "3 [1,1,1]"
-
-
-def test_writers_round_trip(tmp_path):
-    g = build_graph(5)
-    dimacs = tmp_path / "g.dimacs"
-    edges = tmp_path / "g.edges"
-    legend = tmp_path / "g.legend"
-    write_dimacs(g, dimacs)
-    write_edge_list(g, edges)
-    write_legend(g, legend)
-    assert dimacs.read_text() == format_dimacs(g)
-    assert edges.read_text() == format_edge_list(g)
-    assert legend.read_text() == format_legend(g)

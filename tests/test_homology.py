@@ -1,19 +1,26 @@
 """Chain complexes, Smith normal form, and exact integer homology."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import partition_complex
 from partition_complex.cliques import maximal_simplices
 from partition_complex.graph import build_graph
 from partition_complex.homology import (
+    ChainComplex,
     EmptyComplexError,
+    _check_boundaries_compose_to_zero,
     build_chain_complex,
     reduced_homology,
     smith_normal_form,
 )
+from partition_complex.partitions import TheoremViolationError
 
 
 def test_snf_edge_cases():
@@ -194,3 +201,28 @@ def test_report_json_shape():
         (-1) ** p * payload["dimensions"][str(p)]["betti"]
         for p in range(len(payload["reduced_betti"])))
     assert alternating == payload["euler_characteristic"]
+
+
+def _unsigned_triangle_raises() -> bool:
+    """Whether the boundary check rejects a triangle whose signs were dropped."""
+    good = build_chain_complex([(0, 1, 2)])
+    unsigned = tuple({face: 1 for face in column} for column in good.boundaries[2])
+    try:
+        _check_boundaries_compose_to_zero(
+            ChainComplex(good.basis, good.boundaries[:2] + (unsigned,)))
+    except TheoremViolationError:
+        return True
+    return False
+
+
+def test_broken_boundary_raises_with_and_without_optimize():
+    assert _unsigned_triangle_raises()
+    # Under -O every assert is stripped, so the check must raise on its own.
+    script = ("import runpy, sys; ns = runpy.run_path(sys.argv[1]); "
+              "sys.exit(0 if sys.flags.optimize and ns['_unsigned_triangle_raises']() else 1)")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(partition_complex.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-O", "-c", script, __file__],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

@@ -13,7 +13,6 @@ from partition_complex.loops import (
     format_loop,
     normalize_loop,
     parse_loop,
-    peak_reduce_step,
     random_closed_walk,
     reduce_loop,
 )
@@ -102,11 +101,6 @@ def test_triangle_loop_reduces_to_its_lowest_vertex():
     assert format_loop(trace.final) == "[3,1]"
     rules = [rule for rule, _ in trace.steps]
     assert all(rule in ("shortcut", "detour", "normalize") for rule in rules)
-
-
-def test_peak_reduce_step_rejects_constant():
-    with pytest.raises(InvalidLoopError):
-        peak_reduce_step(loop4("[4]"))
 
 
 def test_each_step_descends():

@@ -49,15 +49,18 @@ def test_empty_nerve_at_1():
     assert anchor(n1, (1,)).members == ()
 
 
-def test_is_simplex_matches_intersections():
+def test_nerve_simplices_match_anchor_intersections():
     nerve = nerve_at(5)
+    vertices = nerve.graph.vertices
     for size in (1, 2):
         for members in itertools.combinations(range(nerve.vertex_count), size):
-            expected = bool(frozenset.intersection(
-                *(nerve.member_sets[m] for m in members)))
-            assert nerve.is_simplex(members) == expected
-    with pytest.raises(ValueError):
-        nerve.is_simplex(())
+            shared = frozenset.intersection(*(nerve.member_sets[m] for m in members))
+            in_some_anchor = any(
+                set(members) <= set(anchor_intersection(nerve, [lam])) for lam in vertices)
+            assert in_some_anchor == bool(shared)
+            if shared:
+                common = anchor_intersection(nerve, [vertices[v] for v in shared])
+                assert set(members) <= set(common)
 
 
 def test_anchor():
@@ -78,8 +81,6 @@ def test_anchor_members_all_contain_the_vertex():
         simplex = anchor(nerve, nerve.graph.vertices[vid])
         for member_id in simplex.members:
             assert vid in nerve.member_sets[member_id]
-        if simplex.members:
-            assert nerve.is_simplex(simplex.members)
 
 
 def test_anchor_intersection():

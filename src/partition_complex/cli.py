@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
@@ -60,10 +61,17 @@ def _table_row(n: int) -> tuple[int, tuple[int, ...]]:
     return n, enumerate_simplices(build_graph(n)).counts
 
 
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Pool size for --jobs: never more workers than tasks or CPUs, at least one."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _map_over_n(worker, ns, jobs: int) -> list:
-    """Apply worker to each n, in parallel when jobs > 1, merged in n order."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """Apply worker to each n, in parallel when the clamped pool has > 1 worker,
+    merged in n order."""
+    workers = _worker_count(jobs, len(ns))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, ns))
     return [worker(n) for n in ns]
 
@@ -294,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
     table.add_argument("--out", help="write here instead of stdout")
     table.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes; output is identical either way")
+                       help="worker processes, capped at the CPU count and the"
+                       " number of n values; output is identical either way")
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="run the verification suites")
@@ -309,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text")
     verify.add_argument("--out", help="write here instead of stdout")
     verify.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes; output is identical either way")
+                        help="worker processes, capped at the CPU count and the"
+                        " number of n values; output is identical either way")
     verify.add_argument("--ignore-budget", action="store_true",
                         help="run suites past their default n budgets")
     verify.set_defaults(func=cmd_verify)

@@ -19,16 +19,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graph import PartitionGraph, edge_decompositions
+from .graph import PartitionGraph, _edge_corners
 from .partitions import (
     Corner,
     InvalidPartitionError,
     Partition,
     TheoremViolationError,
-    addable_corners,
     admissible_transfers,
     as_partition,
-    removable_corners,
+    _addable_corners,
+    _removable_corners,
     _validated_addable,
     _validated_removable,
 )
@@ -112,8 +112,8 @@ def _fibers(
     targets in the order star_fiber and top_fiber return them.
     """
     lam = g.vertices[vid]
-    star: dict[Corner, list[int]] = {c: [] for c in removable_corners(lam)}
-    top: dict[Corner, list[int]] = {a: [] for a in addable_corners(lam)}
+    star: dict[Corner, list[int]] = {c: [] for c in _removable_corners(lam)}
+    top: dict[Corner, list[int]] = {a: [] for a in _addable_corners(lam)}
     for c, a, mu in admissible_transfers(lam):
         target = g.index[mu]
         star[c].append(target)
@@ -125,7 +125,7 @@ def classify_triangle(lam: Iterable[int], mu1: Iterable[int], mu2: Iterable[int]
     """Decide whether the path mu1 - lam - mu2 closes into a triangle.
 
     The verdict is read off the transfer decompositions: the triangle closes
-    iff some decompositions of the two edges share the removable corner
+    iff the decompositions of the two edges share the removable corner
     (star) or the addable corner (top).
     """
     lam = as_partition(lam)
@@ -133,17 +133,16 @@ def classify_triangle(lam: Iterable[int], mu1: Iterable[int], mu2: Iterable[int]
     mu2 = as_partition(mu2)
     if mu1 == mu2:
         raise InvalidPartitionError(f"triangle arms must differ, got {mu1} twice")
-    decomps1 = edge_decompositions(lam, mu1)
-    decomps2 = edge_decompositions(lam, mu2)
-    if not decomps1 or not decomps2:
-        missing = mu1 if not decomps1 else mu2
+    arm1 = _edge_corners(lam, mu1)
+    arm2 = _edge_corners(lam, mu2)
+    if arm1 is None or arm2 is None:
+        missing = mu1 if arm1 is None else mu2
         raise InvalidPartitionError(f"{missing} is not adjacent to {lam}")
-    for c1, a1 in decomps1:
-        for c2, a2 in decomps2:
-            if c1 == c2:
-                return TriangleClass(STAR, c1)
-            if a1 == a2:
-                return TriangleClass(TOP, a1)
+    (c1, a1), (c2, a2) = arm1, arm2
+    if c1 == c2:
+        return TriangleClass(STAR, c1)
+    if a1 == a2:
+        return TriangleClass(TOP, a1)
     return TriangleClass(NOT_TRIANGLE)
 
 
@@ -173,21 +172,13 @@ def classify_clique(g: PartitionGraph, ids: Sequence[int]) -> CliqueClass:
         return CliqueClass(SMALL)
     base_id = min(sorted_ids, key=lambda vid: g.heights[vid])
     base = g.vertices[base_id]
-    decomps = []
-    for vid in sorted_ids:
-        if vid == base_id:
-            continue
-        pairs = edge_decompositions(base, g.vertices[vid])
-        if not pairs:
-            raise NotACliqueError(f"{g.vertices[vid]} is not adjacent to {base}")
-        decomps.append(pairs)
-    for choice in itertools.product(*decomps):
-        removables = {c for c, _ in choice}
-        if len(removables) == 1:
-            return CliqueClass(STAR, base, next(iter(removables)))
-        addables = {a for _, a in choice}
-        if len(addables) == 1:
-            return CliqueClass(TOP, base, next(iter(addables)))
+    decomps = [_edge_corners(base, g.vertices[vid]) for vid in sorted_ids if vid != base_id]
+    removables = {c for c, _ in decomps}
+    if len(removables) == 1:
+        return CliqueClass(STAR, base, next(iter(removables)))
+    addables = {a for _, a in decomps}
+    if len(addables) == 1:
+        return CliqueClass(TOP, base, next(iter(addables)))
     raise TheoremViolationError(
         f"clique {[g.vertices[v] for v in sorted_ids]} shares no corner at {base}"
     )
@@ -236,19 +227,21 @@ def maximal_simplices(
     They are: full star- or top-simplices with fiber size >= 2, edges whose
     two fibers both have size 1, and isolated vertices as singletons (the
     last case only arises when the graph has a vertex with no moves at all).
-    Each edge (i, j) lies in exactly one star fiber and one top fiber of i,
-    so it is a facet when j is alone in one of each.
+    Each edge (i, j), i < j, lies in exactly one star fiber and one top
+    fiber of i, so it is a facet when the cover member (i, j) has both a
+    star and a top provenance based at i.
     """
     if cover is None:
         cover = canonical_cover(g)
-    facets = {member.vertices for member in cover if len(member.vertices) >= 3}
-    for i in range(len(g.vertices)):
-        star, top = _fibers(g, i)
-        lone_star = {fiber[0] for fiber in star.values() if len(fiber) == 1}
-        lone_top = {fiber[0] for fiber in top.values() if len(fiber) == 1}
-        facets.update((i, j) for j in lone_star & lone_top if i < j)
-        if not g.adjacency[i]:
-            facets.add((i,))
+    facets = set()
+    for member in cover:
+        if len(member.vertices) >= 3:
+            facets.add(member.vertices)
+        elif len(member.vertices) == 2:
+            low = member.vertices[0]
+            if len({kind for kind, base, _ in member.provenances if base == low}) == 2:
+                facets.add(member.vertices)
+    facets.update((i,) for i, nbrs in enumerate(g.adjacency) if not nbrs)
     return sorted(facets)
 
 

@@ -2,28 +2,29 @@
 
 Vertices are the partitions of n in descending lexicographic order, carrying
 dense 0-based ids in that order.  Two partitions are adjacent when one is an
-admissible single-cell transfer of the other, or equivalently when their
-conjugates differ by lowering one column count and raising another by one.
+admissible single-cell transfer of the other.  Edge corners are read off
+the row difference; the equivalent conjugate criterion (one column count
+lowered, another raised, by one) is kept as the oracle form of adjacency.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .partitions import (
+    ADDABLE,
+    REMOVABLE,
     Corner,
     InvalidPartitionError,
     Partition,
     TheoremViolationError,
-    addable_corners,
     admissible_transfers,
     as_partition,
     conjugate,
     enumerate_partitions,
     format_partition,
     height,
-    is_admissible,
-    removable_corners,
 )
 
 
@@ -137,23 +138,42 @@ def adjacency_by_conjugate(lam: Iterable[int], mu: Iterable[int]) -> Optional[tu
     return None
 
 
+def _edge_corners(lam: Partition, mu: Partition) -> Optional[tuple[Corner, Corner]]:
+    """The corners (c, a) with lam(c -> a) == mu, or None if lam, mu are not adjacent.
+
+    Lemma: mu is adjacent to lam iff their zero-padded row vectors differ by
+    -1 in exactly one row r and by +1 in exactly one row s; then
+    c = (r, lam_r) and a = (s, lam_s + 1).  Both arguments must be valid
+    partitions; pairs of different totals are never adjacent.
+    """
+    down = up = 0
+    for row, (old, new) in enumerate(zip_longest(lam, mu, fillvalue=0), start=1):
+        if old == new:
+            continue
+        if new == old - 1 and not down:
+            down = row
+        elif new == old + 1 and not up:
+            up = row
+        else:
+            return None
+    if not down or not up:
+        return None
+    added = lam[up - 1] + 1 if up <= len(lam) else 1
+    return Corner(down, lam[down - 1], REMOVABLE), Corner(up, added, ADDABLE)
+
+
 def edge_decompositions(lam: Iterable[int], mu: Iterable[int]) -> list[tuple[Corner, Corner]]:
     """All corner pairs (c, a) with apply_transfer(lam, c, a) == mu.
 
-    The conjugate difference pins the removed and added columns, and a corner
-    is determined by its column, so the list has at most one entry.
+    The row difference pins both corners (see _edge_corners), so the list has
+    at most one entry.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
-    columns = adjacency_by_conjugate(lam, mu)
-    if columns is None:
-        return []
-    col_c, col_a = columns
-    c = next((corner for corner in removable_corners(lam) if corner.col == col_c), None)
-    a = next((corner for corner in addable_corners(lam) if corner.col == col_a), None)
-    if c is None or a is None or not is_admissible(lam, c, a):
-        return []
-    return [(c, a)]
+    if sum(lam) != sum(mu):
+        raise InvalidPartitionError(f"{lam} and {mu} are partitions of different totals")
+    corners = _edge_corners(lam, mu)
+    return [] if corners is None else [corners]
 
 
 def format_dimacs(g: PartitionGraph) -> str:

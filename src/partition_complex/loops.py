@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .graph import PartitionGraph, edge_decompositions
+from .graph import PartitionGraph, _edge_corners
 from .partitions import (
     InadmissibleTransferError,
     TheoremViolationError,
@@ -166,10 +166,8 @@ def _replace_peak(loop: EdgeLoop) -> tuple[list[int], str]:
         raise TheoremViolationError(
             f"peak {graph.vertices[peak_id]} has a neighbour of height >= {top}")
     peak_partition = graph.vertices[peak_id]
-    corner_before, add_before = edge_decompositions(
-        peak_partition, graph.vertices[before_id])[0]
-    corner_after, add_after = edge_decompositions(
-        peak_partition, graph.vertices[after_id])[0]
+    corner_before, add_before = _edge_corners(peak_partition, graph.vertices[before_id])
+    corner_after, add_after = _edge_corners(peak_partition, graph.vertices[after_id])
     if corner_before == corner_after or add_before == add_after:
         # triangle shortcut: the fragment collapses to the edge between the
         # neighbours (or to a repeat, when both neighbours coincide)

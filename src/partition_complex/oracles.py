@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths it is used to check:
 clique enumeration is generic graph search with no corner calculus, the edge
 oracle uses only conjugate arithmetic, partition counting uses the recurrence
-with generalized pentagonal numbers, and edge decompositions are recovered by
-scanning all corner pairs instead of reading columns off the conjugate
-difference.
+with generalized pentagonal numbers, and edge decompositions and full star-
+and top-simplices are recovered by scanning all corner pairs through the
+sorting transfer route instead of reading corners off the row difference or
+a single transfer pass.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import lru_cache
 
 import networkx as nx
 
+from .cliques import STAR
 from .graph import PartitionGraph, adjacency_by_conjugate
 from .partitions import (
     Corner,
@@ -70,6 +72,24 @@ def edge_decompositions_by_scan(lam: Partition, mu: Partition) -> list[tuple[Cor
             if c.row != a.row and is_admissible(lam, c, a) and apply_transfer(lam, c, a) == mu:
                 out.append((c, a))
     return out
+
+
+def full_simplex_by_scan(
+    g: PartitionGraph, kind: str, base_id: int, corner: Corner
+) -> tuple[int, ...]:
+    """Vertex ids of the full star- or top-simplex at (base, corner), by scanning corner pairs.
+
+    kind is STAR (corner is the fixed removable corner) or TOP (corner is
+    the fixed addable corner); the base itself is always a member.
+    """
+    lam = g.vertices[base_id]
+    members = [base_id]
+    for c in removable_corners(lam):
+        for a in addable_corners(lam):
+            fixed = c if kind == STAR else a
+            if fixed == corner and is_admissible(lam, c, a):
+                members.append(g.index[apply_transfer(lam, c, a)])
+    return tuple(sorted(members))
 
 
 @lru_cache(maxsize=None)

@@ -112,9 +112,7 @@ def height(lam: Iterable[int]) -> int:
     return sum(i * part for i, part in enumerate(lam, start=1))
 
 
-def removable_corners(lam: Iterable[int]) -> list[Corner]:
-    """Cells whose removal leaves a partition, sorted by row."""
-    lam = as_partition(lam)
+def _removable_corners(lam: Partition) -> list[Corner]:
     ell = len(lam)
     return [
         Corner(i + 1, lam[i], REMOVABLE)
@@ -123,9 +121,7 @@ def removable_corners(lam: Iterable[int]) -> list[Corner]:
     ]
 
 
-def addable_corners(lam: Iterable[int]) -> list[Corner]:
-    """Positions where a cell can be added, including the new-row slot."""
-    lam = as_partition(lam)
+def _addable_corners(lam: Partition) -> list[Corner]:
     out = [
         Corner(i + 1, lam[i] + 1, ADDABLE)
         for i in range(len(lam))
@@ -133,6 +129,16 @@ def addable_corners(lam: Iterable[int]) -> list[Corner]:
     ]
     out.append(Corner(len(lam) + 1, 1, ADDABLE))
     return out
+
+
+def removable_corners(lam: Iterable[int]) -> list[Corner]:
+    """Cells whose removal leaves a partition, sorted by row."""
+    return _removable_corners(as_partition(lam))
+
+
+def addable_corners(lam: Iterable[int]) -> list[Corner]:
+    """Positions where a cell can be added, including the new-row slot."""
+    return _addable_corners(as_partition(lam))
 
 
 def _coerce_corner(corner, kind: str) -> Corner:
@@ -148,14 +154,14 @@ def _coerce_corner(corner, kind: str) -> Corner:
 
 def _validated_removable(lam: Partition, c) -> Corner:
     c = _coerce_corner(c, REMOVABLE)
-    if c not in removable_corners(lam):
+    if c not in _removable_corners(lam):
         raise InvalidCornerError(f"{(c.row, c.col)} is not a removable corner of {lam}")
     return c
 
 
 def _validated_addable(lam: Partition, a) -> Corner:
     a = _coerce_corner(a, ADDABLE)
-    if a not in addable_corners(lam):
+    if a not in _addable_corners(lam):
         raise InvalidCornerError(f"{(a.row, a.col)} is not an addable corner of {lam}")
     return a
 
@@ -190,14 +196,25 @@ def is_admissible(lam: Iterable[int], c, a) -> bool:
 
 
 def admissible_transfers(lam: Iterable[int]) -> list[tuple[Corner, Corner, Partition]]:
-    """All (c, a, result) triples of admissible transfers from lam."""
+    """All (c, a, result) triples of admissible transfers from lam.
+
+    Lemma: the transfer c -> a fixes lam iff c and a share a row or a column;
+    otherwise its result is lam - e_r + e_s (r = c.row, s = a.row), already
+    sorted, since c ends the rows of its length and a starts the rows of its
+    length.  The only row that can empty is the last, and it is dropped.
+    """
     lam = as_partition(lam)
     out = []
-    for c in removable_corners(lam):
-        for a in addable_corners(lam):
-            if a.row == c.row:
+    for c in _removable_corners(lam):
+        i = c.row - 1
+        lowered = (c.col - 1,) if c.col > 1 else ()
+        for a in _addable_corners(lam):
+            if a.row == c.row or a.col == c.col:
                 continue
-            result = _transfer_result(lam, c, a)
-            if result != lam:
-                out.append((c, a, result))
+            j = a.row - 1
+            if j < i:
+                result = lam[:j] + (a.col,) + lam[j + 1:i] + lowered + lam[i + 1:]
+            else:
+                result = lam[:i] + lowered + lam[i + 1:j] + (a.col,) + lam[j + 1:]
+            out.append((c, a, result))
     return out

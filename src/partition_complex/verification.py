@@ -49,6 +49,7 @@ from .nerve import (
 from .oracles import (
     all_cliques_reference,
     edge_decompositions_by_scan,
+    full_simplex_by_scan,
     maximal_cliques_reference,
     partition_count,
 )
@@ -272,8 +273,8 @@ def _suite_facets(ctx: NContext) -> VerificationOutcome:
 
 
 def _suite_cover(ctx: NContext) -> VerificationOutcome:
-    """Cover members are cliques matching each provenance, and every clique
-    of the graph lies inside some member."""
+    """Cover members are cliques matching each provenance (rebuilt by a
+    corner-pair scan), and every clique of the graph lies inside some member."""
     if not ctx.cover:
         return _vacuous("cover", ctx, "empty cover")
     g = ctx.graph
@@ -286,13 +287,11 @@ def _suite_cover(ctx: NContext) -> VerificationOutcome:
                     "member": list(member.vertices),
                     "claim": "cover members must be cliques"})
         for kind, base_id, corner in member.provenances:
-            base = g.vertices[base_id]
-            rebuild = full_star_simplex if kind == STAR else full_top_simplex
             checked += 1
-            if rebuild(g, base, corner) != member.vertices:
+            if full_simplex_by_scan(g, kind, base_id, corner) != member.vertices:
                 return _fail("cover", ctx, {
                     "member": list(member.vertices), "kind": kind,
-                    "base": format_partition(base),
+                    "base": format_partition(g.vertices[base_id]),
                     "claim": "provenance must rebuild the member"})
     member_sets = [set(member.vertices) for member in ctx.cover]
     for clique in ctx.all_cliques:

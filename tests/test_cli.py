@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from partition_complex.cli import main
+from partition_complex.cli import _worker_count, main
 from partition_complex.reference import EULER_CHARACTERISTIC
 
 
@@ -60,6 +60,16 @@ def test_table_out_file_and_jobs(tmp_path, capsys):
                  "--out", str(parallel), "--jobs", "3"]) == 0
     assert capsys.readouterr().out == ""
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _worker_count(5000, 3) == 3
+    assert _worker_count(5000, 25) == 4
+    assert _worker_count(2, 25) == 2
+    assert _worker_count(1, 25) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _worker_count(5000, 25) == 1
 
 
 def test_verify_text(capsys):

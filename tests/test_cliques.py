@@ -23,7 +23,11 @@ from partition_complex.cliques import (
     top_fiber,
 )
 from partition_complex.graph import build_graph, edge_decompositions
-from partition_complex.oracles import all_cliques_reference, maximal_cliques_reference
+from partition_complex.oracles import (
+    all_cliques_reference,
+    full_simplex_by_scan,
+    maximal_cliques_reference,
+)
 from partition_complex.partitions import (
     InvalidPartitionError,
     addable_corners,
@@ -156,6 +160,14 @@ def test_bulk_fibers_match_partition_fibers():
         cover = canonical_cover(g)
         assert [(m.vertices, list(m.provenances)) for m in cover] == sorted(expected_cover.items())
         assert {f for f in maximal_simplices(g, cover) if len(f) == 2} == lone_edges
+
+
+def test_cover_provenances_match_corner_scan():
+    for n in range(1, 11):
+        g = build_graph(n)
+        for member in canonical_cover(g):
+            for kind, base_id, corner in member.provenances:
+                assert full_simplex_by_scan(g, kind, base_id, corner) == member.vertices
 
 
 def test_maximal_simplices_small():

@@ -15,10 +15,11 @@ from partition_complex.graph import (
     format_legend,
     neighbors,
 )
-from partition_complex.oracles import edges_by_conjugate_scan
+from partition_complex.oracles import edge_decompositions_by_scan, edges_by_conjugate_scan
 from partition_complex.partitions import (
     InvalidPartitionError,
     apply_transfer,
+    enumerate_partitions,
     height,
 )
 
@@ -86,6 +87,17 @@ def test_edge_decompositions_unique_and_correct():
     assert apply_transfer((3, 1), c, a) == (2, 2)
     assert edge_decompositions((4,), (1, 1, 1, 1)) == []
     assert edge_decompositions((3, 1), (3, 1)) == []
+
+
+def test_edge_decompositions_match_corner_scan_on_all_pairs():
+    for n in range(1, 11):
+        vertices = enumerate_partitions(n)
+        for lam, mu in itertools.product(vertices, repeat=2):
+            assert edge_decompositions(lam, mu) == edge_decompositions_by_scan(lam, mu)
+    with pytest.raises(InvalidPartitionError):
+        edge_decompositions((3, 1), (2, 2, 1))
+    with pytest.raises(InvalidPartitionError):
+        edge_decompositions((3, 1), (3, 0))
 
 
 def test_every_edge_has_exactly_one_decomposition():

@@ -128,12 +128,21 @@ def test_is_admissible():
 
 
 def test_admissible_transfers_preserve_size_and_change_shape():
-    for lam in enumerate_partitions(8):
-        for c, a, result in admissible_transfers(lam):
-            assert sum(result) == 8
-            assert result != lam
-            assert c.row != a.row
-            assert apply_transfer(lam, c, a) == result
+    # The sort-free enumeration must list exactly the transfers that the
+    # validating, re-sorting route accepts, in corner order.
+    for n in range(1, 15):
+        for lam in enumerate_partitions(n):
+            expected = [
+                (c, a, apply_transfer(lam, c, a))
+                for c in removable_corners(lam)
+                for a in addable_corners(lam)
+                if is_admissible(lam, c, a)
+            ]
+            assert admissible_transfers(lam) == expected
+            for c, a, result in expected:
+                assert sum(result) == n
+                assert result != lam
+                assert c.row != a.row
 
 
 def test_single_cell_partition_has_no_transfers():

@@ -20,15 +20,16 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .graph import PartitionGraph, _edge_corners
+from .homology import _alternating_sum
 from .partitions import (
     Corner,
     InvalidPartitionError,
     Partition,
     TheoremViolationError,
-    admissible_transfers,
     as_partition,
     _addable_corners,
     _removable_corners,
+    _transfers,
     _validated_addable,
     _validated_removable,
 )
@@ -85,21 +86,21 @@ class FVector:
 
     @property
     def euler_characteristic(self) -> int:
-        return sum((-1) ** p * f for p, f in enumerate(self.counts))
+        return _alternating_sum(self.counts)
 
 
 def star_fiber(lam: Iterable[int], c) -> list[Partition]:
     """All results of moving the cell at removable corner c elsewhere."""
     lam = as_partition(lam)
     c = _validated_removable(lam, c)
-    return [mu for source, _, mu in admissible_transfers(lam) if source == c]
+    return [mu for _, _, mu in _transfers(lam, [c], _addable_corners(lam))]
 
 
 def top_fiber(lam: Iterable[int], a) -> list[Partition]:
     """All results of moving some removable cell of lam to addable corner a."""
     lam = as_partition(lam)
     a = _validated_addable(lam, a)
-    return [mu for _, target, mu in admissible_transfers(lam) if target == a]
+    return [mu for _, _, mu in _transfers(lam, _removable_corners(lam), [a])]
 
 
 def _fibers(
@@ -112,9 +113,11 @@ def _fibers(
     targets in the order star_fiber and top_fiber return them.
     """
     lam = g.vertices[vid]
-    star: dict[Corner, list[int]] = {c: [] for c in _removable_corners(lam)}
-    top: dict[Corner, list[int]] = {a: [] for a in _addable_corners(lam)}
-    for c, a, mu in admissible_transfers(lam):
+    removable = _removable_corners(lam)
+    addable = _addable_corners(lam)
+    star: dict[Corner, list[int]] = {c: [] for c in removable}
+    top: dict[Corner, list[int]] = {a: [] for a in addable}
+    for c, a, mu in _transfers(lam, removable, addable):
         target = g.index[mu]
         star[c].append(target)
         top[a].append(target)

@@ -6,6 +6,16 @@ invariant factors come from Smith normal form: a sparse elimination pass
 consumes the plentiful unit entries of boundary matrices, and whatever
 residue remains (the only possible source of torsion) goes through a dense
 minimum-pivot reduction.  No floating point, no fixed-width integers.
+
+The maps are reduced with clearing (Chen & Kerber, "Persistent homology
+computation with a twist", EuroCG 2011): first the boundary map out of
+dimension 1, then from the top dimension down to dimension 2.  Each map
+leaves out the columns that the sparse unit pivots of the map above used as
+rows, and the map out of dimension 2 also leaves out the rows that those of
+the map out of dimension 1 used as columns.  Every such pivot is an
+elementary reduction of the whole complex (Kaczynski, Mrozek & Slusarek,
+"Homology computation by reduction of chain complexes", 1998), so ranks and
+invariant factors are exactly those of the full maps.
 """
 
 from __future__ import annotations
@@ -14,13 +24,18 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .partitions import TheoremViolationError
 
 
 class EmptyComplexError(ValueError):
     """A chain complex cannot be built from an empty facet list."""
+
+
+def _alternating_sum(values: Iterable[int]) -> int:
+    """values[0] - values[1] + values[2] - ..., e.g. chi from an f-vector."""
+    return sum(-v if p % 2 else v for p, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -46,7 +61,7 @@ class ChainComplex:
 
     @property
     def euler_characteristic(self) -> int:
-        return sum((-1) ** p * f for p, f in enumerate(self.fvector))
+        return _alternating_sum(self.fvector)
 
 
 @dataclass(frozen=True)
@@ -63,7 +78,7 @@ class HomologyReport:
 
     @property
     def euler_characteristic(self) -> int:
-        return sum((-1) ** p * f for p, f in enumerate(self.fvector))
+        return _alternating_sum(self.fvector)
 
     @property
     def reduced_euler_characteristic(self) -> int:
@@ -220,22 +235,40 @@ def _normalize_divisibility(diag: list[int]) -> None:
                 changed = True
 
 
-def _sparse_rank_and_factors(columns: Sequence[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
-    """Rank and invariant factors of a sparse integer matrix given by columns.
+def _sparse_rank_and_factors(
+    columns: Sequence[dict[int, int]], skip_rows: Container[int], skip_cols: Container[int]
+) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
+    """Rank, invariant factors and sparse unit pivots of a boundary matrix.
 
-    Unit pivots are eliminated greedily, smallest column first, each being an
-    invariant factor 1.  The unit-free residue is handed to the dense Smith
-    reduction; its factors already form a divisibility chain, and factors 1
-    divide everything, so the combined chain needs no rework.
+    The matrix is given by columns; the rows in skip_rows and the columns in
+    skip_cols are left out.  Unit pivots are eliminated greedily, smallest
+    column first, each being an invariant factor 1.  The unit-free residue is
+    handed to the dense Smith reduction; its factors already form a
+    divisibility chain, and factors 1 divide everything, so the combined
+    chain needs no rework.  The (row, column) of every sparse unit pivot is
+    returned, in elimination order.
+
+    Clearing lemma: the sparse unit pivots (a_t, b_t) of d_{p+1} span a
+    square submatrix whose successive pivots are all +-1, so it is
+    invertible over Z.  Since d_p d_{p+1} = 0, the columns a_t of d_p are
+    then integer combinations of its other columns, and deleting them leaves
+    the Smith form of d_p unchanged.  Dually, the sparse unit pivots (v_t,
+    e_t) of d_p make the rows e_t of d_{p+1} integer combinations of its
+    other rows.  Both hold for any subset of rows and columns already left
+    out.  Pivots of the dense residue are not returned: they may be
+    non-units (the 2 of the projective plane), and its row and column
+    swaps do not pick out an invertible submatrix of the input.
     """
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     for j, column in enumerate(columns):
+        if j in skip_cols:
+            continue
         for i, value in column.items():
-            if value:
+            if value and i not in skip_rows:
                 rows.setdefault(i, {})[j] = value
                 col_rows.setdefault(j, set()).add(i)
-    rank = 0
+    pivots: list[tuple[int, int]] = []
     heap = [(len(members), j) for j, members in col_rows.items()]
     heapq.heapify(heap)
     deferred: list[int] = []
@@ -279,7 +312,7 @@ def _sparse_rank_and_factors(columns: Sequence[dict[int, int]]) -> tuple[int, tu
             if not row_i:
                 del rows[i]
         del col_rows[j]
-        rank += 1
+        pivots.append((pivot_row, j))
     live_rows = sorted(rows)
     live_cols = sorted({j for row in rows.values() for j in row})
     if live_rows:
@@ -289,8 +322,8 @@ def _sparse_rank_and_factors(columns: Sequence[dict[int, int]]) -> tuple[int, tu
             for j, v in rows[i].items():
                 dense[k][col_pos[j]] = v
         residual_rank, factors = smith_normal_form(dense)
-        return rank + residual_rank, factors
-    return rank, ()
+        return len(pivots) + residual_rank, factors, pivots
+    return len(pivots), (), pivots
 
 
 def reduced_homology(cplx: ChainComplex) -> HomologyReport:
@@ -299,12 +332,16 @@ def reduced_homology(cplx: ChainComplex) -> HomologyReport:
     top = cplx.dimension
     ranks = [0] * (top + 2)
     torsion: list[tuple[int, ...]] = [()] * (top + 1)
-    for p in range(1, top + 1):
-        rank_p, factors = _sparse_rank_and_factors(cplx.boundaries[p])
-        ranks[p] = rank_p
-        torsion[p - 1] = factors
+    # d_1 first, so that d_2 can leave out the rows its pivots paired, then
+    # top down, so that each map can leave out the columns paired above it.
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for p in ([1] + list(range(top, 1, -1)) if top else []):
+        ranks[p], torsion[p - 1], pivots[p] = _sparse_rank_and_factors(
+            cplx.boundaries[p],
+            skip_rows={col for _, col in pivots.get(p - 1, ())},
+            skip_cols={row for row, _ in pivots.pop(p + 1, ())})
     betti = tuple(fvector[p] - ranks[p] - ranks[p + 1] for p in range(top + 1))
     report = HomologyReport(fvector, betti, tuple(torsion))
-    if sum((-1) ** p * b for p, b in enumerate(betti)) != report.euler_characteristic:
+    if _alternating_sum(betti) != report.euler_characteristic:
         raise TheoremViolationError("alternating betti sum must match the euler characteristic")
     return report

@@ -8,7 +8,7 @@ of the diagram of lam holds lam[i-1] cells.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 REMOVABLE = "removable"
 ADDABLE = "addable"
@@ -204,11 +204,22 @@ def admissible_transfers(lam: Iterable[int]) -> list[tuple[Corner, Corner, Parti
     length.  The only row that can empty is the last, and it is dropped.
     """
     lam = as_partition(lam)
+    return _transfers(lam, _removable_corners(lam), _addable_corners(lam))
+
+
+def _transfers(
+    lam: Partition, removable: Sequence[Corner], addable: Sequence[Corner]
+) -> list[tuple[Corner, Corner, Partition]]:
+    """admissible_transfers over given corners of lam, without validation.
+
+    Triples come removable corner first, then addable corner, each in the
+    order given.
+    """
     out = []
-    for c in _removable_corners(lam):
+    for c in removable:
         i = c.row - 1
         lowered = (c.col - 1,) if c.col > 1 else ()
-        for a in _addable_corners(lam):
+        for a in addable:
             if a.row == c.row or a.col == c.col:
                 continue
             j = a.row - 1

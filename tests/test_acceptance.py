@@ -59,10 +59,10 @@ def test_table_reproduction(announce):
 
 def test_homology_concentration(announce):
     # Reduced homology is a single free group in degree 2 of rank chi - 1,
-    # with no torsion anywhere, for n = 1..14.
+    # with no torsion anywhere, for n = 1..25.
     start = time.monotonic()
     deviations = []
-    for n in range(1, 15):
+    for n in range(1, 26):
         cplx = build_chain_complex(maximal_simplices(build_graph(n)))
         report_n = reduced_homology(cplx)
         if not homology_concentrated(report_n, cplx.euler_characteristic):
@@ -72,7 +72,7 @@ def test_homology_concentration(announce):
     elapsed = time.monotonic() - start
     ok = not deviations and elapsed < 600
     report(announce, "homology-concentration", ok,
-           f"n<=14 exact, {elapsed:.1f}s" if ok else f"deviations={deviations}")
+           f"n<=25 exact, {elapsed:.1f}s" if ok else f"deviations={deviations}")
 
 
 def test_triangle_oracle(announce):

@@ -29,8 +29,11 @@ from partition_complex.oracles import (
     maximal_cliques_reference,
 )
 from partition_complex.partitions import (
+    InvalidCornerError,
     InvalidPartitionError,
     addable_corners,
+    admissible_transfers,
+    enumerate_partitions,
     removable_corners,
 )
 
@@ -40,12 +43,31 @@ def test_star_fiber():
     assert star_fiber((5,), (1, 5)) == [(4, 1)]
     # The new-row target of (1,1)'s only cell is the identity, so it drops out.
     assert star_fiber((1, 1), (2, 1)) == [(2,)]
+    with pytest.raises(InvalidPartitionError):
+        star_fiber((1, 2), (1, 1))
+    with pytest.raises(InvalidCornerError):
+        star_fiber((3, 1), (1, 2))
 
 
 def test_top_fiber():
     assert top_fiber((3, 1), (2, 2)) == [(2, 2)]
     assert top_fiber((2, 1, 1), (1, 3)) == [(3, 1)]
     assert top_fiber((2, 2), (3, 1)) == [(2, 1, 1)]
+    with pytest.raises(InvalidPartitionError):
+        top_fiber((1, 2), (1, 2))
+    with pytest.raises(InvalidCornerError):
+        top_fiber((3, 1), (2, 3))
+
+
+def test_fibers_filter_admissible_transfers():
+    """Each fiber lists its transfers' results in admissible_transfers order."""
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n):
+            transfers = admissible_transfers(lam)
+            for c in removable_corners(lam):
+                assert star_fiber(lam, c) == [mu for src, _, mu in transfers if src == c]
+            for a in addable_corners(lam):
+                assert top_fiber(lam, a) == [mu for _, dst, mu in transfers if dst == a]
 
 
 def test_classify_triangle():

@@ -203,6 +203,48 @@ def test_report_json_shape():
     assert alternating == payload["euler_characteristic"]
 
 
+def suspension(facets):
+    """The suspension: every facet joined with each of two new apex vertices."""
+    north = max(v for facet in facets for v in facet) + 1
+    return [tuple(facet) + (apex,) for facet in facets for apex in (north, north + 1)]
+
+
+def homology_without_clearing(cplx):
+    """Betti numbers and torsion from the dense Smith form of every full boundary map."""
+    ranks = [0] * (cplx.dimension + 2)
+    torsion = [()] * (cplx.dimension + 1)
+    for p in range(1, cplx.dimension + 1):
+        dense = [[0] * len(cplx.basis[p]) for _ in cplx.basis[p - 1]]
+        for j, column in enumerate(cplx.boundaries[p]):
+            for i, value in column.items():
+                dense[i][j] = value
+        ranks[p], torsion[p - 1] = smith_normal_form(dense)
+    betti = tuple(f - ranks[p] - ranks[p + 1] for p, f in enumerate(cplx.fvector))
+    return betti, tuple(torsion)
+
+
+def test_clearing_keeps_betti_and_torsion():
+    # The suspensions move RP^2's Z/2 up into H~2 and H~3, so it comes from
+    # boundary maps whose rows and columns clearing leaves out.
+    complexes = {
+        "RP2": (PROJECTIVE_PLANE, ((), (2,), ())),
+        "torus": (TORUS, ((), (), ())),
+        "klein": (klein_bottle_facets(), ((), (2,), ())),
+        "suspended RP2": (suspension(PROJECTIVE_PLANE), ((), (), (2,), ())),
+        "twice suspended RP2": (suspension(suspension(PROJECTIVE_PLANE)),
+                                ((), (), (), (2,), ())),
+    }
+    for n in range(1, 10):
+        complexes[f"K_{n}"] = (maximal_simplices(build_graph(n)), None)
+    for name, (facets, expected_torsion) in complexes.items():
+        cplx = build_chain_complex(facets)
+        betti, torsion = homology_without_clearing(cplx)
+        if expected_torsion is not None:
+            assert torsion == expected_torsion, name
+        report = reduced_homology(cplx)
+        assert (report.betti, report.torsion) == (betti, torsion), name
+
+
 def _unsigned_triangle_raises() -> bool:
     """Whether the boundary check rejects a triangle whose signs were dropped."""
     good = build_chain_complex([(0, 1, 2)])

@@ -4,7 +4,8 @@ Simplices are cliques of the transfer graph, handled as sorted tuples of
 vertex ids.  The module classifies triangles and larger cliques by their
 shared corner, builds the canonical cover out of full star- and top-simplices,
 derives the maximal simplices from the classification, and counts simplices
-per dimension.
+per dimension three ways: by subsets of the facets, by the height-raising
+fibers of the graph, and from the corner rows of each partition alone.
 
 Classification vocabulary: a clique is star-type at a vertex lam when every
 other member is lam with one fixed removable corner moved somewhere, and
@@ -32,6 +33,7 @@ from .partitions import (
     _transfers,
     _validated_addable,
     _validated_removable,
+    enumerate_partitions,
 )
 
 STAR = "star"
@@ -316,9 +318,77 @@ def fvector_by_fiber_counting(g: PartitionGraph) -> FVector:
     return FVector(tuple(counts))
 
 
+def _raising_fiber_sizes(lam: Partition) -> tuple[list[int], list[int]]:
+    """Sizes of the height-raising star and top fibers of lam, from its rows.
+
+    Star sizes come in removable_corners order and top sizes in
+    addable_corners order.  With distinct parts v_1 > ... > v_k and
+    v_{k+1} = 0, block i is the run of rows of length v_i; its removable
+    corner ends it and its addable corner starts it, and the new-row corner
+    starts block k + 1.  A transfer c -> a is admissible iff c and a differ
+    in row and in column, and it raises the height by a.row - c.row.  So:
+
+    - the star fiber at the corner that ends block i reaches the addable
+      corners of blocks i+1..k+1, all in later rows, except the one of
+      block i+1 when its column v_{i+1} + 1 is v_i: size k + 1 - i, minus
+      1 when v_{i+1} = v_i - 1;
+    - the top fiber at the corner that starts block j draws on the
+      removable corners of blocks 1..j-1, except the one of block j-1 when
+      its column v_{j-1} is v_j + 1: size j - 1, minus 1 when
+      v_{j-1} = v_j + 1.
+    """
+    values = list(dict.fromkeys(lam))
+    values.append(0)
+    k = len(values) - 1
+    star = []
+    top = [0]
+    for i in range(k):
+        adjacent = values[i] - values[i + 1] == 1
+        star.append(k - i - adjacent)
+        top.append(i + 1 - adjacent)
+    return star, top
+
+
+def fvector_by_corner_counting(n: int) -> FVector:
+    """f-vector of the clique complex on the partitions of n, with no graph.
+
+    One pass over enumerate_partitions(n) counts every clique once, at its
+    lowest vertex: f_0 = p(n), f_1 sums the raising star-fiber sizes (each
+    edge lies in exactly one star fiber of its lower end), and for k >= 2 a
+    k-simplex is its lowest vertex plus k members of exactly one raising
+    star or top fiber, so f_k sums C(s, k) over all of them, s the size.
+
+    Lemma: the raising star sizes and the raising top sizes of one
+    partition both count its height-raising transfers, once by removable
+    and once by addable corner, so their sums agree; a partition where they
+    do not raises TheoremViolationError.
+    """
+    partitions = enumerate_partitions(n)
+    edges = 0
+    size_counts = [0] * (n + 2)
+    for lam in partitions:
+        star, top = _raising_fiber_sizes(lam)
+        raising = sum(star)
+        if raising != sum(top):
+            raise TheoremViolationError(
+                f"{lam} has {raising} raising transfers by removable corner"
+                f" but {sum(top)} by addable corner")
+        edges += raising
+        for s in itertools.chain(star, top):
+            size_counts[s] += 1
+    counts = [len(partitions), edges]
+    for k in range(2, len(size_counts)):
+        faces = sum(count * math.comb(s, k) for s, count in enumerate(size_counts) if count)
+        if not faces:
+            break
+        counts.append(faces)
+    while counts[-1] == 0:
+        counts.pop()
+    return FVector(tuple(counts))
+
+
 def format_facet_lines(facets: Iterable[tuple[int, ...]]) -> str:
     """One facet per line as space-separated 1-based vertex ids."""
     return "".join(
         " ".join(str(vid + 1) for vid in facet) + "\n" for facet in facets
     )
-

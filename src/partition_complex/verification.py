@@ -29,6 +29,7 @@ from .cliques import (
     enumerate_simplices,
     full_star_simplex,
     full_top_simplex,
+    fvector_by_corner_counting,
     fvector_by_fiber_counting,
     maximal_simplices,
     star_fiber,
@@ -625,13 +626,17 @@ def _suite_homology(ctx: NContext) -> VerificationOutcome:
 
 
 def _suite_euler(ctx: NContext) -> VerificationOutcome:
-    """Subset enumeration versus fiber counting versus tabulated values,
-    plus the partition-count recurrence for the vertex count."""
+    """Subset enumeration versus graph-based fiber counting versus corner
+    counting versus tabulated values, plus the partition-count recurrence
+    for the vertex count.  A fail witness names the route that disagreed
+    with subset enumeration."""
     counted = ctx.fvector
-    fiber = fvector_by_fiber_counting(ctx.graph)
-    if counted.counts != fiber.counts:
-        return _fail("euler", ctx, {
-            "counted": list(counted.counts), "fiber": list(fiber.counts)})
+    for route, other in (("fiber", fvector_by_fiber_counting(ctx.graph)),
+                         ("corner", fvector_by_corner_counting(ctx.n))):
+        if counted.counts != other.counts:
+            return _fail("euler", ctx, {
+                "route": route, "counted": list(counted.counts),
+                route: list(other.counts)})
     if counted.counts[0] != partition_count(ctx.n):
         return _fail("euler", ctx, {
             "vertices": counted.counts[0], "recurrence": partition_count(ctx.n)})

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from partition_complex import cli
 from partition_complex.cli import _worker_count, main
 from partition_complex.reference import EULER_CHARACTERISTIC
 
@@ -201,6 +202,34 @@ def test_out_write_failure_exits_1():
     result = run_cli("table", "--max-n", "2", "--out", "/nonexistent/dir/t.txt")
     assert result.returncode == 1
     assert "error" in result.stderr
+
+
+def test_failed_out_write_keeps_existing_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "table.txt"
+    out.write_bytes(b"previous contents\n")
+
+    class HalfWrite:
+        """A file whose write lands half its text, then fails."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: HalfWrite(open(*args, **kwargs)),
+                        raising=False)
+    assert main(["table", "--max-n", "6", "--out", str(out)]) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous contents\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["table.txt"]
 
 
 def test_verify_runs_are_byte_identical():

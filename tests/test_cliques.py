@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_complex.cliques import (
     NOT_TRIANGLE,
@@ -16,7 +18,9 @@ from partition_complex.cliques import (
     enumerate_simplices,
     format_facet_lines,
     full_star_simplex,
+    _raising_fiber_sizes,
     full_top_simplex,
+    fvector_by_corner_counting,
     fvector_by_fiber_counting,
     maximal_simplices,
     star_fiber,
@@ -34,6 +38,7 @@ from partition_complex.partitions import (
     addable_corners,
     admissible_transfers,
     enumerate_partitions,
+    height,
     removable_corners,
 )
 
@@ -225,6 +230,34 @@ def test_fiber_counting_agrees():
     for n in range(1, 9):
         g = build_graph(n)
         assert fvector_by_fiber_counting(g).counts == enumerate_simplices(g).counts
+
+
+def test_corner_counting_matches_subset_enumeration():
+    for n in range(1, 31):
+        assert fvector_by_corner_counting(n).counts == enumerate_simplices(build_graph(n)).counts
+
+
+@st.composite
+def partitions_up_to(draw, max_n):
+    """A partition of some n <= max_n, drawn part by part, largest first."""
+    remaining = draw(st.integers(min_value=1, max_value=max_n))
+    parts = []
+    while remaining:
+        cap = min(remaining, parts[-1]) if parts else remaining
+        part = draw(st.integers(min_value=1, max_value=cap))
+        parts.append(part)
+        remaining -= part
+    return tuple(parts)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(partitions_up_to(40))
+def test_raising_fiber_sizes_match_filtered_transfers(lam):
+    base = height(lam)
+    raising = [(c, a) for c, a, mu in admissible_transfers(lam) if height(mu) > base]
+    star, top = _raising_fiber_sizes(lam)
+    assert star == [sum(1 for c, _ in raising if c == corner) for corner in removable_corners(lam)]
+    assert top == [sum(1 for _, a in raising if a == corner) for corner in addable_corners(lam)]
 
 
 def test_format_facet_lines():

@@ -12,9 +12,11 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 import partition_complex
 from partition_complex.cliques import maximal_simplices
 from partition_complex.graph import build_graph
+from partition_complex import homology
 from partition_complex.homology import (
     ChainComplex,
     EmptyComplexError,
+    _alternating_sum,
     _check_boundaries_compose_to_zero,
     build_chain_complex,
     reduced_homology,
@@ -255,6 +257,25 @@ def _unsigned_triangle_raises() -> bool:
     except TheoremViolationError:
         return True
     return False
+
+
+def test_rank_overcount_raises(monkeypatch):
+    cplx = build_chain_complex(maximal_simplices(build_graph(8)))
+    true_ranks = homology._sparse_rank_and_factors
+
+    def overcount(*args, **kwargs):
+        rank, factors, pivots = true_ranks(*args, **kwargs)
+        return rank + 1, factors, pivots
+
+    monkeypatch.setattr(homology, "_sparse_rank_and_factors", overcount)
+    with pytest.raises(TheoremViolationError):
+        reduced_homology(cplx)
+    # The Betti numbers of these ranks still sum to chi, so an alternating
+    # Betti sum check would have let them through.
+    f = cplx.fvector
+    ranks = [0] + [overcount(cplx.boundaries[p], (), ())[0] for p in range(1, len(f))] + [0]
+    betti = [f[p] - ranks[p] - ranks[p + 1] for p in range(len(f))]
+    assert _alternating_sum(betti) == cplx.euler_characteristic
 
 
 def test_broken_boundary_raises_with_and_without_optimize():

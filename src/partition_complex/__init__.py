@@ -55,13 +55,11 @@ from .loops import (
     ReductionTrace,
     complexity,
     format_loop,
-    normalize_loop,
     parse_loop,
     random_closed_walk,
     reduce_loop,
 )
 from .nerve import (
-    AnchorSimplex,
     IntersectionPoset,
     NerveComplex,
     OrderComplex,
@@ -103,85 +101,3 @@ from .verification import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnchorSimplex",
-    "BUDGETS",
-    "ChainComplex",
-    "CliqueClass",
-    "Corner",
-    "CoverMember",
-    "EdgeLoop",
-    "EmptyComplexError",
-    "FVector",
-    "HomologyReport",
-    "InadmissibleTransferError",
-    "IntersectionPoset",
-    "InvalidCornerError",
-    "InvalidLoopError",
-    "InvalidPartitionError",
-    "LoopComplexity",
-    "NerveComplex",
-    "NotACliqueError",
-    "OrderComplex",
-    "Partition",
-    "PartitionGraph",
-    "ReductionTrace",
-    "SUITE_ORDER",
-    "TheoremViolationError",
-    "TriangleClass",
-    "UnknownVertexError",
-    "VerificationOutcome",
-    "addable_corners",
-    "adjacency_by_conjugate",
-    "admissible_transfers",
-    "anchor",
-    "anchor_intersection",
-    "apply_transfer",
-    "are_adjacent",
-    "as_partition",
-    "build_chain_complex",
-    "build_graph",
-    "build_nerve",
-    "build_poset",
-    "canonical_cover",
-    "classify_clique",
-    "classify_triangle",
-    "closure",
-    "complexity",
-    "conjugate",
-    "edge_decompositions",
-    "enumerate_partitions",
-    "enumerate_simplices",
-    "format_dimacs",
-    "format_edge_list",
-    "format_facet_lines",
-    "format_legend",
-    "format_loop",
-    "format_partition",
-    "full_star_simplex",
-    "full_top_simplex",
-    "fvector_by_corner_counting",
-    "fvector_by_fiber_counting",
-    "height",
-    "is_admissible",
-    "max_chain_length",
-    "maximal_simplices",
-    "neighbors",
-    "nerve_fvector",
-    "normalize_loop",
-    "order_complex",
-    "parse_loop",
-    "parse_partition",
-    "partition_count",
-    "poset_json_dict",
-    "random_closed_walk",
-    "reduce_loop",
-    "reduced_homology",
-    "removable_corners",
-    "run_verification",
-    "smith_normal_form",
-    "star_fiber",
-    "top_fiber",
-    "verify_single_n",
-]

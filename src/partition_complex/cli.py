@@ -35,7 +35,6 @@ from .verification import (
     SUITE_ORDER,
     VACUOUS,
     homology_concentrated,
-    run_verification,
     verify_single_n,
 )
 
@@ -198,15 +197,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("warning: running past the default budgets of "
                   + ", ".join(capped) + "; large n may take a long time",
                   file=sys.stderr)
-    if args.jobs > 1:
-        worker = functools.partial(verify_single_n, suites=suites,
-                                   seed=args.seed,
-                                   ignore_budget=args.ignore_budget)
-        chunks = _map_over_n(worker, range(1, args.max_n + 1), args.jobs)
-        outcomes = [outcome for chunk in chunks for outcome in chunk]
-    else:
-        outcomes = run_verification(args.max_n, suites, args.seed,
-                                    args.ignore_budget)
+    worker = functools.partial(verify_single_n, suites=suites, seed=args.seed,
+                               ignore_budget=args.ignore_budget)
+    chunks = _map_over_n(worker, range(1, args.max_n + 1), args.jobs)
+    outcomes = [outcome for chunk in chunks for outcome in chunk]
     if args.format == "csv":
         text = _format_verify_csv(outcomes)
     elif args.format == "json":

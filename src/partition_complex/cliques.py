@@ -252,24 +252,20 @@ def maximal_simplices(
 
 def enumerate_simplices(
     g: PartitionGraph,
-    include_simplices: bool = False,
     facets: Optional[list[tuple[int, ...]]] = None,
-):
+) -> FVector:
     """Count every clique exactly once by enumerating subsets of facets.
 
-    Returns the FVector, or (FVector, per-dimension simplex lists) when
-    include_simplices is set.  Subsets are deduplicated one dimension at a
-    time through integer keys packing the sorted ids.
+    Subsets are deduplicated one dimension at a time through integer keys
+    packing the sorted ids.
     """
     if facets is None:
         facets = maximal_simplices(g)
     width = max(1, (len(g.vertices) - 1).bit_length())
     max_size = max((len(facet) for facet in facets), default=0)
     counts = []
-    collected: list[list[tuple[int, ...]]] = []
     for size in range(1, max_size + 1):
         seen: set[int] = set()
-        bucket: list[tuple[int, ...]] = []
         for facet in facets:
             if len(facet) < size:
                 continue
@@ -277,18 +273,9 @@ def enumerate_simplices(
                 key = 1
                 for vid in combo:
                     key = (key << width) | vid
-                if key not in seen:
-                    seen.add(key)
-                    if include_simplices:
-                        bucket.append(combo)
+                seen.add(key)
         counts.append(len(seen))
-        if include_simplices:
-            bucket.sort()
-            collected.append(bucket)
-    fvector = FVector(tuple(counts))
-    if include_simplices:
-        return fvector, collected
-    return fvector
+    return FVector(tuple(counts))
 
 
 def fvector_by_fiber_counting(g: PartitionGraph) -> FVector:

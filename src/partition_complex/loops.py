@@ -17,9 +17,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .graph import PartitionGraph, _edge_corners
 from .partitions import (
-    InadmissibleTransferError,
     TheoremViolationError,
-    apply_transfer,
+    _transfers,
     format_partition,
     parse_partition,
 )
@@ -141,24 +140,17 @@ def normalize_ids(ids: Sequence[int]) -> list[int]:
     return out
 
 
-def normalize_loop(loop: EdgeLoop) -> EdgeLoop:
-    return EdgeLoop(loop.graph, normalize_ids(loop.ids))
-
-
 def _require_adjacent(graph: PartitionGraph, u: int, v: int, context: str) -> None:
     if v not in graph.adjacency_sets[u]:
         raise TheoremViolationError(
             f"{context}: {graph.vertices[u]} and {graph.vertices[v]} are not adjacent")
 
 
-def _replace_peak(loop: EdgeLoop) -> tuple[list[int], str]:
-    """Rewrite the lowest-index highest vertex; returns the raw ids and rule tag."""
-    graph = loop.graph
-    ids = list(loop.ids)
+def _replace_peak(graph: PartitionGraph, ids: list[int], top: int) -> str:
+    """Rewrite, in place, the lowest-index vertex of ids at height top;
+    returns the rule tag."""
     size = len(ids)
-    heights = [graph.heights[v] for v in ids]
-    top = max(heights)
-    peak = heights.index(top)
+    peak = next(i for i, vertex_id in enumerate(ids) if graph.heights[vertex_id] == top)
     peak_id = ids[peak]
     before_id = ids[(peak - 1) % size]
     after_id = ids[(peak + 1) % size]
@@ -174,7 +166,7 @@ def _replace_peak(loop: EdgeLoop) -> tuple[list[int], str]:
         if before_id != after_id:
             _require_adjacent(graph, before_id, after_id, "shortcut triangle")
         del ids[peak]
-        return ids, "shortcut"
+        return "shortcut"
     # distinct removable corners always sit in distinct rows, so the
     # reindexing below never faces a tie
     if corner_before.row == corner_after.row:
@@ -184,13 +176,15 @@ def _replace_peak(loop: EdgeLoop) -> tuple[list[int], str]:
         source, target = corner_after, add_before
     else:
         source, target = corner_before, add_after
-    try:
-        detour = apply_transfer(peak_partition, source, target)
-    except InadmissibleTransferError as exc:
+    # both corners come off edges of the peak, so the kernel needs no
+    # validation; it yields nothing exactly when the transfer is inadmissible
+    transfers = _transfers(peak_partition, [source], [target])
+    if not transfers:
         raise TheoremViolationError(
             f"detour transfer {source}->{target} from {peak_partition} "
-            f"is inadmissible") from exc
-    detour_id = graph.vertex_id(detour)
+            f"is inadmissible")
+    detour = transfers[0][2]
+    detour_id = graph.index[detour]
     if graph.heights[detour_id] >= top:
         raise TheoremViolationError(
             f"detour vertex {detour} is not lower than the peak {peak_partition}")
@@ -198,33 +192,7 @@ def _replace_peak(loop: EdgeLoop) -> tuple[list[int], str]:
     _require_adjacent(graph, detour_id, before_id, "detour triangle")
     _require_adjacent(graph, detour_id, after_id, "detour triangle")
     ids[peak] = detour_id
-    return ids, "detour"
-
-
-def _check_descent(rule: str, old: EdgeLoop, new: EdgeLoop) -> None:
-    before, after = complexity(old), complexity(new)
-    if rule == "normalize":
-        ok = after <= before and len(new) < len(old)
-    else:
-        ok = after < before
-    if not ok:
-        raise TheoremViolationError(
-            f"{rule} step did not decrease complexity: "
-            f"{before} (length {len(old)}) -> {after} (length {len(new)})")
-
-
-def _tagged_step(loop: EdgeLoop) -> tuple[EdgeLoop, str]:
-    """One reduction step: normalize if possible, otherwise rewrite a peak."""
-    if loop.is_constant:
-        raise InvalidLoopError("a constant loop has no peak to reduce")
-    normalized = normalize_loop(loop)
-    if normalized.ids != loop.ids:
-        _check_descent("normalize", loop, normalized)
-        return normalized, "normalize"
-    raw, rule = _replace_peak(loop)
-    new = EdgeLoop(loop.graph, normalize_ids(raw))
-    _check_descent(rule, loop, new)
-    return new, rule
+    return "detour"
 
 
 @dataclass(frozen=True)
@@ -255,13 +223,35 @@ class ReductionTrace:
 
 
 def reduce_loop(loop: EdgeLoop) -> ReductionTrace:
-    """Iterate reduction steps down to a constant loop, recording each rewrite."""
+    """Reduce a loop to a constant loop, recording each rewrite.
+
+    normalize_ids runs to a fixpoint and every later state is its output,
+    so only the input can need normalizing: a "normalize" step is recorded
+    first, and only when it shortens the loop.  Each further step rewrites
+    a peak and normalizes the result.  Every recorded state is built once,
+    as a validated EdgeLoop, and measured once; its complexity is the next
+    step's "before".  A normalize step must not raise the complexity, and
+    a peak step must strictly lower it.
+    """
+    graph = loop.graph
+    current, before = loop, complexity(loop)
     steps = []
-    current = loop
-    while not current.is_constant:
-        current, rule = _tagged_step(current)
-        steps.append((rule, current))
-    return ReductionTrace(loop, tuple(steps))
+    ids = normalize_ids(loop.ids)
+    rule = "normalize" if len(ids) < len(loop) else None
+    while True:
+        if rule is not None:
+            new = EdgeLoop(graph, ids)
+            after = complexity(new)
+            if not (after <= before if rule == "normalize" else after < before):
+                raise TheoremViolationError(
+                    f"{rule} step did not decrease complexity: "
+                    f"{before} (length {len(current)}) -> {after} (length {len(new)})")
+            steps.append((rule, new))
+            current, before = new, after
+        if current.is_constant:
+            return ReductionTrace(loop, tuple(steps))
+        rule = _replace_peak(graph, ids, before.max_height)
+        ids = normalize_ids(ids)
 
 
 def random_closed_walk(graph: PartitionGraph, rng, max_len: int = 40) -> EdgeLoop:

@@ -160,6 +160,11 @@ class NContext:
         return base * 1_000_003 + self.n
 
 
+def _literals(g, ids) -> list[str]:
+    """Partition literals of the given vertex ids, for a fail witness."""
+    return [format_partition(g.vertices[v]) for v in ids]
+
+
 def _pass(suite: str, ctx: NContext, detail: str) -> VerificationOutcome:
     return VerificationOutcome(suite, ctx.n, PASS, detail=detail)
 
@@ -235,18 +240,18 @@ def _suite_cliques(ctx: NContext) -> VerificationOutcome:
         if len(clique) < 3:
             continue
         checked += 1
-        literals = [format_partition(g.vertices[v]) for v in clique]
         verdict = classify_clique(g, clique)
         base_id = min(clique, key=lambda vid: g.heights[vid])
         if g.vertex_id(verdict.base) != base_id:
             return _fail("cliques", ctx, {
-                "clique": literals, "claim": "witness base must be the lowest vertex"})
+                "clique": _literals(g, clique),
+                "claim": "witness base must be the lowest vertex"})
         fiber = (star_fiber if verdict.kind == STAR else top_fiber)(
             verdict.base, verdict.corner)
         fiber_ids = {g.index[mu] for mu in fiber}
         if not set(clique) - {base_id} <= fiber_ids:
             return _fail("cliques", ctx, {
-                "clique": literals, "kind": verdict.kind,
+                "clique": _literals(g, clique), "kind": verdict.kind,
                 "claim": "members must lie in the witness fiber"})
         base = g.vertices[base_id]
         decomps = [edge_decompositions(base, g.vertices[v])[0]
@@ -255,7 +260,7 @@ def _suite_cliques(ctx: NContext) -> VerificationOutcome:
         top_shared = len({a for _, a in decomps}) == 1
         if star_shared and top_shared:
             return _fail("cliques", ctx, {
-                "clique": literals,
+                "clique": _literals(g, clique),
                 "claim": "a clique of size >= 3 cannot be both star- and top-type"})
     if checked == 0:
         return _vacuous("cliques", ctx, "no cliques of size 3 or more")
@@ -300,7 +305,7 @@ def _suite_cover(ctx: NContext) -> VerificationOutcome:
         vertex_set = set(clique)
         if not any(vertex_set <= ms for ms in member_sets):
             return _fail("cover", ctx, {
-                "clique": [format_partition(g.vertices[v]) for v in clique],
+                "clique": _literals(g, clique),
                 "claim": "every clique lies in a cover member"})
     return _pass("cover", ctx, f"{checked} checks over {len(ctx.cover)} members")
 
@@ -336,15 +341,14 @@ def _suite_nerve(ctx: NContext) -> VerificationOutcome:
         checked += 1
         if not anchor_intersection_ids(nerve, clique):
             return _fail("nerve", ctx, {
-                "clique": [format_partition(g.vertices[v]) for v in clique],
+                "clique": _literals(g, clique),
                 "claim": "cliques must have nonempty member intersection"})
     for u, v in itertools.combinations(range(len(g.vertices)), 2):
         if v not in g.adjacency_sets[u]:
             checked += 1
             if anchor_intersection_ids(nerve, (u, v)):
                 return _fail("nerve", ctx, {
-                    "pair": [format_partition(g.vertices[u]),
-                             format_partition(g.vertices[v])],
+                    "pair": _literals(g, (u, v)),
                     "claim": "non-edges must have empty member intersection"})
     anchored = nerve_fvector(nerve)
     brute = _count_intersecting_subfamilies(nerve.member_sets)
@@ -403,7 +407,7 @@ def _suite_anchors(ctx: NContext) -> VerificationOutcome:
         checked += 1
         if not 1 <= len(common) <= 3:
             return _fail("anchors", ctx, {
-                "edge": [format_partition(g.vertices[u]), format_partition(g.vertices[v])],
+                "edge": _literals(g, (u, v)),
                 "members": len(common),
                 "claim": "edge intersections have between one and three members"})
         edge_tuple = (u, v)
@@ -418,8 +422,7 @@ def _suite_anchors(ctx: NContext) -> VerificationOutcome:
                 checked += 1
                 if nerve.cover[mid].vertices not in candidates:
                     return _fail("anchors", ctx, {
-                        "edge": [format_partition(g.vertices[u]),
-                                 format_partition(g.vertices[v])],
+                        "edge": _literals(g, (u, v)),
                         "member": list(nerve.cover[mid].vertices),
                         "claim": "edge-intersection members come from the candidate list"})
     for clique in ctx.all_cliques:
@@ -427,7 +430,7 @@ def _suite_anchors(ctx: NContext) -> VerificationOutcome:
             checked += 1
             if len(anchor_intersection_ids(nerve, clique)) != 1:
                 return _fail("anchors", ctx, {
-                    "clique": [format_partition(g.vertices[v]) for v in clique],
+                    "clique": _literals(g, clique),
                     "claim": "larger cliques lie in exactly one member"})
     return _pass("anchors", ctx, f"{checked} checks")
 
@@ -500,24 +503,24 @@ def _suite_closure(ctx: NContext) -> VerificationOutcome:
         checked += 1
         if not set(clique) <= set(closed):
             return _fail("closure", ctx, {
-                "clique": [format_partition(g.vertices[v]) for v in clique],
+                "clique": _literals(g, clique),
                 "claim": "closure must contain its argument"})
         if close(closed) != closed:
             return _fail("closure", ctx, {
-                "clique": [format_partition(g.vertices[v]) for v in clique],
+                "clique": _literals(g, clique),
                 "claim": "closure must be idempotent"})
         if (anchor_intersection_ids(nerve, closed)
                 != anchor_intersection_ids(nerve, clique)):
             return _fail("closure", ctx, {
-                "clique": [format_partition(g.vertices[v]) for v in clique],
+                "clique": _literals(g, clique),
                 "claim": "closure must preserve the member intersection"})
         for size in range(1, len(clique)):
             for sub in itertools.combinations(clique, size):
                 checked += 1
                 if not set(close(sub)) <= set(closed):
                     return _fail("closure", ctx, {
-                        "clique": [format_partition(g.vertices[v]) for v in clique],
-                        "subset": [format_partition(g.vertices[v]) for v in sub],
+                        "clique": _literals(g, clique),
+                        "subset": _literals(g, sub),
                         "claim": "closure must be monotone"})
     fixed = sorted({close(clique) for clique in ctx.all_cliques})
     anchors_seen: dict[tuple[int, ...], tuple[int, ...]] = {}

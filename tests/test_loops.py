@@ -11,11 +11,12 @@ from partition_complex.loops import (
     LoopComplexity,
     complexity,
     format_loop,
-    normalize_loop,
+    normalize_ids,
     parse_loop,
     random_closed_walk,
     reduce_loop,
 )
+from partition_complex.verification import verify_single_n
 
 G4 = build_graph(4)
 
@@ -77,8 +78,8 @@ def test_complexity_orders_lexicographically():
 def test_normalize_removes_spurs():
     # (3,1) [4] (3,1) (2,2): the [4] excursion backtracks immediately.
     loop = loop4("[3,1] [4] [3,1] [2,2] [3,1]")
-    normalized = normalize_loop(loop)
-    assert normalized.partitions() == ((3, 1), (2, 2))
+    normalized = normalize_ids(loop.ids)
+    assert [G4.vertices[v] for v in normalized] == [(3, 1), (2, 2)]
 
 
 def test_two_cycle_reduces_by_one_shortcut():
@@ -115,6 +116,27 @@ def test_each_step_descends():
             current = (complexity(loop), len(loop))
             assert current < previous
             previous = current
+
+
+def test_only_the_input_is_normalized():
+    # normalize_ids runs to a fixpoint, so once the input is normalized every
+    # later state already is: "normalize" can only be the first rule.
+    g = build_graph(8)
+    rng = random.Random(11)
+    for _ in range(200):
+        trace = reduce_loop(random_closed_walk(g, rng))
+        rules = [rule for rule, _ in trace.steps]
+        assert "normalize" not in rules[1:]
+        for _, loop in trace.steps:
+            assert normalize_ids(loop.ids) == list(loop.ids)
+
+
+def test_seeded_loop_suite_step_counts():
+    # Counts recorded from the step-by-step reduction that probed for a
+    # normalize step before every peak rewrite; they pin the rewrite order.
+    steps = [verify_single_n(n, {"loops"}, seed=11)[0].detail for n in range(2, 9)]
+    assert steps == [f"1000 walks, {count} steps"
+                     for count in (1000, 1321, 1786, 2278, 2785, 3376, 4128)]
 
 
 def test_trace_json():

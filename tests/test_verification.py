@@ -4,7 +4,8 @@ run, and a failing suite names what disagreed."""
 import pytest
 
 from partition_complex import verification
-from partition_complex.cliques import FVector
+from partition_complex.cliques import STAR, TOP, CliqueClass, FVector
+from partition_complex.partitions import ADDABLE, REMOVABLE, Corner
 from partition_complex.verification import (
     FAIL,
     PASS,
@@ -42,3 +43,23 @@ def test_euler_fail_names_the_disagreeing_route(monkeypatch, route, function):
     assert outcome.status == FAIL
     assert outcome.counterexample == {
         "route": route, "counted": [11, 17, 7], route: [11, 17, 6]}
+
+
+@pytest.mark.parametrize("target, replacement, claim", [
+    ("classify_clique",
+     lambda g, clique: CliqueClass(STAR, (2, 1, 1), Corner(1, 2, REMOVABLE)),
+     {"claim": "witness base must be the lowest vertex"}),
+    ("classify_clique",
+     lambda g, clique: CliqueClass(TOP, (3, 1), Corner(3, 1, ADDABLE)),
+     {"kind": TOP, "claim": "members must lie in the witness fiber"}),
+    ("edge_decompositions",
+     lambda lam, mu: [(Corner(1, 3, REMOVABLE), Corner(2, 2, ADDABLE))],
+     {"claim": "a clique of size >= 3 cannot be both star- and top-type"}),
+])
+def test_cliques_fail_names_the_clique(monkeypatch, target, replacement, claim):
+    # n = 4 has one clique of size >= 3: the triangle [3,1] [2,2] [2,1,1].
+    assert run_suite("cliques", NContext(4)).status == PASS
+    monkeypatch.setattr(verification, target, replacement)
+    outcome = run_suite("cliques", NContext(4))
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {"clique": ["[3,1]", "[2,2]", "[2,1,1]"], **claim}

@@ -7,7 +7,6 @@ exceed three elements: the order complex is at most 2-dimensional.
 """
 
 from partition_complex import (
-    anchor,
     anchor_intersection,
     build_graph,
     build_nerve,
@@ -31,7 +30,7 @@ for member_id, member in enumerate(cover):
 print()
 
 nerve = build_nerve(g, cover)
-print(f"anchor of (3,1): members {anchor(nerve, (3, 1)).members}")
+print(f"anchor of (3,1): members {anchor_intersection(nerve, [(3, 1)])}")
 print(f"anchor intersection of the star triangle: "
       f"{anchor_intersection(nerve, [(3, 1), (2, 2), (2, 1, 1)])}")
 closed = closure(nerve, [(3, 1), (2, 2)])

@@ -63,7 +63,6 @@ from .nerve import (
     IntersectionPoset,
     NerveComplex,
     OrderComplex,
-    anchor,
     anchor_intersection,
     build_nerve,
     build_poset,

@@ -105,27 +105,6 @@ def top_fiber(lam: Iterable[int], a) -> list[Partition]:
     return [mu for _, _, mu in _transfers(lam, _removable_corners(lam), [a])]
 
 
-def _fibers(
-    g: PartitionGraph, vid: int
-) -> tuple[dict[Corner, list[int]], dict[Corner, list[int]]]:
-    """Star and top fibers of one vertex as target ids, from one transfer pass.
-
-    Star fibers are keyed in removable_corners order and top fibers in
-    addable_corners order, empty fibers included; each fiber lists its
-    targets in the order star_fiber and top_fiber return them.
-    """
-    lam = g.vertices[vid]
-    removable = _removable_corners(lam)
-    addable = _addable_corners(lam)
-    star: dict[Corner, list[int]] = {c: [] for c in removable}
-    top: dict[Corner, list[int]] = {a: [] for a in addable}
-    for c, a, mu in _transfers(lam, removable, addable):
-        target = g.index[mu]
-        star[c].append(target)
-        top[a].append(target)
-    return star, top
-
-
 def classify_triangle(lam: Iterable[int], mu1: Iterable[int], mu2: Iterable[int]) -> TriangleClass:
     """Decide whether the path mu1 - lam - mu2 closes into a triangle.
 
@@ -198,11 +177,10 @@ def canonical_cover(g: PartitionGraph) -> list[CoverMember]:
     """
     found: dict[tuple[int, ...], list[tuple[str, int, Corner]]] = {}
     for base_id in range(len(g.vertices)):
-        star, top = _fibers(g, base_id)
-        for kind, fibers in ((STAR, star), (TOP, top)):
+        for kind, fibers in ((STAR, g.star[base_id]), (TOP, g.top[base_id])):
             for corner, fiber in fibers.items():
                 if fiber:
-                    vertices = tuple(sorted([base_id] + fiber))
+                    vertices = tuple(sorted((base_id,) + fiber))
                     found.setdefault(vertices, []).append((kind, base_id, corner))
     return [
         CoverMember(vertices, tuple(provenances))
@@ -214,14 +192,14 @@ def full_star_simplex(g: PartitionGraph, lam: Iterable[int], c) -> tuple[int, ..
     """Vertex ids of {lam} union its star fiber at c, sorted."""
     vid = g.vertex_id(lam)
     c = _validated_removable(g.vertices[vid], c)
-    return tuple(sorted([vid] + _fibers(g, vid)[0][c]))
+    return tuple(sorted((vid,) + g.star[vid][c]))
 
 
 def full_top_simplex(g: PartitionGraph, lam: Iterable[int], a) -> tuple[int, ...]:
     """Vertex ids of {lam} union its top fiber at a, sorted."""
     vid = g.vertex_id(lam)
     a = _validated_addable(g.vertices[vid], a)
-    return tuple(sorted([vid] + _fibers(g, vid)[1][a]))
+    return tuple(sorted((vid,) + g.top[vid][a]))
 
 
 def maximal_simplices(
@@ -292,8 +270,7 @@ def fvector_by_fiber_counting(g: PartitionGraph) -> FVector:
     higher: list[int] = []
     heights = g.heights
     for vid in range(len(g.vertices)):
-        star, top = _fibers(g, vid)
-        for fiber in itertools.chain(star.values(), top.values()):
+        for fiber in itertools.chain(g.star[vid].values(), g.top[vid].values()):
             raising = sum(1 for mu in fiber if heights[mu] > heights[vid])
             for k in range(2, raising + 1):
                 while len(higher) < k - 1:

@@ -2,7 +2,10 @@
 
 Vertices are the partitions of n in descending lexicographic order, carrying
 dense 0-based ids in that order.  Two partitions are adjacent when one is an
-admissible single-cell transfer of the other.  Edge corners are read off
+admissible single-cell transfer of the other.  One transfer pass per vertex
+gives its star fibers (targets grouped by the removable corner that moves)
+and top fibers (grouped by the addable corner that receives); the graph
+keeps both, and its adjacency is their union.  Edge corners are read off
 the row difference; the equivalent conjugate criterion (one column count
 lowered, another raised, by one) is kept as the oracle form of adjacency.
 """
@@ -19,7 +22,9 @@ from .partitions import (
     InvalidPartitionError,
     Partition,
     TheoremViolationError,
-    admissible_transfers,
+    _addable_corners,
+    _removable_corners,
+    _transfers,
     as_partition,
     conjugate,
     enumerate_partitions,
@@ -32,15 +37,30 @@ class UnknownVertexError(KeyError):
     """A partition that is not a vertex of the graph at hand."""
 
 
-class PartitionGraph:
-    """Immutable adjacency structure over the partitions of n."""
+Fibers = dict[Corner, tuple[int, ...]]
 
-    def __init__(self, n: int, vertices: list[Partition], adjacency: list[tuple[int, ...]]):
+
+class PartitionGraph:
+    """Immutable adjacency structure over the partitions of n.
+
+    star[v] maps each removable corner of vertex v, in removable_corners
+    order, to the ids of the results of moving that corner's cell; top[v]
+    maps each addable corner, in addable_corners order, to the ids of the
+    results of moving a cell there.  Empty fibers are included, and each
+    fiber lists its targets in admissible_transfers order.
+    """
+
+    def __init__(self, n: int, vertices: list[Partition], index: dict[Partition, int],
+                 star: tuple[Fibers, ...], top: tuple[Fibers, ...]):
         self.n = n
         self.vertices = vertices
-        self.index = {lam: vid for vid, lam in enumerate(vertices)}
-        self.adjacency = adjacency
-        self.adjacency_sets = [frozenset(nbrs) for nbrs in adjacency]
+        self.index = index
+        self.star = star
+        self.top = top
+        self.adjacency = [
+            tuple(sorted({target for fiber in fibers.values() for target in fiber}))
+            for fibers in star]
+        self.adjacency_sets = [frozenset(nbrs) for nbrs in self.adjacency]
         self.heights = tuple(height(lam) for lam in vertices)
 
     def __repr__(self) -> str:
@@ -79,20 +99,34 @@ class PartitionGraph:
 
 
 def build_graph(n: int) -> PartitionGraph:
-    """Build the transfer graph on all partitions of n."""
+    """Build the transfer graph on all partitions of n, fibers included.
+
+    Every transfer lies in exactly one star fiber and one top fiber of its
+    source, so one pass per vertex fills both.
+    """
     vertices = enumerate_partitions(n)
     index = {lam: vid for vid, lam in enumerate(vertices)}
-    adjacency = []
+    stars = []
+    tops = []
     for lam in vertices:
-        targets = {index[result] for _, _, result in admissible_transfers(lam)}
-        adjacency.append(tuple(sorted(targets)))
-    for i, nbrs in enumerate(adjacency):
+        removable = _removable_corners(lam)
+        addable = _addable_corners(lam)
+        star: dict[Corner, list[int]] = {c: [] for c in removable}
+        top: dict[Corner, list[int]] = {a: [] for a in addable}
+        for c, a, result in _transfers(lam, removable, addable):
+            target = index[result]
+            star[c].append(target)
+            top[a].append(target)
+        stars.append({c: tuple(fiber) for c, fiber in star.items()})
+        tops.append({a: tuple(fiber) for a, fiber in top.items()})
+    g = PartitionGraph(n, vertices, index, tuple(stars), tuple(tops))
+    for i, nbrs in enumerate(g.adjacency):
         for j in nbrs:
-            if i == j or i not in adjacency[j]:
+            if i == j or i not in g.adjacency_sets[j]:
                 raise TheoremViolationError(
                     f"transfer adjacency is not symmetric and irreflexive at "
                     f"{vertices[i]}, {vertices[j]}")
-    return PartitionGraph(n, vertices, adjacency)
+    return g
 
 
 def neighbors(g: PartitionGraph, lam: Iterable[int]) -> list[Partition]:

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .graph import PartitionGraph, _edge_corners
-from .partitions import (
-    TheoremViolationError,
-    _transfers,
-    format_partition,
-    parse_partition,
-)
+from .partitions import TheoremViolationError, format_partition, parse_partition
 
 
 class InvalidLoopError(ValueError):
@@ -176,15 +171,15 @@ def _replace_peak(graph: PartitionGraph, ids: list[int], top: int) -> str:
         source, target = corner_after, add_before
     else:
         source, target = corner_before, add_after
-    # both corners come off edges of the peak, so the kernel needs no
-    # validation; it yields nothing exactly when the transfer is inadmissible
-    transfers = _transfers(peak_partition, [source], [target])
-    if not transfers:
+    # the transfer source -> target, if admissible, is the one vertex in both
+    # the star fiber at source and the top fiber at target
+    received = graph.top[peak_id][target]
+    detour_id = next((v for v in graph.star[peak_id][source] if v in received), None)
+    if detour_id is None:
         raise TheoremViolationError(
             f"detour transfer {source}->{target} from {peak_partition} "
             f"is inadmissible")
-    detour = transfers[0][2]
-    detour_id = graph.index[detour]
+    detour = graph.vertices[detour_id]
     if graph.heights[detour_id] >= top:
         raise TheoremViolationError(
             f"detour vertex {detour} is not lower than the peak {peak_partition}")

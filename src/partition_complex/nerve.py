@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cliques import CoverMember, FVector, NotACliqueError, canonical_cover
-from .graph import PartitionGraph, UnknownVertexError
+from .graph import PartitionGraph
 from .partitions import Partition, as_partition
 
 
@@ -38,14 +38,6 @@ class NerveComplex:
         return len(self.cover)
 
 
-@dataclass(frozen=True)
-class AnchorSimplex:
-    """All cover members containing one partition; they pairwise intersect there."""
-
-    vertex_id: int
-    members: tuple[int, ...]
-
-
 def build_nerve(graph: PartitionGraph, cover: Optional[Sequence[CoverMember]] = None) -> NerveComplex:
     if cover is None:
         cover = canonical_cover(graph)
@@ -56,12 +48,6 @@ def build_nerve(graph: PartitionGraph, cover: Optional[Sequence[CoverMember]] = 
             containing[vertex_id].add(member_id)
     anchor_sets = tuple(frozenset(members) for members in containing)
     return NerveComplex(graph, tuple(cover), member_sets, anchor_sets)
-
-
-def anchor(nerve: NerveComplex, partition) -> AnchorSimplex:
-    """The members of the cover whose vertex set contains the given partition."""
-    vertex_id = nerve.graph.vertex_id(as_partition(partition))
-    return AnchorSimplex(vertex_id, tuple(sorted(nerve.anchor_sets[vertex_id])))
 
 
 def anchor_intersection(nerve: NerveComplex, partitions: Iterable) -> tuple[int, ...]:
@@ -141,19 +127,25 @@ class IntersectionPoset:
     elements: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def element_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(element) for element in self.elements)
-
-    @cached_property
     def above(self) -> tuple[tuple[int, ...], ...]:
         """For each element, the indices of its strict supersets (a DAG;
-        the (size, ids) element order is already topological)."""
-        sets = self.element_sets
+        the (size, ids) element order is already topological).
+
+        A strict superset contains every member of the element, so only the
+        elements holding its rarest member are compared.
+        """
+        holding: dict[int, list[int]] = {}
+        for j, element in enumerate(self.elements):
+            for member in element:
+                holding.setdefault(member, []).append(j)
         result = []
-        for i, small in enumerate(sets):
+        for small in self.elements:
+            members = set(small)
+            rarest = min(small, key=lambda member: len(holding[member]))
             result.append(tuple(
-                j for j, big in enumerate(sets)
-                if len(small) < len(big) and small < big))
+                j for j in holding[rarest]
+                if len(small) < len(self.elements[j])
+                and members.issubset(self.elements[j])))
         return tuple(result)
 
     @cached_property

@@ -32,10 +32,8 @@ from .cliques import (
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
     maximal_simplices,
-    star_fiber,
-    top_fiber,
 )
-from .graph import adjacency_by_conjugate, build_graph, edge_decompositions
+from .graph import build_graph, edge_decompositions
 from .homology import HomologyReport, build_chain_complex, reduced_homology
 from .loops import format_loop, random_closed_walk, reduce_loop
 from .nerve import (
@@ -50,17 +48,12 @@ from .nerve import (
 from .oracles import (
     all_cliques_reference,
     edge_decompositions_by_scan,
+    edges_by_conjugate_scan,
     full_simplex_by_scan,
     maximal_cliques_reference,
     partition_count,
 )
-from .partitions import (
-    addable_corners,
-    admissible_transfers,
-    format_partition,
-    height,
-    removable_corners,
-)
+from .partitions import admissible_transfers, format_partition, height
 
 PASS = "pass"
 FAIL = "fail"
@@ -196,25 +189,19 @@ def _suite_triangles(ctx: NContext) -> VerificationOutcome:
                     "classified": verdict.kind,
                     "edge_present": closed,
                 })
-    for lam in g.vertices:
-        for c in removable_corners(lam):
-            for mu1, mu2 in itertools.combinations(star_fiber(lam, c), 2):
-                checked += 1
-                if g.index[mu2] not in g.adjacency_sets[g.index[mu1]]:
-                    return _fail("triangles", ctx, {
-                        "lam": format_partition(lam), "corner": list(c)[:2],
-                        "mu1": format_partition(mu1), "mu2": format_partition(mu2),
-                        "claim": "same-corner moves must be adjacent",
-                    })
-        for a in addable_corners(lam):
-            for mu1, mu2 in itertools.combinations(top_fiber(lam, a), 2):
-                checked += 1
-                if g.index[mu2] not in g.adjacency_sets[g.index[mu1]]:
-                    return _fail("triangles", ctx, {
-                        "lam": format_partition(lam), "corner": list(a)[:2],
-                        "mu1": format_partition(mu1), "mu2": format_partition(mu2),
-                        "claim": "same-target moves must be adjacent",
-                    })
+    for lam_id, lam in enumerate(g.vertices):
+        for fibers, claim in ((g.star[lam_id], "same-corner moves must be adjacent"),
+                              (g.top[lam_id], "same-target moves must be adjacent")):
+            for corner, fiber in fibers.items():
+                for i1, i2 in itertools.combinations(fiber, 2):
+                    checked += 1
+                    if i2 not in g.adjacency_sets[i1]:
+                        return _fail("triangles", ctx, {
+                            "lam": format_partition(lam), "corner": list(corner)[:2],
+                            "mu1": format_partition(g.vertices[i1]),
+                            "mu2": format_partition(g.vertices[i2]),
+                            "claim": claim,
+                        })
     for u, v in g.edges():
         lam, mu = g.vertices[u], g.vertices[v]
         fast = edge_decompositions(lam, mu)
@@ -246,10 +233,8 @@ def _suite_cliques(ctx: NContext) -> VerificationOutcome:
             return _fail("cliques", ctx, {
                 "clique": _literals(g, clique),
                 "claim": "witness base must be the lowest vertex"})
-        fiber = (star_fiber if verdict.kind == STAR else top_fiber)(
-            verdict.base, verdict.corner)
-        fiber_ids = {g.index[mu] for mu in fiber}
-        if not set(clique) - {base_id} <= fiber_ids:
+        fibers = g.star if verdict.kind == STAR else g.top
+        if not set(clique) - {base_id} <= set(fibers[base_id][verdict.corner]):
             return _fail("cliques", ctx, {
                 "clique": _literals(g, clique), "kind": verdict.kind,
                 "claim": "members must lie in the witness fiber"})
@@ -384,24 +369,19 @@ def _suite_anchors(ctx: NContext) -> VerificationOutcome:
         vertex_set = set(member.vertices)
         for vid in member.vertices:
             lam = g.vertices[vid]
-            for c in removable_corners(lam):
-                witnesses = [mu for mu in star_fiber(lam, c) if g.index[mu] in vertex_set]
-                if len(witnesses) >= 2:
-                    checked += 1
-                    if member.vertices != full_star_simplex(g, lam, c):
-                        return _fail("anchors", ctx, {
-                            "member": list(member.vertices),
-                            "base": format_partition(lam),
-                            "claim": "two same-corner witnesses force the full simplex"})
-            for a in addable_corners(lam):
-                witnesses = [mu for mu in top_fiber(lam, a) if g.index[mu] in vertex_set]
-                if len(witnesses) >= 2:
-                    checked += 1
-                    if member.vertices != full_top_simplex(g, lam, a):
-                        return _fail("anchors", ctx, {
-                            "member": list(member.vertices),
-                            "base": format_partition(lam),
-                            "claim": "two same-target witnesses force the full simplex"})
+            for fibers, full_simplex, claim in (
+                    (g.star[vid], full_star_simplex,
+                     "two same-corner witnesses force the full simplex"),
+                    (g.top[vid], full_top_simplex,
+                     "two same-target witnesses force the full simplex")):
+                for corner, fiber in fibers.items():
+                    if len(vertex_set.intersection(fiber)) >= 2:
+                        checked += 1
+                        if member.vertices != full_simplex(g, lam, corner):
+                            return _fail("anchors", ctx, {
+                                "member": list(member.vertices),
+                                "base": format_partition(lam),
+                                "claim": claim})
     for u, v in g.edges():
         common = anchor_intersection_ids(nerve, (u, v))
         checked += 1
@@ -568,14 +548,15 @@ def _suite_heights(ctx: NContext) -> VerificationOutcome:
                 "lam": format_partition(g.vertices[u]),
                 "mu": format_partition(g.vertices[v]),
                 "claim": "adjacent partitions must differ in height"})
-    for u, v in itertools.combinations(range(len(g.vertices)), 2):
-        checked += 1
-        by_conjugate = adjacency_by_conjugate(g.vertices[u], g.vertices[v]) is not None
-        if by_conjugate != (v in g.adjacency_sets[u]):
-            return _fail("heights", ctx, {
-                "lam": format_partition(g.vertices[u]),
-                "mu": format_partition(g.vertices[v]),
-                "claim": "conjugate criterion must match adjacency"})
+    vertex_count = len(g.vertices)
+    checked += vertex_count * (vertex_count - 1) // 2
+    mismatched = set(edges_by_conjugate_scan(g)) ^ set(g.edges())
+    if mismatched:
+        u, v = min(mismatched)
+        return _fail("heights", ctx, {
+            "lam": format_partition(g.vertices[u]),
+            "mu": format_partition(g.vertices[v]),
+            "claim": "conjugate criterion must match adjacency"})
     if checked == 0:
         return _vacuous("heights", ctx, "no transfers, edges, or pairs")
     return _pass("heights", ctx, f"{checked} checks")

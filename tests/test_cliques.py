@@ -163,18 +163,21 @@ def test_full_simplices_match_fibers():
 
 
 def test_bulk_fibers_match_partition_fibers():
-    """Cover, edge facets and full simplices agree with star_fiber/top_fiber."""
+    """The graph's stored fibers, the cover, edge facets and full simplices
+    agree with star_fiber/top_fiber."""
     for n in range(1, 13):
         g = build_graph(n)
         expected_cover: dict = {}
         lone_edges = set()
         for vid, lam in enumerate(g.vertices):
-            for kind, corners, fiber_of, full_simplex in (
-                (STAR, removable_corners(lam), star_fiber, full_star_simplex),
-                (TOP, addable_corners(lam), top_fiber, full_top_simplex),
+            for kind, corners, fiber_of, full_simplex, stored in (
+                (STAR, removable_corners(lam), star_fiber, full_star_simplex, g.star[vid]),
+                (TOP, addable_corners(lam), top_fiber, full_top_simplex, g.top[vid]),
             ):
+                assert list(stored) == corners
                 for corner in corners:
-                    fiber = [g.vertex_id(mu) for mu in fiber_of(lam, corner)]
+                    fiber = [g.index[mu] for mu in fiber_of(lam, corner)]
+                    assert list(stored[corner]) == fiber
                     members = tuple(sorted([vid] + fiber))
                     assert full_simplex(g, lam, corner) == members
                     if fiber:

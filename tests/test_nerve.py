@@ -12,7 +12,6 @@ from partition_complex.cliques import (
 )
 from partition_complex.graph import build_graph
 from partition_complex.nerve import (
-    anchor,
     anchor_intersection,
     build_nerve,
     build_poset,
@@ -46,7 +45,7 @@ def test_empty_nerve_at_1():
     n1 = nerve_at(1)
     assert n1.vertex_count == 0
     assert nerve_fvector(n1).counts == ()
-    assert anchor(n1, (1,)).members == ()
+    assert anchor_intersection(n1, [(1,)]) == ()
 
 
 def test_nerve_simplices_match_anchor_intersections():
@@ -65,29 +64,30 @@ def test_nerve_simplices_match_anchor_intersections():
 
 def test_anchor():
     n3 = nerve_at(3)
-    assert anchor(n3, (2, 1)).members == (0, 1)
+    assert anchor_intersection(n3, [(2, 1)]) == (0, 1)
 
     g4 = build_graph(4)
     n4 = build_nerve(g4)
     star = full_star_simplex(g4, (3, 1), (1, 3))
     star_member = next(
         i for i, member in enumerate(n4.cover) if member.vertices == star)
-    assert star_member in anchor(n4, (3, 1)).members
+    assert star_member in anchor_intersection(n4, [(3, 1)])
 
 
 def test_anchor_members_all_contain_the_vertex():
     nerve = nerve_at(7)
-    for vid in range(len(nerve.graph.vertices)):
-        simplex = anchor(nerve, nerve.graph.vertices[vid])
-        for member_id in simplex.members:
-            assert vid in nerve.member_sets[member_id]
+    for vid, lam in enumerate(nerve.graph.vertices):
+        members = anchor_intersection(nerve, [lam])
+        assert members == tuple(
+            mid for mid, member_set in enumerate(nerve.member_sets) if vid in member_set)
 
 
 def test_anchor_intersection():
     n3 = nerve_at(3)
     # (3) and (1,1,1) sit at opposite ends of the path: not an edge.
     assert anchor_intersection(n3, [(3,), (1, 1, 1)]) == ()
-    assert anchor_intersection(n3, [(2, 1)]) == anchor(n3, (2, 1)).members
+    assert anchor_intersection(n3, [(2, 1)]) == tuple(
+        sorted(n3.anchor_sets[n3.graph.vertex_id((2, 1))]))
 
     g4 = build_graph(4)
     n4 = build_nerve(g4)
@@ -156,6 +156,20 @@ def test_poset_matches_all_clique_generation():
             if common:
                 unrestricted.add(tuple(sorted(common)))
         assert restricted == unrestricted
+
+
+def test_poset_order_matches_all_pairs_inclusion():
+    for n in range(1, 13):
+        poset = build_poset(nerve_at(n))
+        sets = [set(element) for element in poset.elements]
+        indices = range(len(sets))
+        above = tuple(tuple(j for j in indices if sets[i] < sets[j]) for i in indices)
+        below = tuple(tuple(i for i in indices if sets[i] < sets[j]) for j in indices)
+        hasse = [(i, j) for i in indices for j in above[i]
+                 if not any(sets[i] < sets[k] < sets[j] for k in indices)]
+        assert poset.above == above
+        assert poset.below == below
+        assert poset.hasse_edges() == hasse
 
 
 def test_max_chain_length():

@@ -152,24 +152,22 @@ def adjacency_by_conjugate(lam: Iterable[int], mu: Iterable[int]) -> Optional[tu
     mu = as_partition(mu)
     if sum(lam) != sum(mu):
         raise InvalidPartitionError(f"{lam} and {mu} are partitions of different totals")
-    lam_conj = conjugate(lam)
-    mu_conj = conjugate(mu)
-    width = max(len(lam_conj), len(mu_conj))
-    lam_conj += (0,) * (width - len(lam_conj))
-    mu_conj += (0,) * (width - len(mu_conj))
-    down = []
-    up = []
-    for col in range(width):
-        delta = mu_conj[col] - lam_conj[col]
-        if delta == -1:
-            down.append(col + 1)
-        elif delta == 1:
-            up.append(col + 1)
-        elif delta != 0:
+    return _conjugate_unit_move(conjugate(lam), conjugate(mu))
+
+
+def _conjugate_unit_move(lam_conj: Partition, mu_conj: Partition) -> Optional[tuple[int, int]]:
+    """adjacency_by_conjugate on the two conjugates, unchecked."""
+    down = up = 0
+    for col, (old, new) in enumerate(zip_longest(lam_conj, mu_conj, fillvalue=0), start=1):
+        if old == new:
+            continue
+        if new == old - 1 and not down:
+            down = col
+        elif new == old + 1 and not up:
+            up = col
+        else:
             return None
-    if len(down) == 1 and len(up) == 1:
-        return (down[0], up[0])
-    return None
+    return (down, up) if down and up else None
 
 
 def _edge_corners(lam: Partition, mu: Partition) -> Optional[tuple[Corner, Corner]]:

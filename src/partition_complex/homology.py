@@ -1,30 +1,39 @@
 """Exact integer simplicial homology of a complex given by its facets.
 
 Boundary matrices are built with alternating signs over sorted vertex order
-and reduced with exact arbitrary-precision integer arithmetic.  Ranks and
-invariant factors come from Smith normal form: a sparse elimination pass
-consumes the plentiful unit entries of boundary matrices, and whatever
-residue remains (the only possible source of torsion) goes through a dense
-minimum-pivot reduction.  No floating point, no fixed-width integers.
+and reduced with exact arbitrary-precision integer arithmetic.  No floating
+point, no fixed-width integers.
+
+The map out of dimension 1 is a graph incidence matrix: a union-find
+spanning forest, built in column order, gives its rank, f_0 minus the
+number of components, and it has no torsion.  Every other map gets one left-to-right reduction over
+sparse lines, on whichever side has fewer of them: its columns, or its rows
+in descending order (Bauer, "Ripser: efficient computation of Vietoris-Rips
+persistence barcodes", J. Appl. Comput. Topol. 5, 2021, on apparent pairs
+and on reducing the coboundary side).  A line's pivot is its leading index;
+it is combined only with earlier pivot lines, and only +-1 pivots are kept.
+On boundary matrices nearly every pivot is apparent, found with no
+combination at all.  Lines whose leading entry is not a unit form the
+residue; once the pivot indices are cleared from it, it goes to a dense
+Smith normal form, the only place torsion can come from.
 
 The maps are reduced with clearing (Chen & Kerber, "Persistent homology
-computation with a twist", EuroCG 2011): first the boundary map out of
-dimension 1, then from the top dimension down to dimension 2.  Each map
-leaves out the columns that the sparse unit pivots of the map above used as
-rows, and the map out of dimension 2 also leaves out the rows that those of
-the map out of dimension 1 used as columns.  Every such pivot is an
-elementary reduction of the whole complex (Kaczynski, Mrozek & Slusarek,
-"Homology computation by reduction of chain complexes", 1998), so ranks and
-invariant factors are exactly those of the full maps.
+computation with a twist", EuroCG 2011): first the map out of dimension 1,
+then from the top dimension down to dimension 2.  Each map leaves out the
+columns that the unit pivots of the map above used as rows, and the map out
+of dimension 2 also leaves out the rows that the forest of the map out of
+dimension 1 used as edges.  Every such pivot is an elementary reduction of
+the whole complex (Kaczynski, Mrozek & Slusarek, "Homology computation by
+reduction of chain complexes", 1998), so ranks and invariant factors are
+exactly those of the full maps.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Container, Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .partitions import TheoremViolationError
 
@@ -235,94 +244,146 @@ def _normalize_divisibility(diag: list[int]) -> None:
                 changed = True
 
 
+def _eliminate(line: dict[int, int], pivot_line: dict[int, int], top: int) -> None:
+    """Clear index top from line with the +-1 pivot there, dropping entries that cancel."""
+    coef = line[top] * pivot_line[top]
+    for i, v in pivot_line.items():
+        new = line.get(i, 0) - coef * v
+        if new:
+            line[i] = new
+        else:
+            del line[i]
+
+
 def _sparse_rank_and_factors(
-    columns: Sequence[dict[int, int]], skip_rows: Container[int], skip_cols: Container[int]
+    columns: Sequence[dict[int, int]], nrows: int,
+    skip_rows: Collection[int], skip_cols: Collection[int],
 ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
-    """Rank, invariant factors and sparse unit pivots of a boundary matrix.
+    """Rank, invariant factors and unit pivots of a sparse integer matrix.
 
-    The matrix is given by columns; the rows in skip_rows and the columns in
-    skip_cols are left out.  Unit pivots are eliminated greedily, smallest
-    column first, each being an invariant factor 1.  The unit-free residue is
-    handed to the dense Smith reduction; its factors already form a
-    divisibility chain, and factors 1 divide everything, so the combined
-    chain needs no rework.  The (row, column) of every sparse unit pivot is
-    returned, in elimination order.
+    The matrix has nrows rows and is given by its columns, {row: value}
+    with no zero values; the rows in skip_rows and the columns in
+    skip_cols (distinct valid indices) are left out.  One left-to-right
+    pass runs over whichever side has fewer lines: the columns, pivot the
+    largest row, or else the rows in descending order, pivot the smallest
+    column (the columns of the anti-transpose).  A line is combined only
+    with earlier pivot lines, until its leading entry is new; a +-1 there
+    makes it a pivot line, anything else puts it in the residue.  A line
+    is copied just before its first change, so the input is never
+    mutated.  After the pass every pivot index is cleared from each
+    residue line, largest first, and what is left goes to the dense
+    Smith reduction.  The (row, column) of every unit pivot is returned.
 
-    Clearing lemma: the sparse unit pivots (a_t, b_t) of d_{p+1} span a
-    square submatrix whose successive pivots are all +-1, so it is
-    invertible over Z.  Since d_p d_{p+1} = 0, the columns a_t of d_p are
-    then integer combinations of its other columns, and deleting them leaves
-    the Smith form of d_p unchanged.  Dually, the sparse unit pivots (v_t,
-    e_t) of d_p make the rows e_t of d_{p+1} integer combinations of its
-    other rows.  Both hold for any subset of rows and columns already left
-    out.  Pivots of the dense residue are not returned: they may be
-    non-units (the 2 of the projective plane), and its row and column
-    swaps do not pick out an invertible submatrix of the input.
+    Pivot lemma: the unit pivots index a square submatrix of the original
+    matrix that is invertible over Z.  Sorted by pivot index, the reduced
+    pivot lines are triangular with a +-1 diagonal, and each is its
+    original line plus a combination of earlier pivot lines only, a
+    unitriangular change; when no line needed a combination (every pivot
+    apparent), the original submatrix is itself triangular.
+
+    Residue lemma: SNF(d) = I_{#pivots} (+) SNF(residue), once the residue
+    is zero on the pivot indices.  The pass and the clearing are unimodular
+    line operations, and the pivot lines then carry an invertible square
+    block on the pivot indices, where the residue lines are zero, so the
+    other entries of the pivot lines are eliminated by operations that
+    leave the residue alone.  The residue's factors already form a
+    divisibility chain, and factors 1 divide everything.
+
+    Clearing lemma (Chen & Kerber): since d_p d_{p+1} = 0, the invertible
+    block of the unit pivots (a_t, b_t) of d_{p+1} makes the columns a_t of
+    d_p integer combinations of its other columns, and deleting them leaves
+    the Smith form of d_p unchanged.  Dually, the unit pivots (v_t, e_t) of
+    d_p make the rows e_t of d_{p+1} integer combinations of its other
+    rows.  Both hold for any subset of rows and columns already left out.
+    The residue's pivots are not returned: they may be non-units (the 2 of
+    the projective plane), and its row and column swaps do not pick out an
+    invertible submatrix of the input.
     """
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for j, column in enumerate(columns):
-        if j in skip_cols:
-            continue
-        for i, value in column.items():
-            if value and i not in skip_rows:
-                rows.setdefault(i, {})[j] = value
-                col_rows.setdefault(j, set()).add(i)
+    by_columns = len(columns) - len(skip_cols) <= nrows - len(skip_rows)
+    if by_columns:
+        lines: list[tuple[int, dict[int, int]]] = [
+            (j, {i: v for i, v in column.items() if i not in skip_rows} if skip_rows else column)
+            for j, column in enumerate(columns) if j not in skip_cols]
+    else:
+        rows: dict[int, dict[int, int]] = {}
+        for j, column in enumerate(columns):
+            if j not in skip_cols:
+                for i, v in column.items():
+                    if i not in skip_rows:
+                        rows.setdefault(i, {})[-j] = v
+        lines = sorted(rows.items(), reverse=True)
+    pivot_lines: dict[int, dict[int, int]] = {}
     pivots: list[tuple[int, int]] = []
-    heap = [(len(members), j) for j, members in col_rows.items()]
-    heapq.heapify(heap)
-    deferred: list[int] = []
-    while heap or deferred:
-        if not heap:
-            revived = [j for j in deferred if j in col_rows and any(
-                abs(rows[i][j]) == 1 for i in col_rows[j])]
-            if not revived:
-                break
-            deferred = [j for j in deferred if j not in revived]
-            heap = [(len(col_rows[j]), j) for j in revived]
-            heapq.heapify(heap)
-        nnz, j = heapq.heappop(heap)
-        if j not in col_rows or not col_rows[j]:
-            col_rows.pop(j, None)
+    residue: list[dict[int, int]] = []
+    for line_id, original in lines:
+        line = original
+        while line and (top := max(line)) in pivot_lines:
+            if line is original:
+                line = dict(line)
+            _eliminate(line, pivot_lines[top], top)
+        if not line:
             continue
-        if len(col_rows[j]) != nnz:
-            heapq.heappush(heap, (len(col_rows[j]), j))
+        if abs(line[top]) == 1:
+            pivot_lines[top] = line
+            pivots.append((top, line_id) if by_columns else (line_id, -top))
+        else:
+            residue.append(dict(line))
+    for line in residue:
+        while paired := [i for i in line if i in pivot_lines]:
+            top = max(paired)
+            _eliminate(line, pivot_lines[top], top)
+    indices = sorted({i for line in residue for i in line})
+    residual_rank, factors = smith_normal_form([[line.get(i, 0) for i in indices] for line in residue])
+    return len(pivots) + residual_rank, factors, pivots
+
+
+def _spanning_forest(
+    edges: Sequence[dict[int, int]], nvertices: int
+) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
+    """Rank, invariant factors and unit pivots of the map out of dimension 1.
+
+    That map is a graph incidence matrix: each column holds an edge's two
+    vertices.  Union-find keeps, in column order, the edges that join two
+    components; they form a spanning forest, so the rank is f_0 minus the
+    number of components, and there is no torsion.  They are also the
+    pivot columns of a left-to-right reduction of the columns, and the rows
+    they clear from d_2 leave its pass on boundary complexes apparent;
+    another spanning forest would give the same ranks with far more
+    elimination.  Each tree is rooted at its smallest vertex and every
+    forest edge is paired with its child vertex, the (row, column) pivots
+    returned.  Taken in discovery order, an edge's other vertex is the root
+    or an earlier child, so the pairs index a triangular submatrix with a
+    +-1 diagonal, invertible over Z, and the clearing lemma applies to
+    them as to any unit pivots.
+    """
+    parent = list(range(nvertices))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(nvertices)]
+    for e, (u, v) in enumerate(edges):
+        root_u, root_v = find(u), find(v)
+        if root_u != root_v:
+            parent[root_u] = root_v
+            tree[u].append((v, e))
+            tree[v].append((u, e))
+    pivots: list[tuple[int, int]] = []
+    seen = [False] * nvertices
+    for root in range(nvertices):
+        if seen[root]:
             continue
-        unit_rows = [i for i in col_rows[j] if abs(rows[i][j]) == 1]
-        if not unit_rows:
-            deferred.append(j)
-            continue
-        pivot_row = min(unit_rows, key=lambda i: (len(rows[i]), i))
-        pivot_sign = rows[pivot_row][j]
-        pivot_entries = rows.pop(pivot_row)
-        for j2 in pivot_entries:
-            col_rows[j2].discard(pivot_row)
-        for i in list(col_rows[j]):
-            coef = rows[i][j] * pivot_sign
-            row_i = rows[i]
-            for j2, v2 in pivot_entries.items():
-                new = row_i.get(j2, 0) - coef * v2
-                if new:
-                    row_i[j2] = new
-                    col_rows.setdefault(j2, set()).add(i)
-                else:
-                    if j2 in row_i:
-                        del row_i[j2]
-                        col_rows[j2].discard(i)
-            if not row_i:
-                del rows[i]
-        del col_rows[j]
-        pivots.append((pivot_row, j))
-    live_rows = sorted(rows)
-    live_cols = sorted({j for row in rows.values() for j in row})
-    if live_rows:
-        col_pos = {j: k for k, j in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for k, i in enumerate(live_rows):
-            for j, v in rows[i].items():
-                dense[k][col_pos[j]] = v
-        residual_rank, factors = smith_normal_form(dense)
-        return len(pivots) + residual_rank, factors, pivots
+        seen[root] = True
+        stack = [root]
+        while stack:
+            for v, e in tree[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    pivots.append((v, e))
+                    stack.append(v)
     return len(pivots), (), pivots
 
 
@@ -341,12 +402,14 @@ def reduced_homology(cplx: ChainComplex) -> HomologyReport:
     top = cplx.dimension
     ranks = [0] * (top + 2)
     torsion: list[tuple[int, ...]] = [()] * (top + 1)
-    # d_1 first, so that d_2 can leave out the rows its pivots paired, then
+    # d_1 first, so that d_2 can leave out the rows its forest paired, then
     # top down, so that each map can leave out the columns paired above it.
     pivots: dict[int, list[tuple[int, int]]] = {}
-    for p in ([1] + list(range(top, 1, -1)) if top else []):
+    if top:
+        ranks[1], torsion[0], pivots[1] = _spanning_forest(cplx.boundaries[1], fvector[0])
+    for p in range(top, 1, -1):
         ranks[p], torsion[p - 1], pivots[p] = _sparse_rank_and_factors(
-            cplx.boundaries[p],
+            cplx.boundaries[p], fvector[p - 1],
             skip_rows={col for _, col in pivots.get(p - 1, ())},
             skip_cols={row for row, _ in pivots.pop(p + 1, ())})
     for p in range(1, top + 1):

@@ -17,13 +17,14 @@ from functools import lru_cache
 import networkx as nx
 
 from .cliques import STAR
-from .graph import PartitionGraph, adjacency_by_conjugate
+from .graph import PartitionGraph, _conjugate_unit_move
 from .partitions import (
     Corner,
     Partition,
     addable_corners,
     apply_transfer,
     as_partition,
+    conjugate,
     is_admissible,
     removable_corners,
 )
@@ -54,12 +55,14 @@ def all_cliques_reference(g: PartitionGraph) -> list[tuple[int, ...]]:
 
 
 def edges_by_conjugate_scan(g: PartitionGraph) -> list[tuple[int, int]]:
-    """Edge set recomputed by testing every vertex pair with the conjugate rule."""
-    edges = []
-    for i, j in itertools.combinations(range(len(g.vertices)), 2):
-        if adjacency_by_conjugate(g.vertices[i], g.vertices[j]) is not None:
-            edges.append((i, j))
-    return edges
+    """Edge set recomputed by testing every vertex pair with the conjugate rule.
+
+    Each vertex is conjugated once; a pair is then an edge when the two
+    conjugates differ by one unit move, as in adjacency_by_conjugate.
+    """
+    conjugates = [conjugate(lam) for lam in g.vertices]
+    return [(i, j) for i, j in itertools.combinations(range(len(conjugates)), 2)
+            if _conjugate_unit_move(conjugates[i], conjugates[j]) is not None]
 
 
 def edge_decompositions_by_scan(lam: Partition, mu: Partition) -> list[tuple[Corner, Corner]]:

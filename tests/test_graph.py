@@ -116,6 +116,14 @@ def test_symmetric_irreflexive_and_matches_conjugate_scan():
         assert sorted(g.edges()) == edges_by_conjugate_scan(g)
 
 
+def test_conjugate_scan_matches_per_pair_conjugate_rule():
+    for n in range(1, 13):
+        g = build_graph(n)
+        per_pair = [(i, j) for i, j in itertools.combinations(range(len(g.vertices)), 2)
+                    if adjacency_by_conjugate(g.vertices[i], g.vertices[j]) is not None]
+        assert edges_by_conjugate_scan(g) == per_pair
+
+
 def test_heights_cached_on_graph():
     g = build_graph(6)
     assert g.heights == tuple(height(lam) for lam in g.vertices)

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import partition_complex
@@ -247,6 +249,86 @@ def test_clearing_keeps_betti_and_torsion():
         assert (report.betti, report.torsion) == (betti, torsion), name
 
 
+def test_disconnected_complex():
+    # Two disjoint filled triangles and an isolated vertex: three components.
+    report = reduced_homology(build_chain_complex([(0, 1, 2), (3, 4, 5), (6,)]))
+    assert report.betti == (3, 0, 0)
+    assert report.torsion == ((), (), ())
+    assert report.summary() == "reduced homology: H~0=Z^2; euler characteristic 3"
+    # Hollow, each triangle also bounds a circle.
+    hollow = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6,)]
+    assert reduced_homology(build_chain_complex(hollow)).reduced_betti == (2, 2)
+
+
+def _assert_pivots_invertible(dense, pivots):
+    """The unit pivots index a square block with Smith form the identity."""
+    block = [[dense[i][j] for _, j in pivots] for i, _ in pivots]
+    assert smith_normal_form(block) == (len(pivots), ())
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A sparse matrix with entries in -3..3, wide or tall, with a planted
+    2x2 or 3x3 non-unit block as a direct summand, rows and columns
+    shuffled, and a few rows and columns to leave out."""
+    nrows = draw(st.integers(min_value=0, max_value=8))
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3))
+    size = draw(st.sampled_from((2, 3)))
+    planted = st.sampled_from((0, 2, -2, 3, -3))
+    dense = [[draw(entry) for _ in range(ncols)] + [0] * size for _ in range(nrows)]
+    dense += [[0] * ncols + [draw(planted) for _ in range(size)] for _ in range(size)]
+    row_order = draw(st.permutations(range(nrows + size)))
+    col_order = draw(st.permutations(range(ncols + size)))
+    dense = [[dense[i][j] for j in col_order] for i in row_order]
+    skip_rows = draw(st.sets(st.sampled_from(row_order), max_size=2))
+    skip_cols = draw(st.sets(st.sampled_from(col_order), max_size=2))
+    return dense, skip_rows, skip_cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_matrices())
+def test_sparse_reduction_matches_dense_snf(case):
+    dense, skip_rows, skip_cols = case
+    columns = [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(len(dense[0]))]
+    before = [dict(column) for column in columns]
+    rank, factors, pivots = homology._sparse_rank_and_factors(
+        columns, len(dense), skip_rows, skip_cols)
+    assert columns == before
+    kept_rows = [i for i in range(len(dense)) if i not in skip_rows]
+    kept_cols = [j for j in range(len(columns)) if j not in skip_cols]
+    assert (rank, factors) == smith_normal_form(
+        [[dense[i][j] for j in kept_cols] for i in kept_rows])
+    assert all(i in kept_rows and j in kept_cols for i, j in pivots)
+    _assert_pivots_invertible(dense, pivots)
+
+
+@st.composite
+def graphs(draw):
+    """Vertex count and sorted edge list of a small simple graph."""
+    nvertices = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(a, b) for a in range(nvertices) for b in range(a + 1, nvertices)]
+    return nvertices, sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graphs())
+def test_spanning_forest_matches_dense_snf(graph):
+    nvertices, edges = graph
+    columns = [{b: 1, a: -1} for a, b in edges]
+    dense = [[column.get(v, 0) for column in columns] for v in range(nvertices)]
+    rank, factors, pivots = homology._spanning_forest(columns, nvertices)
+    assert (rank, factors) == smith_normal_form(dense)
+    _assert_pivots_invertible(dense, pivots)
+    # The forest is the one a left-to-right column reduction pairs: the edges
+    # that raise the rank of the columns before them.  Its rows are the ones
+    # whose clearing keeps d_2's pass apparent.
+    prefix_ranks = [smith_normal_form([row[:k] for row in dense])[0]
+                    for k in range(len(columns) + 1)]
+    assert sorted(e for _, e in pivots) == [
+        k for k in range(len(columns)) if prefix_ranks[k + 1] > prefix_ranks[k]]
+
+
 def _unsigned_triangle_raises() -> bool:
     """Whether the boundary check rejects a triangle whose signs were dropped."""
     good = build_chain_complex([(0, 1, 2)])
@@ -259,23 +341,30 @@ def _unsigned_triangle_raises() -> bool:
     return False
 
 
-def test_rank_overcount_raises(monkeypatch):
-    cplx = build_chain_complex(maximal_simplices(build_graph(8)))
-    true_ranks = homology._sparse_rank_and_factors
-
+def _overcounting(true_ranks):
     def overcount(*args, **kwargs):
         rank, factors, pivots = true_ranks(*args, **kwargs)
         return rank + 1, factors, pivots
+    return overcount
 
-    monkeypatch.setattr(homology, "_sparse_rank_and_factors", overcount)
-    with pytest.raises(TheoremViolationError):
-        reduced_homology(cplx)
-    # The Betti numbers of these ranks still sum to chi, so an alternating
-    # Betti sum check would have let them through.
+
+def test_rank_overcount_raises(monkeypatch):
+    # d_1 goes through the forest and every other map through the sparse
+    # reduction; an overcount in either seam alone must raise.
+    cplx = build_chain_complex(maximal_simplices(build_graph(8)))
     f = cplx.fvector
-    ranks = [0] + [overcount(cplx.boundaries[p], (), ())[0] for p in range(1, len(f))] + [0]
-    betti = [f[p] - ranks[p] - ranks[p + 1] for p in range(len(f))]
-    assert _alternating_sum(betti) == cplx.euler_characteristic
+    for seam in ("_spanning_forest", "_sparse_rank_and_factors"):
+        with monkeypatch.context() as patch:
+            patch.setattr(homology, seam, _overcounting(getattr(homology, seam)))
+            with pytest.raises(TheoremViolationError):
+                reduced_homology(cplx)
+            # The Betti numbers of these ranks still sum to chi, so an
+            # alternating Betti sum check would have let them through.
+            ranks = [0, homology._spanning_forest(cplx.boundaries[1], f[0])[0]]
+            ranks += [homology._sparse_rank_and_factors(cplx.boundaries[p], f[p - 1], (), ())[0]
+                      for p in range(2, len(f))] + [0]
+            betti = [f[p] - ranks[p] - ranks[p + 1] for p in range(len(f))]
+            assert _alternating_sum(betti) == cplx.euler_characteristic
 
 
 def test_broken_boundary_raises_with_and_without_optimize():

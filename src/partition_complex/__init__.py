@@ -24,6 +24,7 @@ from .cliques import (
     full_top_simplex,
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
+    fvector_table,
     maximal_simplices,
     star_fiber,
     top_fiber,
@@ -88,6 +89,7 @@ from .partitions import (
     format_partition,
     height,
     is_admissible,
+    iter_partitions,
     parse_partition,
     removable_corners,
 )

@@ -3,6 +3,10 @@
 Every subcommand writes deterministic output: no timestamps, sorted JSON
 keys, LF newlines.  Identical arguments (including --seed) produce
 byte-identical files regardless of --jobs.
+
+`table` and `export bfile` take every row from one pass over part values
+(cliques.fvector_table), so there is nothing to split among workers: they
+accept --jobs and ignore it.  Only `verify` runs its n values in parallel.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from .cliques import (
-    FVector,
     format_facet_lines,
-    fvector_by_corner_counting,
+    fvector_table,
     maximal_simplices,
 )
 from .graph import build_graph, format_dimacs, format_edge_list, format_legend
@@ -75,11 +78,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 # -- table -------------------------------------------------------------
 
 
-def _table_row(n: int) -> tuple[int, tuple[int, ...]]:
-    # Module-level so ProcessPoolExecutor can pickle it.
-    return n, fvector_by_corner_counting(n).counts
-
-
 def _worker_count(jobs: int, tasks: int) -> int:
     """Pool size for --jobs: never more workers than tasks or CPUs, at least one."""
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
@@ -95,11 +93,11 @@ def _map_over_n(worker, ns, jobs: int) -> list:
     return [worker(n) for n in ns]
 
 
-def _format_table_text(rows) -> str:
+def _format_table_text(fvectors) -> str:
     header = ("n", "p", "f-vector", "chi", "b")
     cells = [header]
-    for n, counts in rows:
-        fvector = FVector(counts)
+    for n, fvector in enumerate(fvectors, start=1):
+        counts = fvector.counts
         chi = fvector.euler_characteristic
         cells.append((str(n), str(counts[0]), str(list(counts)),
                       str(chi), str(chi - 1)))
@@ -114,26 +112,27 @@ def _format_table_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_table_csv(rows) -> str:
-    depth = max(len(counts) for _, counts in rows)
+def _format_table_csv(fvectors) -> str:
+    depth = max(len(fvector.counts) for fvector in fvectors)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["n", "p"] + [f"f{i}" for i in range(depth)] + ["chi", "b"])
-    for n, counts in rows:
-        chi = FVector(counts).euler_characteristic
+    for n, fvector in enumerate(fvectors, start=1):
+        counts = fvector.counts
+        chi = fvector.euler_characteristic
         padded = list(counts) + [""] * (depth - len(counts))
         writer.writerow([n, counts[0]] + padded + [chi, chi - 1])
     return buffer.getvalue()
 
 
-def _format_table_json(rows) -> str:
+def _format_table_json(fvectors) -> str:
     payload = {"rows": []}
-    for n, counts in rows:
-        chi = FVector(counts).euler_characteristic
+    for n, fvector in enumerate(fvectors, start=1):
+        chi = fvector.euler_characteristic
         payload["rows"].append({
             "n": n,
-            "p": counts[0],
-            "fvector": list(counts),
+            "p": fvector.counts[0],
+            "fvector": list(fvector.counts),
             "chi": chi,
             "b": chi - 1,
         })
@@ -141,13 +140,13 @@ def _format_table_json(rows) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = _map_over_n(_table_row, range(1, args.max_n + 1), args.jobs)
+    fvectors = fvector_table(args.max_n)
     if args.format == "csv":
-        text = _format_table_csv(rows)
+        text = _format_table_csv(fvectors)
     elif args.format == "json":
-        text = _format_table_json(rows)
+        text = _format_table_json(fvectors)
     else:
-        text = _format_table_text(rows)
+        text = _format_table_text(fvectors)
     _emit(text, args.out)
     return 0
 
@@ -265,10 +264,9 @@ def cmd_export(args: argparse.Namespace) -> int:
             return _usage_error("export bfile needs a sequence: chi or b")
         if args.max_n is None:
             return _usage_error("export bfile needs --max-n")
-        rows = _map_over_n(_table_row, range(1, args.max_n + 1), args.jobs)
         lines = []
-        for n, counts in rows:
-            chi = FVector(counts).euler_characteristic
+        for n, fvector in enumerate(fvector_table(args.max_n), start=1):
+            chi = fvector.euler_characteristic
             value = chi if args.sequence == "chi" else chi - 1
             lines.append(f"{n} {value}\n")
         _emit("".join(lines), args.out)
@@ -308,16 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser(
-        "table", help="per-n table of p(n), f-vector, chi, and b; faces are"
-        " counted from each partition's corner rows, with no graph built")
+        "table", help="per-n table of p(n), f-vector, chi, and b; every row"
+        " comes from one pass over part values, with no graph built and no"
+        " partition listed")
     table.add_argument("--max-n", type=_positive_int, required=True,
                        help="largest n to tabulate")
     table.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
     table.add_argument("--out", help="write here instead of stdout")
     table.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes, capped at the CPU count and the"
-                       " number of n values; output is identical either way")
+                       help="accepted and ignored: the rows come from one"
+                       " pass; only verify runs in parallel")
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="run the verification suites")
@@ -361,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="graph: dimacs or edges; poset: json or text")
     export.add_argument("--out", help="write here instead of stdout")
     export.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes (bfile only)")
+                        help="accepted and ignored: bfile rows come from one"
+                        " pass; only verify runs in parallel")
     export.set_defaults(func=cmd_export)
 
     return parser

@@ -4,8 +4,10 @@ Simplices are cliques of the transfer graph, handled as sorted tuples of
 vertex ids.  The module classifies triangles and larger cliques by their
 shared corner, builds the canonical cover out of full star- and top-simplices,
 derives the maximal simplices from the classification, and counts simplices
-per dimension three ways: by subsets of the facets, by the height-raising
-fibers of the graph, and from the corner rows of each partition alone.
+per dimension four ways: by subsets of the facets, by the height-raising
+fibers of the graph, from the corner rows of each partition alone, and for
+every n up to a bound at once, by one sweep over part values that lists no
+partition.
 
 Classification vocabulary: a clique is star-type at a vertex lam when every
 other member is lam with one fixed removable corner moved somewhere, and
@@ -33,7 +35,7 @@ from .partitions import (
     _transfers,
     _validated_addable,
     _validated_removable,
-    enumerate_partitions,
+    iter_partitions,
 )
 
 STAR = "star"
@@ -316,7 +318,7 @@ def _raising_fiber_sizes(lam: Partition) -> tuple[list[int], list[int]]:
 def fvector_by_corner_counting(n: int) -> FVector:
     """f-vector of the clique complex on the partitions of n, with no graph.
 
-    One pass over enumerate_partitions(n) counts every clique once, at its
+    One pass over iter_partitions(n) counts every clique once, at its
     lowest vertex: f_0 = p(n), f_1 sums the raising star-fiber sizes (each
     edge lies in exactly one star fiber of its lower end), and for k >= 2 a
     k-simplex is its lowest vertex plus k members of exactly one raising
@@ -327,20 +329,21 @@ def fvector_by_corner_counting(n: int) -> FVector:
     and once by addable corner, so their sums agree; a partition where they
     do not raises TheoremViolationError.
     """
-    partitions = enumerate_partitions(n)
+    vertices = 0
     edges = 0
     size_counts = [0] * (n + 2)
-    for lam in partitions:
+    for lam in iter_partitions(n):
         star, top = _raising_fiber_sizes(lam)
         raising = sum(star)
         if raising != sum(top):
             raise TheoremViolationError(
                 f"{lam} has {raising} raising transfers by removable corner"
                 f" but {sum(top)} by addable corner")
+        vertices += 1
         edges += raising
         for s in itertools.chain(star, top):
             size_counts[s] += 1
-    counts = [len(partitions), edges]
+    counts = [vertices, edges]
     for k in range(2, len(size_counts)):
         faces = sum(count * math.comb(s, k) for s, count in enumerate(size_counts) if count)
         if not faces:
@@ -349,6 +352,113 @@ def fvector_by_corner_counting(n: int) -> FVector:
     while counts[-1] == 0:
         counts.pop()
     return FVector(tuple(counts))
+
+
+def _with_copies(rows: list[list[int]], v: int) -> list[list[int]]:
+    """out[m] = rows[m - v] + rows[m - 2v] + ...: whatever rows[m'] counts,
+    with one or more parts v added to reach sum m."""
+    out = [[0] * len(row) for row in rows]
+    for m in range(v, len(rows)):
+        out[m] = [x + y for x, y in zip(rows[m - v], out[m - v])]
+    return out
+
+
+def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]:
+    """(p(n), star, top) for n = 1..max_n, with star[s] and top[s] the number
+    of raising star and top fibers of size s over all partitions of n.
+
+    By _raising_fiber_sizes, each distinct part v of lam has one raising
+    star fiber, of size d_<=(v) - adj(v), and one raising top fiber, of
+    size d_>=(v) - adj(v), where d_<=(v) and d_>=(v) count the distinct
+    parts <= v and >= v, and adj(v) = [v - 1 is a part, or v = 1].  Every
+    partition also has the top fiber at its first-row addable corner, which
+    is always empty and is counted at size 0.
+
+    One sweep adds the part values v = 1, 2, ..., max_n in turn, with no
+    partition enumerated.  Before v, for the partitions of each sum m into
+    parts < v:
+
+    - ways[adj][m][d] counts those with d distinct parts, split by
+      whether v - 1 is a part; the empty partition counts 0 as a part,
+      which gives adj(1) = 1;
+    - star[m][s] counts their (partition, part) pairs with a star fiber of
+      size s, which no larger part changes;
+    - top[m][s] counts their (partition, part u) pairs with d_>=(u) -
+      adj(u) = s so far, before the parts >= v are known; each distinct
+      part added later raises s by one.
+
+    Adding one or more parts v to a partition with d distinct parts gives v
+    the star size d + 1 - adj and the top size 1 - adj so far.  The work is
+    O(max_n^2 * sqrt(max_n)) integer additions, since d <= sqrt(2 max_n).
+    """
+    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 1:
+        raise InvalidPartitionError(f"max_n must be a positive integer, got {max_n!r}")
+    width = math.isqrt(2 * max_n) + 1
+
+    def rows() -> list[list[int]]:
+        return [[0] * width for _ in range(max_n + 1)]
+
+    ways = [rows(), rows()]
+    ways[1][0][0] = 1
+    star = rows()
+    top = rows()
+    for v in range(1, max_n + 1):
+        # Partitions with one or more parts v, without and with the part v - 1.
+        absent, present = (_with_copies(w, v) for w in ways)
+        star_kept = _with_copies(star, v)
+        top_kept = _with_copies(top, v)
+        for m in range(v, max_n + 1):
+            a, b = absent[m], present[m]
+            # v's star fiber has size d + 1 without v - 1 and d with it.
+            star[m] = [x + y + z + w for x, y, z, w in
+                       zip(star[m], star_kept[m], [0] + a[:-1], b)]
+            # v raises every smaller part's top size by one, and its own top
+            # fiber has size 1 without v - 1 and 0 with it so far.
+            top[m] = [x + y for x, y in zip(top[m], [0] + top_kept[m][:-1])]
+            top[m][0] += sum(b)
+            top[m][1] += sum(a)
+        ways = [
+            [[x + y for x, y in zip(a, b)] for a, b in zip(*ways)],
+            [[0] + [x + y for x, y in zip(a, b)][:-1] for a, b in zip(absent, present)],
+        ]
+    out = []
+    for n in range(1, max_n + 1):
+        vertices = sum(ways[0][n]) + sum(ways[1][n])
+        top[n][0] += vertices
+        out.append((vertices, star[n], top[n]))
+    return out
+
+
+def fvector_table(max_n: int) -> list[FVector]:
+    """f-vectors of the clique complexes for n = 1..max_n, from one sweep.
+
+    The counting is that of fvector_by_corner_counting, aggregated by
+    _fiber_size_histograms instead of summed partition by partition:
+    f_0 = p(n), f_1 = sum of s * star[s], and f_k = sum of
+    (star[s] + top[s]) * C(s, k) for k >= 2.
+
+    Lemma, in the aggregate this route sees: both histograms count every
+    height-raising transfer once, so their edge sums agree at every n; an n
+    where they do not raises TheoremViolationError.
+    """
+    table = []
+    for n, (vertices, star, top) in enumerate(_fiber_size_histograms(max_n), start=1):
+        edges = sum(s * count for s, count in enumerate(star))
+        by_addable = sum(s * count for s, count in enumerate(top))
+        if edges != by_addable:
+            raise TheoremViolationError(
+                f"n={n} has {edges} raising transfers by removable corner"
+                f" but {by_addable} by addable corner")
+        counts = [vertices, edges]
+        for k in range(2, len(star)):
+            faces = sum((x + y) * math.comb(s, k) for s, (x, y) in enumerate(zip(star, top)))
+            if not faces:
+                break
+            counts.append(faces)
+        while counts[-1] == 0:
+            counts.pop()
+        table.append(FVector(tuple(counts)))
+    return table
 
 
 def format_facet_lines(facets: Iterable[tuple[int, ...]]) -> str:

@@ -8,7 +8,7 @@ of the diagram of lam holds lam[i-1] cells.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 REMOVABLE = "removable"
 ADDABLE = "addable"
@@ -81,23 +81,40 @@ def format_partition(lam: Iterable[int]) -> str:
     return "[" + ",".join(str(part) for part in as_partition(lam)) + "]"
 
 
-def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n, in descending lexicographic order."""
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n, one at a time, in descending lexicographic order.
+
+    n is checked on the call, before the first partition is asked for.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidPartitionError(f"n must be a positive integer, got {n!r}")
-    out: list[Partition] = []
+    return _descending_partitions(n)
 
-    def extend(prefix: list[int], remaining: int, cap: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            extend(prefix, remaining - part, part)
-            prefix.pop()
 
-    extend([], n, n)
-    return out
+def _descending_partitions(n: int) -> Iterator[Partition]:
+    # The successor of lam drops its trailing 1s, takes one cell from the
+    # part x before them, and refills the freed cells with parts x - 1, then
+    # a remainder.
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        freed = 1
+        while parts[-1] == 1:
+            parts.pop()
+            if not parts:
+                return
+            freed += 1
+        part = parts[-1] - 1
+        parts[-1] = part
+        while freed > part:
+            parts.append(part)
+            freed -= part
+        parts.append(freed)
+
+
+def enumerate_partitions(n: int) -> list[Partition]:
+    """All partitions of n, in descending lexicographic order."""
+    return list(iter_partitions(n))
 
 
 def conjugate(lam: Iterable[int]) -> Partition:

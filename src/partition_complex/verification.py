@@ -31,6 +31,7 @@ from .cliques import (
     full_top_simplex,
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
+    fvector_table,
     maximal_simplices,
 )
 from .graph import build_graph, edge_decompositions
@@ -611,12 +612,14 @@ def _suite_homology(ctx: NContext) -> VerificationOutcome:
 
 def _suite_euler(ctx: NContext) -> VerificationOutcome:
     """Subset enumeration versus graph-based fiber counting versus corner
-    counting versus tabulated values, plus the partition-count recurrence
-    for the vertex count.  A fail witness names the route that disagreed
-    with subset enumeration."""
+    counting per partition versus the sweep over part values (its row n)
+    versus tabulated values, plus the partition-count recurrence for the
+    vertex count.  A fail witness names the route that disagreed with
+    subset enumeration."""
     counted = ctx.fvector
     for route, other in (("fiber", fvector_by_fiber_counting(ctx.graph)),
-                         ("corner", fvector_by_corner_counting(ctx.n))):
+                         ("corner", fvector_by_corner_counting(ctx.n)),
+                         ("dp", fvector_table(ctx.n)[-1])):
         if counted.counts != other.counts:
             return _fail("euler", ctx, {
                 "route": route, "counted": list(counted.counts),

@@ -1,6 +1,7 @@
 """Fibers, triangle and clique classification, covers, facets, f-vectors."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,12 @@ from partition_complex.cliques import (
     enumerate_simplices,
     format_facet_lines,
     full_star_simplex,
+    _fiber_size_histograms,
     _raising_fiber_sizes,
     full_top_simplex,
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
+    fvector_table,
     maximal_simplices,
     star_fiber,
     top_fiber,
@@ -261,6 +264,33 @@ def test_raising_fiber_sizes_match_filtered_transfers(lam):
     star, top = _raising_fiber_sizes(lam)
     assert star == [sum(1 for c, _ in raising if c == corner) for corner in removable_corners(lam)]
     assert top == [sum(1 for _, a in raising if a == corner) for corner in addable_corners(lam)]
+
+
+def test_fvector_table_matches_corner_counting():
+    table = fvector_table(40)
+    assert len(table) == 40
+    for n, fvector in enumerate(table, start=1):
+        assert fvector == fvector_by_corner_counting(n), n
+
+
+def test_fvector_table_rejects_nonpositive():
+    for bad in (0, -3, True, 2.0):
+        with pytest.raises(InvalidPartitionError):
+            fvector_table(bad)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=30))
+def test_fiber_size_histograms_sum_the_per_partition_sizes(n):
+    star_sizes, top_sizes = Counter(), Counter()
+    for lam in enumerate_partitions(n):
+        star, top = _raising_fiber_sizes(lam)
+        star_sizes.update(star)
+        top_sizes.update(top)
+    vertices, star, top = _fiber_size_histograms(n)[-1]
+    assert vertices == len(enumerate_partitions(n))
+    assert {s: count for s, count in enumerate(star) if count} == star_sizes
+    assert {s: count for s, count in enumerate(top) if count} == top_sizes
 
 
 def test_format_facet_lines():

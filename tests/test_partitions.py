@@ -1,7 +1,11 @@
 """Partitions, corners, and single-cell transfers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from partition_complex.graph import adjacency_by_conjugate
+from partition_complex.oracles import partition_count
 from partition_complex.partitions import (
     ADDABLE,
     REMOVABLE,
@@ -18,6 +22,7 @@ from partition_complex.partitions import (
     format_partition,
     height,
     is_admissible,
+    iter_partitions,
     parse_partition,
     removable_corners,
 )
@@ -58,6 +63,47 @@ def test_enumerate_small():
 def test_enumerate_rejects_nonpositive():
     with pytest.raises(InvalidPartitionError):
         enumerate_partitions(0)
+
+
+def test_iter_partitions_streams_the_enumeration():
+    for n in range(1, 21):
+        streamed = list(iter_partitions(n))
+        assert streamed == enumerate_partitions(n)
+        assert streamed == sorted(set(streamed), reverse=True)
+        assert len(streamed) == partition_count(n)
+        assert all(as_partition(lam) == lam and sum(lam) == n for lam in streamed)
+
+
+def test_iter_partitions_rejects_nonpositive_on_the_call():
+    for bad in (0, -1, True, 3.0):
+        with pytest.raises(InvalidPartitionError):
+            iter_partitions(bad)
+
+
+any_partition = st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=20).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(any_partition)
+def test_format_then_parse_round_trips(lam):
+    assert parse_partition(format_partition(lam)) == lam
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(any_partition)
+def test_conjugate_is_an_involution(lam):
+    assert conjugate(conjugate(lam)) == lam
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.sampled_from(enumerate_partitions(n))))
+def test_transfer_targets_are_the_conjugate_neighbours(lam):
+    targets = sorted(mu for _, _, mu in admissible_transfers(lam))
+    neighbours = [mu for mu in enumerate_partitions(sum(lam))
+                  if adjacency_by_conjugate(lam, mu) is not None]
+    assert targets == sorted(neighbours)
 
 
 def test_conjugate():

@@ -35,10 +35,14 @@ def test_suite_exception_becomes_fail_outcome(monkeypatch):
 @pytest.mark.parametrize("route, function", [
     ("fiber", "fvector_by_fiber_counting"),
     ("corner", "fvector_by_corner_counting"),
+    ("dp", "fvector_table"),
 ])
 def test_euler_fail_names_the_disagreeing_route(monkeypatch, route, function):
     assert run_suite("euler", NContext(6)).status == PASS
-    monkeypatch.setattr(verification, function, lambda _: FVector((11, 17, 6)))
+    wrong = FVector((11, 17, 6))
+    # fvector_table returns the rows up to n; the suite reads the last.
+    fake = (lambda _: [wrong]) if function == "fvector_table" else (lambda _: wrong)
+    monkeypatch.setattr(verification, function, fake)
     outcome = run_suite("euler", NContext(6))
     assert outcome.status == FAIL
     assert outcome.counterexample == {

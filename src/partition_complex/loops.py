@@ -251,7 +251,7 @@ def reduce_loop(loop: EdgeLoop) -> ReductionTrace:
 
 def random_closed_walk(graph: PartitionGraph, rng, max_len: int = 40) -> EdgeLoop:
     """Random walk from a random start until it returns; retries on timeout."""
-    if graph.edge_count() == 0:
+    if not any(graph.adjacency):
         raise ValueError("the graph has no edges, so it has no nonconstant loops")
     for _ in range(10000):
         start = rng.randrange(len(graph.vertices))
@@ -260,8 +260,7 @@ def random_closed_walk(graph: PartitionGraph, rng, max_len: int = 40) -> EdgeLoo
         walk = [start]
         position = start
         for _ in range(max_len):
-            options = graph.adjacency[position]
-            position = options[rng.randrange(len(options))]
+            position = rng.choice(graph.adjacency[position])
             if position == start:
                 return EdgeLoop(graph, walk)
             walk.append(position)

@@ -20,12 +20,12 @@ from .cliques import STAR
 from .graph import PartitionGraph, _conjugate_unit_move
 from .partitions import (
     Corner,
+    InadmissibleTransferError,
     Partition,
     addable_corners,
     apply_transfer,
     as_partition,
     conjugate,
-    is_admissible,
     removable_corners,
 )
 
@@ -72,7 +72,11 @@ def edge_decompositions_by_scan(lam: Partition, mu: Partition) -> list[tuple[Cor
     out = []
     for c in removable_corners(lam):
         for a in addable_corners(lam):
-            if c.row != a.row and is_admissible(lam, c, a) and apply_transfer(lam, c, a) == mu:
+            try:
+                moved = apply_transfer(lam, c, a)
+            except InadmissibleTransferError:
+                continue
+            if moved == mu:
                 out.append((c, a))
     return out
 
@@ -90,8 +94,13 @@ def full_simplex_by_scan(
     for c in removable_corners(lam):
         for a in addable_corners(lam):
             fixed = c if kind == STAR else a
-            if fixed == corner and is_admissible(lam, c, a):
-                members.append(g.index[apply_transfer(lam, c, a)])
+            if fixed != corner:
+                continue
+            try:
+                moved = apply_transfer(lam, c, a)
+            except InadmissibleTransferError:
+                continue
+            members.append(g.index[moved])
     return tuple(sorted(members))
 
 

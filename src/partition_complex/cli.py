@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from .cliques import (
@@ -85,9 +84,12 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 def _map_over_n(worker, ns, jobs: int) -> list:
     """Apply worker to each n, in parallel when the clamped pool has > 1 worker,
-    merged in n order."""
+    merged in n order.  The pool module (and multiprocessing) is imported only
+    here, so a serial run never loads it."""
     workers = _worker_count(jobs, len(ns))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, ns))
     return [worker(n) for n in ns]

@@ -88,7 +88,11 @@ def closure_ids(nerve: NerveComplex, vertex_ids: Sequence[int]) -> tuple[int, ..
             if v not in adjacency[u]:
                 raise NotACliqueError(f"vertices {u} and {v} are not adjacent")
     common = anchor_intersection_ids(nerve, distinct)
-    return tuple(v for v, anchor_set in enumerate(nerve.anchor_sets) if common <= anchor_set)
+    if not common:
+        return tuple(range(len(nerve.anchor_sets)))
+    # The vertices whose anchors hold every member of common are the vertices
+    # that every such member holds.
+    return tuple(sorted(frozenset.intersection(*(nerve.member_sets[m] for m in common))))
 
 
 def nerve_fvector(nerve: NerveComplex) -> FVector:

@@ -1,20 +1,20 @@
 """Independent recomputation paths for cross-checking the main constructions.
 
 Everything here deliberately avoids the code paths it is used to check:
-clique enumeration is generic graph search with no corner calculus, the edge
-oracle uses only conjugate arithmetic, partition counting uses the recurrence
-with generalized pentagonal numbers, and edge decompositions and full star-
-and top-simplices are recovered by scanning all corner pairs through the
-sorting transfer route instead of reading corners off the row difference or
-a single transfer pass.
+clique enumeration is generic graph search over adjacency sets with no
+corner calculus (maximal cliques by Bron-Kerbosch with Tomita's pivot), the
+edge oracle uses only conjugate arithmetic, partition counting uses the
+recurrence with generalized pentagonal numbers, and edge decompositions and
+full star- and top-simplices are recovered by scanning all corner pairs
+through the sorting transfer route instead of reading corners off the row
+difference or a single transfer pass.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-
-import networkx as nx
+from typing import Sequence
 
 from .cliques import STAR
 from .graph import PartitionGraph, _conjugate_unit_move
@@ -31,11 +31,42 @@ from .partitions import (
 
 
 def maximal_cliques_reference(g: PartitionGraph) -> list[tuple[int, ...]]:
-    """Facets by generic maximal-clique enumeration (Bron-Kerbosch via networkx)."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(len(g.vertices)))
-    nxg.add_edges_from(g.edges())
-    return sorted(tuple(sorted(clique)) for clique in nx.find_cliques(nxg))
+    """Facets by generic maximal-clique enumeration over g.adjacency_sets.
+
+    Reads nothing of the graph but its adjacency; see bron_kerbosch_pivot.
+    """
+    return bron_kerbosch_pivot(g.adjacency_sets)
+
+
+def bron_kerbosch_pivot(adjacency: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
+    """Maximal cliques of the graph on vertices 0..len(adjacency)-1, sorted.
+
+    Bron-Kerbosch (CACM 16(9), 1973) with Tomita's pivot (TCS 363, 2006):
+    candidates are the vertices that extend the clique so far, and excluded
+    those that extend it but were already tried.  The clique is maximal when
+    both are empty.  Only candidates outside the pivot's neighbourhood are
+    branched on, the pivot being the vertex of either set with the most
+    neighbours among the candidates.  A graph with no vertices has no
+    maximal clique.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def expand(clique: list[int], candidates: set[int], excluded: set[int]) -> None:
+        if not candidates and not excluded:
+            out.append(tuple(sorted(clique)))
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & adjacency[u]))
+        for v in candidates - adjacency[pivot]:
+            clique.append(v)
+            expand(clique, candidates & adjacency[v], excluded & adjacency[v])
+            clique.pop()
+            candidates.remove(v)
+            excluded.add(v)
+
+    if adjacency:
+        expand([], set(range(len(adjacency))), set())
+    out.sort()
+    return out
 
 
 def all_cliques_reference(g: PartitionGraph) -> list[tuple[int, ...]]:

@@ -12,7 +12,9 @@ from partition_complex.cliques import (
 )
 from partition_complex.graph import build_graph
 from partition_complex.nerve import (
+    NerveComplex,
     anchor_intersection,
+    anchor_intersection_ids,
     build_nerve,
     build_poset,
     closure,
@@ -124,6 +126,28 @@ def test_closure_laws():
             closed = closure_ids(nerve, clique)
             assert set(clique) <= set(closed)
             assert closure_ids(nerve, closed) == closed
+
+
+def test_closure_equals_the_all_vertex_scan():
+    for n in range(1, 13):
+        g = build_graph(n)
+        nerve = build_nerve(g)
+        for clique in all_cliques_reference(g):
+            common = anchor_intersection_ids(nerve, clique)
+            scanned = tuple(v for v, anchor_set in enumerate(nerve.anchor_sets)
+                            if common <= anchor_set)
+            assert closure_ids(nerve, clique) == scanned
+
+
+def test_closure_of_a_vertex_in_no_member_is_every_vertex():
+    nerve = nerve_at(4)
+    lonely = nerve.graph.vertex_id((2, 2))
+    anchor_sets = list(nerve.anchor_sets)
+    anchor_sets[lonely] = frozenset()
+    hand_built = NerveComplex(nerve.graph, nerve.cover, nerve.member_sets, tuple(anchor_sets))
+    assert closure_ids(hand_built, [lonely]) == tuple(range(len(nerve.graph.vertices)))
+    other = nerve.graph.vertex_id((4,))
+    assert closure_ids(hand_built, [other]) == closure_ids(nerve, [other])
 
 
 def test_closure_rejects_non_cliques():

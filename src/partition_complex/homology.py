@@ -1,8 +1,12 @@
 """Exact integer simplicial homology of a complex given by its facets.
 
-Boundary matrices are built with alternating signs over sorted vertex order
-and reduced with exact arbitrary-precision integer arithmetic.  No floating
-point, no fixed-width integers.
+Each boundary column of a p-simplex s is a tuple of p + 1 face indices in
+drop order: entry k is the face s[:k] + s[k+1:], whose sign (-1)^k over
+sorted vertex order is implied, not stored.  Every build checks the face
+identities d_a d_b = d_{b-1} d_a (a < b) on these indices, in bulk stride
+slices; with the signs (-1)^k they force d d = 0, so a build that passes
+is a chain complex.  The maps are reduced with exact arbitrary-precision
+integer arithmetic.  No floating point, no fixed-width integers.
 
 The map out of dimension 1 is a graph incidence matrix: a union-find
 spanning forest, built in column order, gives its rank, f_0 minus the
@@ -30,8 +34,8 @@ exactly those of the full maps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import chain, combinations, repeat
 from math import gcd
 from typing import Collection, Iterable, Sequence
 
@@ -52,13 +56,15 @@ class ChainComplex:
     """Per-dimension simplex bases and sparse boundary matrices.
 
     basis[p] lists the p-simplices as sorted vertex-id tuples, sorted.
-    boundaries[p] (p >= 1) holds one {row_index: sign} column per p-simplex,
-    mapping into the (p-1)-basis; boundaries[0] is the empty list standing
-    for the zero map out of dimension 0.
+    boundaries[p] (p >= 1) holds one column per p-simplex s, a tuple of
+    p + 1 row indices into the (p-1)-basis in drop order: entry k is the
+    face s[:k] + s[k+1:], with sign (-1)^k, which is not stored.
+    boundaries[0] is the empty tuple standing for the zero map out of
+    dimension 0.
     """
 
     basis: tuple[tuple[tuple[int, ...], ...], ...]
-    boundaries: tuple[tuple[dict[int, int], ...], ...]
+    boundaries: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -122,46 +128,75 @@ class HomologyReport:
 
 
 def build_chain_complex(facets: Iterable[Sequence[int]]) -> ChainComplex:
-    """All faces of the given facets, with boundary matrices, checked to compose to zero."""
-    facet_tuples = [tuple(sorted(facet)) for facet in facets]
+    """All faces of the given facets, with boundary columns, checked by the face identities.
+
+    Each dimension's faces are gathered from the lex-sorted facets in
+    first-seen order, so the sort that makes the basis meets near-sorted
+    runs.  A dimension's face ids come from one lookup pass over the
+    combinations of its simplices in lex order, which lists every column's
+    faces with the last vertex dropped first; reversed and grouped, they
+    are the drop-order columns.
+    """
+    facet_tuples = sorted(tuple(sorted(facet)) for facet in facets)
     if not facet_tuples:
         raise EmptyComplexError("no facets given")
     for facet in facet_tuples:
         if len(set(facet)) != len(facet):
             raise ValueError(f"facet with repeated vertices: {facet}")
-    max_dim = max(len(facet) for facet in facet_tuples) - 1
-    per_dim: list[set[tuple[int, ...]]] = [set() for _ in range(max_dim + 1)]
-    for facet in facet_tuples:
-        for size in range(1, len(facet) + 1):
-            per_dim[size - 1].update(itertools.combinations(facet, size))
-    basis = tuple(tuple(sorted(simplices)) for simplices in per_dim)
-    index = [{simplex: i for i, simplex in enumerate(simplices)} for simplices in basis]
-    boundaries: list[tuple[dict[int, int], ...]] = [()]
+    max_dim = max(map(len, facet_tuples)) - 1
+    if max_dim < 0:
+        raise EmptyComplexError("no facet has a vertex")
+    basis = tuple(
+        tuple(sorted(dict.fromkeys(chain.from_iterable(
+            map(combinations, facet_tuples, repeat(p + 1))))))
+        for p in range(max_dim + 1))
+    boundaries: list[tuple[tuple[int, ...], ...]] = [()]
     for p in range(1, max_dim + 1):
-        lower = index[p - 1]
-        columns = []
-        for simplex in basis[p]:
-            column = {}
-            for drop in range(len(simplex)):
-                face = simplex[:drop] + simplex[drop + 1 :]
-                column[lower[face]] = -1 if drop % 2 else 1
-            columns.append(column)
+        index = dict(zip(basis[p - 1], range(len(basis[p - 1]))))
+        ids = list(map(index.__getitem__, chain.from_iterable(
+            map(combinations, basis[p], repeat(p)))))
+        del index
+        ids.reverse()
+        columns = list(zip(*[iter(ids)] * (p + 1)))
+        columns.reverse()
         boundaries.append(tuple(columns))
     cplx = ChainComplex(basis, tuple(boundaries))
-    _check_boundaries_compose_to_zero(cplx)
+    _check_face_identities(cplx)
     return cplx
 
 
-def _check_boundaries_compose_to_zero(cplx: ChainComplex) -> None:
-    for p in range(2, cplx.dimension + 1):
-        lower = cplx.boundaries[p - 1]
-        for column in cplx.boundaries[p]:
-            acc: dict[int, int] = {}
-            for face, sign in column.items():
-                for face2, sign2 in lower[face].items():
-                    acc[face2] = acc.get(face2, 0) + sign * sign2
-            if any(acc.values()):
-                raise TheoremViolationError(f"boundary of boundary must vanish in dimension {p}")
+def _check_face_identities(cplx: ChainComplex) -> None:
+    """Raise TheoremViolationError unless the columns satisfy the face identities.
+
+    Every column out of dimension p must hold p + 1 faces.  Write d_b s
+    for entry b of the column of s, and d_a d_b s for entry a of the
+    column of d_b s; for all a < b the face identity d_a d_b s =
+    d_{b-1} d_a s must hold.  The second faces of dimension p are
+    flattened column by column, face by face, so each identity is one
+    comparison of two stride slices over all its columns at once.
+
+    Lemma: with signs (-1)^k these identities force d d = 0.  The signed
+    d_{p-1} d_p of a simplex is the sum over b <= p and a < p of
+    (-1)^(a+b) d_a d_b.  The map (a, b) -> (b - 1, a) pairs each term with
+    a < b to one with a >= b, bijectively, and the identity makes the two
+    terms the same face with opposite signs, so they cancel.
+    """
+    for p in range(1, cplx.dimension + 1):
+        columns = cplx.boundaries[p]
+        if set(map(len, columns)) - {p + 1}:
+            raise TheoremViolationError(
+                f"a boundary column out of dimension {p} does not hold {p + 1} faces")
+        if p < 2:
+            continue
+        second = list(chain.from_iterable(
+            map(cplx.boundaries[p - 1].__getitem__, chain.from_iterable(columns))))
+        step = (p + 1) * p
+        for b in range(1, p + 1):
+            for a in range(b):
+                if second[b * p + a::step] != second[a * p + b - 1::step]:
+                    raise TheoremViolationError(
+                        f"face identity d_{a} d_{b} = d_{b - 1} d_{a} fails in dimension {p},"
+                        " so boundary of boundary need not vanish")
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
@@ -256,23 +291,24 @@ def _eliminate(line: dict[int, int], pivot_line: dict[int, int], top: int) -> No
 
 
 def _sparse_rank_and_factors(
-    columns: Sequence[dict[int, int]], nrows: int,
+    columns: Iterable[Iterable[tuple[int, int]]], nrows: int, ncols: int,
     skip_rows: Collection[int], skip_cols: Collection[int],
 ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
     """Rank, invariant factors and unit pivots of a sparse integer matrix.
 
-    The matrix has nrows rows and is given by its columns, {row: value}
-    with no zero values; the rows in skip_rows and the columns in
-    skip_cols (distinct valid indices) are left out.  One left-to-right
-    pass runs over whichever side has fewer lines: the columns, pivot the
-    largest row, or else the rows in descending order, pivot the smallest
-    column (the columns of the anti-transpose).  A line is combined only
-    with earlier pivot lines, until its leading entry is new; a +-1 there
-    makes it a pivot line, anything else puts it in the residue.  A line
-    is copied just before its first change, so the input is never
-    mutated.  After the pass every pivot index is cleared from each
-    residue line, largest first, and what is left goes to the dense
-    Smith reduction.  The (row, column) of every unit pivot is returned.
+    The matrix is nrows by ncols and is given by its columns, each an
+    iterable of (row, value) pairs with distinct rows and no zero values;
+    the rows in skip_rows and the columns in skip_cols (distinct valid
+    indices) are left out.  One left-to-right pass runs over whichever
+    side has fewer lines: the columns, pivot the largest row, or else the
+    rows in descending order, pivot the smallest column (the columns of
+    the anti-transpose).  A line is combined only with earlier pivot
+    lines, until its leading entry is new; a +-1 there makes it a pivot
+    line, anything else puts it in the residue.  Every line is built fresh
+    from the input, which is read once and never mutated.  After the pass
+    every pivot index is cleared from each residue line, largest first,
+    and what is left goes to the dense Smith reduction.  The (row, column)
+    of every unit pivot is returned.
 
     Pivot lemma: the unit pivots index a square submatrix of the original
     matrix that is invertible over Z.  Sorted by pivot index, the reduced
@@ -299,27 +335,24 @@ def _sparse_rank_and_factors(
     the projective plane), and its row and column swaps do not pick out an
     invertible submatrix of the input.
     """
-    by_columns = len(columns) - len(skip_cols) <= nrows - len(skip_rows)
+    by_columns = ncols - len(skip_cols) <= nrows - len(skip_rows)
     if by_columns:
         lines: list[tuple[int, dict[int, int]]] = [
-            (j, {i: v for i, v in column.items() if i not in skip_rows} if skip_rows else column)
+            (j, {i: v for i, v in column if i not in skip_rows})
             for j, column in enumerate(columns) if j not in skip_cols]
     else:
         rows: dict[int, dict[int, int]] = {}
         for j, column in enumerate(columns):
             if j not in skip_cols:
-                for i, v in column.items():
+                for i, v in column:
                     if i not in skip_rows:
                         rows.setdefault(i, {})[-j] = v
         lines = sorted(rows.items(), reverse=True)
     pivot_lines: dict[int, dict[int, int]] = {}
     pivots: list[tuple[int, int]] = []
     residue: list[dict[int, int]] = []
-    for line_id, original in lines:
-        line = original
+    for line_id, line in lines:
         while line and (top := max(line)) in pivot_lines:
-            if line is original:
-                line = dict(line)
             _eliminate(line, pivot_lines[top], top)
         if not line:
             continue
@@ -327,7 +360,7 @@ def _sparse_rank_and_factors(
             pivot_lines[top] = line
             pivots.append((top, line_id) if by_columns else (line_id, -top))
         else:
-            residue.append(dict(line))
+            residue.append(line)
     for line in residue:
         while paired := [i for i in line if i in pivot_lines]:
             top = max(paired)
@@ -338,7 +371,7 @@ def _sparse_rank_and_factors(
 
 
 def _spanning_forest(
-    edges: Sequence[dict[int, int]], nvertices: int
+    edges: Sequence[tuple[int, int]], nvertices: int
 ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
     """Rank, invariant factors and unit pivots of the map out of dimension 1.
 
@@ -408,8 +441,11 @@ def reduced_homology(cplx: ChainComplex) -> HomologyReport:
     if top:
         ranks[1], torsion[0], pivots[1] = _spanning_forest(cplx.boundaries[1], fvector[0])
     for p in range(top, 1, -1):
+        # Columns are streamed: a zip per column held all at once costs
+        # memory and full collector passes.
+        signs = tuple(-1 if k % 2 else 1 for k in range(p + 1))
         ranks[p], torsion[p - 1], pivots[p] = _sparse_rank_and_factors(
-            cplx.boundaries[p], fvector[p - 1],
+            map(zip, cplx.boundaries[p], repeat(signs)), fvector[p - 1], fvector[p],
             skip_rows={col for _, col in pivots.get(p - 1, ())},
             skip_cols={row for row, _ in pivots.pop(p + 1, ())})
     for p in range(1, top + 1):

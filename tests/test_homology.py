@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 import sympy
@@ -19,7 +20,7 @@ from partition_complex.homology import (
     ChainComplex,
     EmptyComplexError,
     _alternating_sum,
-    _check_boundaries_compose_to_zero,
+    _check_face_identities,
     build_chain_complex,
     reduced_homology,
     smith_normal_form,
@@ -79,13 +80,44 @@ def test_chain_complex_rejects_bad_input():
         build_chain_complex([(0, 0, 1)])
 
 
+def test_facets_without_vertices_are_empty():
+    for facets in ([()], [(), ()]):
+        with pytest.raises(EmptyComplexError):
+            build_chain_complex(facets)
+    # An empty facet next to a real one is the empty face, and adds nothing.
+    cplx = build_chain_complex([(1, 2), ()])
+    assert cplx.basis == (((1,), (2,)), ((1, 2),))
+    assert cplx.boundaries == ((), ((1, 0),))
+    assert reduced_homology(cplx).reduced_betti == (0, 0)
+
+
 def test_chain_complex_from_partition_facets():
     cplx = build_chain_complex(maximal_simplices(build_graph(4)))
     assert cplx.fvector == (5, 5, 1)
-    # Boundary composition to zero is asserted inside the builder; n <= 10
-    # complexes building cleanly is itself the check.
+    # The builder checks the face identities; n <= 10 complexes building
+    # cleanly is itself that check, and test_boundary_of_boundary_vanishes
+    # multiplies the maps out independently.
     for n in range(1, 11):
         build_chain_complex(maximal_simplices(build_graph(n)))
+
+
+def signed_column(column):
+    """A stored drop-order column as {row: value}, (-1)^k at entry k."""
+    values = {}
+    for k, row in enumerate(column):
+        values[row] = values.get(row, 0) + (-1) ** k
+    return {row: v for row, v in values.items() if v}
+
+
+def boundary_of_boundary(cplx, p):
+    """The nonzero entries {(row, column): value} of the signed d_{p-1} d_p."""
+    lower = [signed_column(column) for column in cplx.boundaries[p - 1]]
+    product = {}
+    for j, column in enumerate(cplx.boundaries[p]):
+        for face, sign in signed_column(column).items():
+            for row, sign2 in lower[face].items():
+                product[row, j] = product.get((row, j), 0) + sign * sign2
+    return {key: v for key, v in product.items() if v}
 
 
 def test_circle():
@@ -220,7 +252,7 @@ def homology_without_clearing(cplx):
     for p in range(1, cplx.dimension + 1):
         dense = [[0] * len(cplx.basis[p]) for _ in cplx.basis[p - 1]]
         for j, column in enumerate(cplx.boundaries[p]):
-            for i, value in column.items():
+            for i, value in signed_column(column).items():
                 dense[i][j] = value
         ranks[p], torsion[p - 1] = smith_normal_form(dense)
     betti = tuple(f - ranks[p] - ranks[p + 1] for p, f in enumerate(cplx.fvector))
@@ -247,6 +279,49 @@ def test_clearing_keeps_betti_and_torsion():
             assert torsion == expected_torsion, name
         report = reduced_homology(cplx)
         assert (report.betti, report.torsion) == (betti, torsion), name
+
+
+def test_boundary_of_boundary_vanishes():
+    complexes = [PROJECTIVE_PLANE, TORUS, klein_bottle_facets(), suspension(PROJECTIVE_PLANE),
+                 suspension(suspension(PROJECTIVE_PLANE))]
+    complexes += [maximal_simplices(build_graph(n)) for n in range(1, 11)]
+    for facets in complexes:
+        cplx = build_chain_complex(facets)
+        for p in range(2, cplx.dimension + 1):
+            assert boundary_of_boundary(cplx, p) == {}
+
+
+@st.composite
+def facet_lists(draw):
+    """Facets over at most 8 arbitrary integer vertex labels."""
+    labels = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True))
+    facet = st.lists(st.sampled_from(labels), min_size=1, max_size=6, unique=True)
+    return draw(st.lists(facet.map(tuple), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(facet_lists(), st.randoms(use_true_random=False))
+def test_facet_order_and_repeats_do_not_change_the_complex(facets, rng):
+    cplx = build_chain_complex(facets)
+    closure = {face for facet in facets for size in range(1, len(facet) + 1)
+               for face in combinations(sorted(facet), size)}
+    assert [face for simplices in cplx.basis for face in simplices] == sorted(
+        closure, key=lambda face: (len(face), face))
+    for p in range(1, cplx.dimension + 1):
+        assert len(cplx.boundaries[p]) == len(cplx.basis[p])
+        for s, column in zip(cplx.basis[p], cplx.boundaries[p]):
+            assert len(column) == p + 1
+            assert all(cplx.basis[p - 1][face] == s[:k] + s[k + 1:]
+                       for k, face in enumerate(column))
+    # Shuffle the vertices inside each facet, repeat facets, add sub-faces,
+    # then shuffle the facets: the same complex must come out.
+    variant = [tuple(rng.sample(facet, len(facet))) for facet in facets]
+    variant += [rng.choice(facets) for _ in range(rng.randrange(4))]
+    for facet in rng.sample(facets, rng.randrange(len(facets) + 1)):
+        variant.append(tuple(rng.sample(facet, rng.randrange(1, len(facet) + 1))))
+    rng.shuffle(variant)
+    other = build_chain_complex(variant)
+    assert (other.basis, other.boundaries) == (cplx.basis, cplx.boundaries)
 
 
 def test_disconnected_complex():
@@ -293,7 +368,7 @@ def test_sparse_reduction_matches_dense_snf(case):
     columns = [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(len(dense[0]))]
     before = [dict(column) for column in columns]
     rank, factors, pivots = homology._sparse_rank_and_factors(
-        columns, len(dense), skip_rows, skip_cols)
+        [column.items() for column in columns], len(dense), len(columns), skip_rows, skip_cols)
     assert columns == before
     kept_rows = [i for i in range(len(dense)) if i not in skip_rows]
     kept_cols = [j for j in range(len(columns)) if j not in skip_cols]
@@ -329,13 +404,18 @@ def test_spanning_forest_matches_dense_snf(graph):
         k for k in range(len(columns)) if prefix_ranks[k + 1] > prefix_ranks[k]]
 
 
-def _unsigned_triangle_raises() -> bool:
-    """Whether the boundary check rejects a triangle whose signs were dropped."""
+def _swapped_triangle() -> ChainComplex:
+    """A triangle whose column lists its first two faces in swapped order."""
     good = build_chain_complex([(0, 1, 2)])
-    unsigned = tuple({face: 1 for face in column} for column in good.boundaries[2])
+    (column,) = good.boundaries[2]
+    swapped = ((column[1], column[0]) + column[2:],)
+    return ChainComplex(good.basis, good.boundaries[:2] + (swapped,))
+
+
+def _swapped_triangle_raises() -> bool:
+    """Whether the face-identity check rejects the swapped triangle."""
     try:
-        _check_boundaries_compose_to_zero(
-            ChainComplex(good.basis, good.boundaries[:2] + (unsigned,)))
+        _check_face_identities(_swapped_triangle())
     except TheoremViolationError:
         return True
     return False
@@ -361,17 +441,21 @@ def test_rank_overcount_raises(monkeypatch):
             # The Betti numbers of these ranks still sum to chi, so an
             # alternating Betti sum check would have let them through.
             ranks = [0, homology._spanning_forest(cplx.boundaries[1], f[0])[0]]
-            ranks += [homology._sparse_rank_and_factors(cplx.boundaries[p], f[p - 1], (), ())[0]
-                      for p in range(2, len(f))] + [0]
+            ranks += [homology._sparse_rank_and_factors(
+                [signed_column(column).items() for column in cplx.boundaries[p]],
+                f[p - 1], f[p], (), ())[0] for p in range(2, len(f))] + [0]
             betti = [f[p] - ranks[p] - ranks[p + 1] for p in range(len(f))]
             assert _alternating_sum(betti) == cplx.euler_characteristic
 
 
 def test_broken_boundary_raises_with_and_without_optimize():
-    assert _unsigned_triangle_raises()
+    # Signs are implied by position, so a misordered column is the fault to
+    # plant; the independent product sees that it breaks d d = 0.
+    assert boundary_of_boundary(_swapped_triangle(), 2) != {}
+    assert _swapped_triangle_raises()
     # Under -O every assert is stripped, so the check must raise on its own.
     script = ("import runpy, sys; ns = runpy.run_path(sys.argv[1]); "
-              "sys.exit(0 if sys.flags.optimize and ns['_unsigned_triangle_raises']() else 1)")
+              "sys.exit(0 if sys.flags.optimize and ns['_swapped_triangle_raises']() else 1)")
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(partition_complex.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))

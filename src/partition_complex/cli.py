@@ -2,11 +2,11 @@
 
 Every subcommand writes deterministic output: no timestamps, sorted JSON
 keys, LF newlines.  Identical arguments (including --seed) produce
-byte-identical files regardless of --jobs.
+byte-identical files, and `verify` gives the same bytes for every --jobs.
 
-`table` and `export bfile` take every row from one pass over part values
-(cliques.fvector_table), so there is nothing to split among workers: they
-accept --jobs and ignore it.  Only `verify` runs its n values in parallel.
+Only `verify` takes --jobs, to run its n values in parallel.  `table` and
+`export bfile` take every row from one pass over part values
+(cliques.fvector_table), so they have nothing to split among workers.
 """
 
 from __future__ import annotations
@@ -262,6 +262,8 @@ def cmd_export(args: argparse.Namespace) -> int:
             f"format {fmt!r} is not valid for {args.what}"
             f" (choose from {', '.join(allowed)})")
     if args.what == "bfile":
+        if args.n is not None:
+            return _usage_error("export bfile takes no --n; use --max-n")
         if args.sequence is None:
             return _usage_error("export bfile needs a sequence: chi or b")
         if args.max_n is None:
@@ -275,6 +277,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         return 0
     if args.sequence is not None:
         return _usage_error(f"export {args.what} takes no sequence argument")
+    if args.max_n is not None:
+        return _usage_error(f"export {args.what} takes no --max-n; use --n")
     if args.n is None:
         return _usage_error(f"export {args.what} needs --n")
     g = build_graph(args.n)
@@ -316,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
     table.add_argument("--out", help="write here instead of stdout")
-    table.add_argument("--jobs", type=_positive_int, default=1,
-                       help="accepted and ignored: the rows come from one"
-                       " pass; only verify runs in parallel")
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="run the verification suites")
@@ -361,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format",
                         help="graph: dimacs or edges; poset: json or text")
     export.add_argument("--out", help="write here instead of stdout")
-    export.add_argument("--jobs", type=_positive_int, default=1,
-                        help="accepted and ignored: bfile rows come from one"
-                        " pass; only verify runs in parallel")
     export.set_defaults(func=cmd_export)
 
     return parser

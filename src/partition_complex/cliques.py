@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graph import PartitionGraph, _edge_corners
+from .graph import PartitionGraph
 from .homology import _alternating_sum
 from .partitions import (
     Corner,
@@ -119,11 +119,16 @@ def classify_triangle(lam: Iterable[int], mu1: Iterable[int], mu2: Iterable[int]
     mu2 = as_partition(mu2)
     if mu1 == mu2:
         raise InvalidPartitionError(f"triangle arms must differ, got {mu1} twice")
-    arm1 = _edge_corners(lam, mu1)
-    arm2 = _edge_corners(lam, mu2)
-    if arm1 is None or arm2 is None:
-        missing = mu1 if arm1 is None else mu2
-        raise InvalidPartitionError(f"{missing} is not adjacent to {lam}")
+    arms = {mu: (c, a) for c, a, mu in
+            _transfers(lam, _removable_corners(lam), _addable_corners(lam))}
+    for mu in (mu1, mu2):
+        if mu not in arms:
+            raise InvalidPartitionError(f"{mu} is not adjacent to {lam}")
+    return _triangle_class(arms[mu1], arms[mu2])
+
+
+def _triangle_class(arm1: tuple[Corner, Corner], arm2: tuple[Corner, Corner]) -> TriangleClass:
+    """classify_triangle on the corner pairs (c, a) of the two edges."""
     (c1, a1), (c2, a2) = arm1, arm2
     if c1 == c2:
         return TriangleClass(STAR, c1)
@@ -158,7 +163,7 @@ def classify_clique(g: PartitionGraph, ids: Sequence[int]) -> CliqueClass:
         return CliqueClass(SMALL)
     base_id = min(sorted_ids, key=lambda vid: g.heights[vid])
     base = g.vertices[base_id]
-    decomps = [_edge_corners(base, g.vertices[vid]) for vid in sorted_ids if vid != base_id]
+    decomps = [g.moves[base_id][vid] for vid in sorted_ids if vid != base_id]
     removables = {c for c, _ in decomps}
     if len(removables) == 1:
         return CliqueClass(STAR, base, next(iter(removables)))
@@ -182,7 +187,7 @@ def canonical_cover(g: PartitionGraph) -> list[CoverMember]:
         for kind, fibers in ((STAR, g.star[base_id]), (TOP, g.top[base_id])):
             for corner, fiber in fibers.items():
                 if fiber:
-                    vertices = tuple(sorted((base_id,) + fiber))
+                    vertices = _full_simplex(base_id, fiber)
                     found.setdefault(vertices, []).append((kind, base_id, corner))
     return [
         CoverMember(vertices, tuple(provenances))
@@ -190,18 +195,23 @@ def canonical_cover(g: PartitionGraph) -> list[CoverMember]:
     ]
 
 
+def _full_simplex(base_id: int, fiber: tuple[int, ...]) -> tuple[int, ...]:
+    """Vertex ids of a base vertex and one of its fibers, sorted."""
+    return tuple(sorted((base_id,) + fiber))
+
+
 def full_star_simplex(g: PartitionGraph, lam: Iterable[int], c) -> tuple[int, ...]:
     """Vertex ids of {lam} union its star fiber at c, sorted."""
     vid = g.vertex_id(lam)
     c = _validated_removable(g.vertices[vid], c)
-    return tuple(sorted((vid,) + g.star[vid][c]))
+    return _full_simplex(vid, g.star[vid][c])
 
 
 def full_top_simplex(g: PartitionGraph, lam: Iterable[int], a) -> tuple[int, ...]:
     """Vertex ids of {lam} union its top fiber at a, sorted."""
     vid = g.vertex_id(lam)
     a = _validated_addable(g.vertices[vid], a)
-    return tuple(sorted((vid,) + g.top[vid][a]))
+    return _full_simplex(vid, g.top[vid][a])
 
 
 def maximal_simplices(

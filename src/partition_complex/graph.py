@@ -3,11 +3,12 @@
 Vertices are the partitions of n in descending lexicographic order, carrying
 dense 0-based ids in that order.  Two partitions are adjacent when one is an
 admissible single-cell transfer of the other.  One transfer pass per vertex
-gives its star fibers (targets grouped by the removable corner that moves)
-and top fibers (grouped by the addable corner that receives); the graph
-keeps both, and its adjacency is their union.  Edge corners are read off
-the row difference; the equivalent conjugate criterion (one column count
-lowered, another raised, by one) is kept as the oracle form of adjacency.
+gives the corner pair (c, a) of each of its edges, its star fibers (targets
+grouped by the removable corner that moves) and its top fibers (grouped by
+the addable corner that receives); the graph keeps all three, and its
+adjacency is the set of targets.  The equivalent conjugate criterion (one
+column count lowered, another raised, by one) is kept as the oracle form of
+adjacency.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .partitions import (
-    ADDABLE,
-    REMOVABLE,
     Corner,
     InvalidPartitionError,
     Partition,
@@ -25,6 +24,7 @@ from .partitions import (
     _addable_corners,
     _removable_corners,
     _transfers,
+    admissible_transfers,
     as_partition,
     conjugate,
     enumerate_partitions,
@@ -37,30 +37,32 @@ class UnknownVertexError(KeyError):
     """A partition that is not a vertex of the graph at hand."""
 
 
+Moves = dict[int, tuple[Corner, Corner]]
 Fibers = dict[Corner, tuple[int, ...]]
 
 
 class PartitionGraph:
     """Immutable adjacency structure over the partitions of n.
 
-    star[v] maps each removable corner of vertex v, in removable_corners
-    order, to the ids of the results of moving that corner's cell; top[v]
-    maps each addable corner, in addable_corners order, to the ids of the
-    results of moving a cell there.  Empty fibers are included, and each
-    fiber lists its targets in admissible_transfers order.
+    moves[v] maps each neighbour id of vertex v, in admissible_transfers
+    order, to the corner pair (c, a) of the transfer from v to it.  star[v]
+    maps each removable corner of v, in removable_corners order, to the ids
+    of the results of moving that corner's cell; top[v] maps each addable
+    corner, in addable_corners order, to the ids of the results of moving a
+    cell there.  Empty fibers are included, and each fiber lists its targets
+    in admissible_transfers order.
     """
 
     def __init__(self, n: int, vertices: list[Partition], index: dict[Partition, int],
-                 star: tuple[Fibers, ...], top: tuple[Fibers, ...]):
+                 moves: tuple[Moves, ...], star: tuple[Fibers, ...], top: tuple[Fibers, ...]):
         self.n = n
         self.vertices = vertices
         self.index = index
+        self.moves = moves
         self.star = star
         self.top = top
-        self.adjacency = [
-            tuple(sorted({target for fiber in fibers.values() for target in fiber}))
-            for fibers in star]
-        self.adjacency_sets = [frozenset(nbrs) for nbrs in self.adjacency]
+        self.adjacency = [tuple(sorted(targets)) for targets in moves]
+        self.adjacency_sets = [frozenset(targets) for targets in moves]
         self.heights = tuple(height(lam) for lam in vertices)
 
     def __repr__(self) -> str:
@@ -99,27 +101,32 @@ class PartitionGraph:
 
 
 def build_graph(n: int) -> PartitionGraph:
-    """Build the transfer graph on all partitions of n, fibers included.
+    """Build the transfer graph on all partitions of n, moves and fibers included.
 
-    Every transfer lies in exactly one star fiber and one top fiber of its
-    source, so one pass per vertex fills both.
+    Every transfer is one edge, with its corner pair, and lies in exactly
+    one star fiber and one top fiber of its source, so one pass per vertex
+    fills all three.
     """
     vertices = enumerate_partitions(n)
     index = {lam: vid for vid, lam in enumerate(vertices)}
+    moves = []
     stars = []
     tops = []
     for lam in vertices:
         removable = _removable_corners(lam)
         addable = _addable_corners(lam)
+        move: Moves = {}
         star: dict[Corner, list[int]] = {c: [] for c in removable}
         top: dict[Corner, list[int]] = {a: [] for a in addable}
         for c, a, result in _transfers(lam, removable, addable):
             target = index[result]
+            move[target] = (c, a)
             star[c].append(target)
             top[a].append(target)
+        moves.append(move)
         stars.append({c: tuple(fiber) for c, fiber in star.items()})
         tops.append({a: tuple(fiber) for a, fiber in top.items()})
-    g = PartitionGraph(n, vertices, index, tuple(stars), tuple(tops))
+    g = PartitionGraph(n, vertices, index, tuple(moves), tuple(stars), tuple(tops))
     for i, nbrs in enumerate(g.adjacency):
         for j in nbrs:
             if i == j or i not in g.adjacency_sets[j]:
@@ -170,42 +177,14 @@ def _conjugate_unit_move(lam_conj: Partition, mu_conj: Partition) -> Optional[tu
     return (down, up) if down and up else None
 
 
-def _edge_corners(lam: Partition, mu: Partition) -> Optional[tuple[Corner, Corner]]:
-    """The corners (c, a) with lam(c -> a) == mu, or None if lam, mu are not adjacent.
-
-    Lemma: mu is adjacent to lam iff their zero-padded row vectors differ by
-    -1 in exactly one row r and by +1 in exactly one row s; then
-    c = (r, lam_r) and a = (s, lam_s + 1).  Both arguments must be valid
-    partitions; pairs of different totals are never adjacent.
-    """
-    down = up = 0
-    for row, (old, new) in enumerate(zip_longest(lam, mu, fillvalue=0), start=1):
-        if old == new:
-            continue
-        if new == old - 1 and not down:
-            down = row
-        elif new == old + 1 and not up:
-            up = row
-        else:
-            return None
-    if not down or not up:
-        return None
-    added = lam[up - 1] + 1 if up <= len(lam) else 1
-    return Corner(down, lam[down - 1], REMOVABLE), Corner(up, added, ADDABLE)
-
-
 def edge_decompositions(lam: Iterable[int], mu: Iterable[int]) -> list[tuple[Corner, Corner]]:
-    """All corner pairs (c, a) with apply_transfer(lam, c, a) == mu.
-
-    The row difference pins both corners (see _edge_corners), so the list has
-    at most one entry.
-    """
+    """All corner pairs (c, a) with apply_transfer(lam, c, a) == mu, filtered
+    from the transfers of lam; each edge has exactly one."""
     lam = as_partition(lam)
     mu = as_partition(mu)
     if sum(lam) != sum(mu):
         raise InvalidPartitionError(f"{lam} and {mu} are partitions of different totals")
-    corners = _edge_corners(lam, mu)
-    return [] if corners is None else [corners]
+    return [(c, a) for c, a, result in admissible_transfers(lam) if result == mu]
 
 
 def format_dimacs(g: PartitionGraph) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .graph import PartitionGraph, _edge_corners
+from .graph import PartitionGraph
 from .partitions import TheoremViolationError, format_partition, parse_partition
 
 
@@ -153,8 +153,8 @@ def _replace_peak(graph: PartitionGraph, ids: list[int], top: int) -> str:
         raise TheoremViolationError(
             f"peak {graph.vertices[peak_id]} has a neighbour of height >= {top}")
     peak_partition = graph.vertices[peak_id]
-    corner_before, add_before = _edge_corners(peak_partition, graph.vertices[before_id])
-    corner_after, add_after = _edge_corners(peak_partition, graph.vertices[after_id])
+    corner_before, add_before = graph.moves[peak_id][before_id]
+    corner_after, add_after = graph.moves[peak_id][after_id]
     if corner_before == corner_after or add_before == add_after:
         # triangle shortcut: the fragment collapses to the edge between the
         # neighbours (or to a repeat, when both neighbours coincide)

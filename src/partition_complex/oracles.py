@@ -6,8 +6,8 @@ corner calculus (maximal cliques by Bron-Kerbosch with Tomita's pivot), the
 edge oracle uses only conjugate arithmetic, partition counting uses the
 recurrence with generalized pentagonal numbers, and edge decompositions and
 full star- and top-simplices are recovered by scanning all corner pairs
-through the sorting transfer route instead of reading corners off the row
-difference or a single transfer pass.
+through the sorting transfer route instead of reading them off the one
+transfer pass that builds the graph.
 """
 
 from __future__ import annotations

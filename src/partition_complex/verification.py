@@ -23,18 +23,17 @@ from . import reference
 from .cliques import (
     STAR,
     TheoremViolationError,
+    _full_simplex,
+    _triangle_class,
     canonical_cover,
     classify_clique,
-    classify_triangle,
     enumerate_simplices,
-    full_star_simplex,
-    full_top_simplex,
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
     fvector_table,
     maximal_simplices,
 )
-from .graph import build_graph, edge_decompositions
+from .graph import build_graph
 from .homology import HomologyReport, build_chain_complex, reduced_homology
 from .loops import format_loop, random_closed_walk, reduce_loop
 from .nerve import (
@@ -54,7 +53,7 @@ from .oracles import (
     maximal_cliques_reference,
     partition_count,
 )
-from .partitions import admissible_transfers, format_partition, height
+from .partitions import format_partition
 
 PASS = "pass"
 FAIL = "fail"
@@ -166,20 +165,21 @@ def _vacuous(suite: str, ctx: NContext, detail: str) -> VerificationOutcome:
 
 def _suite_triangles(ctx: NContext) -> VerificationOutcome:
     """Triangle classification against raw adjacency, fiber cliqueness, and
-    uniqueness of edge decompositions (checked against a corner-pair scan)."""
+    the graph's edge decompositions against a corner-pair scan, which must
+    find exactly that one."""
     g = ctx.graph
     checked = 0
     for lam_id, lam in enumerate(g.vertices):
+        moves = g.moves[lam_id]
         for i1, i2 in itertools.combinations(g.adjacency[lam_id], 2):
-            mu1, mu2 = g.vertices[i1], g.vertices[i2]
-            verdict = classify_triangle(lam, mu1, mu2)
+            verdict = _triangle_class(moves[i1], moves[i2])
             closed = i2 in g.adjacency_sets[i1]
             checked += 1
             if verdict.is_triangle != closed:
                 return _fail("triangles", ctx, {
                     "lam": format_partition(lam),
-                    "mu1": format_partition(mu1),
-                    "mu2": format_partition(mu2),
+                    "mu1": format_partition(g.vertices[i1]),
+                    "mu2": format_partition(g.vertices[i2]),
                     "classified": verdict.kind,
                     "edge_present": closed,
                 })
@@ -198,13 +198,12 @@ def _suite_triangles(ctx: NContext) -> VerificationOutcome:
                         })
     for u, v in g.edges():
         lam, mu = g.vertices[u], g.vertices[v]
-        fast = edge_decompositions(lam, mu)
         brute = edge_decompositions_by_scan(lam, mu)
         checked += 1
-        if fast != brute or len(fast) != 1:
+        if [g.moves[u][v]] != brute:
             return _fail("triangles", ctx, {
                 "lam": format_partition(lam), "mu": format_partition(mu),
-                "fast": len(fast), "scan": len(brute),
+                "fast": 1, "scan": len(brute),
                 "claim": "every edge has exactly one decomposition",
             })
     if checked == 0:
@@ -232,9 +231,7 @@ def _suite_cliques(ctx: NContext) -> VerificationOutcome:
             return _fail("cliques", ctx, {
                 "clique": _literals(g, clique), "kind": verdict.kind,
                 "claim": "members must lie in the witness fiber"})
-        base = g.vertices[base_id]
-        decomps = [edge_decompositions(base, g.vertices[v])[0]
-                   for v in clique if v != base_id]
+        decomps = [g.moves[base_id][v] for v in clique if v != base_id]
         star_shared = len({c for c, _ in decomps}) == 1
         top_shared = len({a for _, a in decomps}) == 1
         if star_shared and top_shared:
@@ -389,19 +386,16 @@ def _suite_anchors(ctx: NContext) -> VerificationOutcome:
     for member in ctx.cover:
         vertex_set = set(member.vertices)
         for vid in member.vertices:
-            lam = g.vertices[vid]
-            for fibers, full_simplex, claim in (
-                    (g.star[vid], full_star_simplex,
-                     "two same-corner witnesses force the full simplex"),
-                    (g.top[vid], full_top_simplex,
-                     "two same-target witnesses force the full simplex")):
-                for corner, fiber in fibers.items():
+            for fibers, claim in (
+                    (g.star[vid], "two same-corner witnesses force the full simplex"),
+                    (g.top[vid], "two same-target witnesses force the full simplex")):
+                for fiber in fibers.values():
                     if len(vertex_set.intersection(fiber)) >= 2:
                         checked += 1
-                        if member.vertices != full_simplex(g, lam, corner):
+                        if member.vertices != _full_simplex(vid, fiber):
                             return _fail("anchors", ctx, {
                                 "member": list(member.vertices),
-                                "base": format_partition(lam),
+                                "base": format_partition(g.vertices[vid]),
                                 "claim": claim})
     for u, v in g.edges():
         common = anchor_intersection_ids(nerve, (u, v))
@@ -413,10 +407,10 @@ def _suite_anchors(ctx: NContext) -> VerificationOutcome:
                 "claim": "edge intersections have between one and three members"})
         edge_tuple = (u, v)
         for first, second in ((u, v), (v, u)):
-            c, a = edge_decompositions(g.vertices[first], g.vertices[second])[0]
+            c, a = g.moves[first][second]
             candidates = {
-                full_star_simplex(g, g.vertices[first], c),
-                full_top_simplex(g, g.vertices[first], a),
+                _full_simplex(first, g.star[first][c]),
+                _full_simplex(first, g.top[first][a]),
                 edge_tuple,
             }
             for mid in common:
@@ -572,13 +566,13 @@ def _suite_heights(ctx: NContext) -> VerificationOutcome:
     on every vertex pair."""
     g = ctx.graph
     checked = 0
-    for lam in g.vertices:
-        base_height = height(lam)
-        for c, a, mu in admissible_transfers(lam):
+    for u, moves in enumerate(g.moves):
+        for v, (c, a) in moves.items():
             checked += 1
-            if height(mu) - base_height != a.row - c.row:
+            if g.heights[v] - g.heights[u] != a.row - c.row:
                 return _fail("heights", ctx, {
-                    "lam": format_partition(lam), "mu": format_partition(mu),
+                    "lam": format_partition(g.vertices[u]),
+                    "mu": format_partition(g.vertices[v]),
                     "from_row": c.row, "to_row": a.row,
                     "claim": "height change must equal the row difference"})
     for u, v in g.edges():

@@ -53,14 +53,17 @@ def test_table_json_matches_reference(capsys):
 
 
 def test_table_out_file_and_jobs(tmp_path, capsys):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
+    out = tmp_path / "table.csv"
     assert main(["table", "--max-n", "10", "--format", "csv",
-                 "--out", str(serial)]) == 0
-    assert main(["table", "--max-n", "10", "--format", "csv",
-                 "--out", str(parallel), "--jobs", "3"]) == 0
+                 "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
-    assert serial.read_bytes() == parallel.read_bytes()
+    assert out.read_text().splitlines()[-1].startswith("10,42,")
+    # Only verify runs in parallel; table and export take no --jobs.
+    for argv in (["table", "--max-n", "3", "--jobs", "2"],
+                 ["export", "bfile", "chi", "--max-n", "3", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_worker_count_is_clamped(monkeypatch):
@@ -189,6 +192,13 @@ def test_export_usage_errors(capsys):
     assert main(["export", "graph"]) == 2
     assert main(["export", "poset", "--n", "4", "--format", "dimacs"]) == 2
     capsys.readouterr()
+    # Each target takes only its own size flag.
+    assert main(["export", "bfile", "chi", "--max-n", "3", "--n", "5"]) == 2
+    assert capsys.readouterr().err == "usage error: export bfile takes no --n; use --max-n\n"
+    for what in ("graph", "facets", "poset"):
+        assert main(["export", what, "--n", "3", "--max-n", "9"]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: export {what} takes no --max-n; use --n\n")
 
 
 def test_argparse_usage_exit_code():

@@ -26,6 +26,9 @@ STDOUT_SHA256 = {
         "d42ae2933f241e559784954f3230d9ef1b5001e20cb4ed1c97776e73cfa00c76",
     "verify --suite all --max-n 8 --seed 5 --format json":
         "38d32f9480d0911cee69fc133523a782279007ae63ffd8a532ae5d1e000d5181",
+    "verify --suite triangles --suite cliques --suite anchors --suite heights"
+    " --suite loops --max-n 12 --seed 3":
+        "d01020992a0de9fd8cc3899f45931e1b23d5b0bb78be305251c5361c38dd7ad9",
     "homology --n 12":
         "05a82c62a9df0a221f17333f9f09be42ac3c78aabc81d6e27a926c57c5013faa",
     "homology --n 12 --format json":

@@ -18,6 +18,7 @@ from partition_complex.graph import (
 from partition_complex.oracles import edge_decompositions_by_scan, edges_by_conjugate_scan
 from partition_complex.partitions import (
     InvalidPartitionError,
+    admissible_transfers,
     apply_transfer,
     enumerate_partitions,
     height,
@@ -104,6 +105,17 @@ def test_every_edge_has_exactly_one_decomposition():
     g = build_graph(9)
     for i, j in g.edges():
         assert len(edge_decompositions(g.vertices[i], g.vertices[j])) == 1
+
+
+def test_moves_record_each_transfer_in_order():
+    for n in range(1, 11):
+        g = build_graph(n)
+        for u, lam in enumerate(g.vertices):
+            assert list(g.moves[u].items()) == [
+                (g.index[mu], (c, a)) for c, a, mu in admissible_transfers(lam)]
+            assert g.moves[u].keys() == g.adjacency_sets[u]
+            for v, corners in g.moves[u].items():
+                assert [corners] == edge_decompositions_by_scan(lam, g.vertices[v])
 
 
 def test_symmetric_irreflexive_and_matches_conjugate_scan():

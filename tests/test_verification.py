@@ -62,15 +62,24 @@ def test_euler_fail_names_the_disagreeing_route(monkeypatch, route, function):
     ("classify_clique",
      lambda g, clique: CliqueClass(TOP, (3, 1), Corner(3, 1, ADDABLE)),
      {"kind": TOP, "claim": "members must lie in the witness fiber"}),
-    ("edge_decompositions",
-     lambda lam, mu: [(Corner(1, 3, REMOVABLE), Corner(2, 2, ADDABLE))],
+    ("moves",
+     (Corner(1, 3, REMOVABLE), Corner(2, 2, ADDABLE)),
      {"claim": "a clique of size >= 3 cannot be both star- and top-type"}),
 ])
 def test_cliques_fail_names_the_clique(monkeypatch, target, replacement, claim):
     # n = 4 has one clique of size >= 3: the triangle [3,1] [2,2] [2,1,1].
     assert run_suite("cliques", NContext(4)).status == PASS
-    monkeypatch.setattr(verification, target, replacement)
-    outcome = run_suite("cliques", NContext(4))
+    ctx = NContext(4)
+    if target == "moves":
+        # Both edges from the lowest vertex [3,1] get the same (c, a), so
+        # they share a removable and an addable corner at once.
+        g = ctx.graph
+        base = g.index[(3, 1)]
+        for mu in ((2, 2), (2, 1, 1)):
+            g.moves[base][g.index[mu]] = replacement
+    else:
+        monkeypatch.setattr(verification, target, replacement)
+    outcome = run_suite("cliques", ctx)
     assert outcome.status == FAIL
     assert outcome.counterexample == {"clique": ["[3,1]", "[2,2]", "[2,1,1]"], **claim}
 

@@ -54,7 +54,10 @@ def _positive_int(text: str) -> int:
 def _write_file(path: str, text: str) -> None:
     """Write text to path atomically: into a temp file beside it, then
     os.replace, so a failed write leaves no partial file and any existing
-    file at path unchanged."""
+    file at path unchanged.  A directory at path is refused before any
+    temp file is made."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"Is a directory: {path!r}")
     temp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temp, "w", newline="\n") as handle:

@@ -4,10 +4,11 @@ Everything here deliberately avoids the code paths it is used to check:
 clique enumeration is generic graph search over adjacency sets with no
 corner calculus (maximal cliques by Bron-Kerbosch with Tomita's pivot), the
 edge oracle uses only conjugate arithmetic, partition counting uses the
-recurrence with generalized pentagonal numbers, and edge decompositions and
-full star- and top-simplices are recovered by scanning all corner pairs
-through the sorting transfer route instead of reading them off the one
-transfer pass that builds the graph.
+recurrence with generalized pentagonal numbers, and a vertex's transfers
+come from scanning all its corner pairs through the sorting transfer route
+(reading only the public corner lists), not from the one transfer pass that
+builds the graph.  Edge decompositions and full star- and top-simplices are
+checked by filtering that one scan per vertex.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import itertools
 from functools import lru_cache
 from typing import Sequence
 
-from .cliques import STAR
 from .graph import PartitionGraph, _conjugate_unit_move
 from .partitions import (
     Corner,
@@ -96,43 +96,19 @@ def edges_by_conjugate_scan(g: PartitionGraph) -> list[tuple[int, int]]:
             if _conjugate_unit_move(conjugates[i], conjugates[j]) is not None]
 
 
-def edge_decompositions_by_scan(lam: Partition, mu: Partition) -> list[tuple[Corner, Corner]]:
-    """All (c, a) with apply_transfer(lam, c, a) == mu, by scanning corner pairs."""
+def transfers_by_scan(lam: Partition) -> list[tuple[Corner, Corner, Partition]]:
+    """Every (c, a, apply_transfer(lam, c, a)) that succeeds, by scanning all
+    removable x addable corner pairs of lam, in that order."""
     lam = as_partition(lam)
-    mu = as_partition(mu)
+    addable = addable_corners(lam)
     out = []
     for c in removable_corners(lam):
-        for a in addable_corners(lam):
+        for a in addable:
             try:
-                moved = apply_transfer(lam, c, a)
+                out.append((c, a, apply_transfer(lam, c, a)))
             except InadmissibleTransferError:
                 continue
-            if moved == mu:
-                out.append((c, a))
     return out
-
-
-def full_simplex_by_scan(
-    g: PartitionGraph, kind: str, base_id: int, corner: Corner
-) -> tuple[int, ...]:
-    """Vertex ids of the full star- or top-simplex at (base, corner), by scanning corner pairs.
-
-    kind is STAR (corner is the fixed removable corner) or TOP (corner is
-    the fixed addable corner); the base itself is always a member.
-    """
-    lam = g.vertices[base_id]
-    members = [base_id]
-    for c in removable_corners(lam):
-        for a in addable_corners(lam):
-            fixed = c if kind == STAR else a
-            if fixed != corner:
-                continue
-            try:
-                moved = apply_transfer(lam, c, a)
-            except InadmissibleTransferError:
-                continue
-            members.append(g.index[moved])
-    return tuple(sorted(members))
 
 
 @lru_cache(maxsize=None)

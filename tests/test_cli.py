@@ -10,6 +10,7 @@ import pytest
 from partition_complex import cli
 from partition_complex.cli import _worker_count, main
 from partition_complex.reference import EULER_CHARACTERISTIC
+from partition_complex.verification import BUDGETS, verify_single_n
 
 
 def run_cli(*argv):
@@ -108,10 +109,14 @@ def test_verify_csv(capsys):
 
 
 def test_verify_budget_skip_and_override(capsys):
-    assert main(["verify", "--suite", "homology", "--max-n", "15"]) == 0
+    cap = BUDGETS["facets"]
+    assert main(["verify", "--suite", "facets", "--max-n", str(cap + 1)]) == 0
     out = capsys.readouterr().out
-    assert "homology n=15: skip" in out
+    assert f"facets n={cap + 1}: skip" in out
+    assert f"facets n={cap}: pass" in out
     assert "--ignore-budget" in out
+    [outcome] = verify_single_n(BUDGETS["homology"] + 1, {"homology"}, seed=None)
+    assert outcome.status == "skip"
 
 
 def test_verify_all_small(capsys):
@@ -134,7 +139,7 @@ def test_homology_json(capsys):
 
 
 def test_homology_budget_exit_code():
-    result = run_cli("homology", "--n", "15")
+    result = run_cli("homology", "--n", str(BUDGETS["homology"] + 1))
     assert result.returncode == 3
     assert "--ignore-budget" in result.stderr
     assert result.stdout == ""
@@ -212,6 +217,14 @@ def test_out_write_failure_exits_1():
     result = run_cli("table", "--max-n", "2", "--out", "/nonexistent/dir/t.txt")
     assert result.returncode == 1
     assert "error" in result.stderr
+
+
+def test_out_directory_exits_1_without_temp_file(tmp_path, capsys):
+    assert main(["table", "--max-n", "3", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and ".tmp" not in err
+    assert not list(tmp_path.parent.glob("*.tmp"))
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_failed_out_write_keeps_existing_file(tmp_path, monkeypatch, capsys):

@@ -32,8 +32,8 @@ from partition_complex.cliques import (
 from partition_complex.graph import build_graph, edge_decompositions
 from partition_complex.oracles import (
     all_cliques_reference,
-    full_simplex_by_scan,
     maximal_cliques_reference,
+    transfers_by_scan,
 )
 from partition_complex.partitions import (
     InvalidCornerError,
@@ -200,7 +200,10 @@ def test_cover_provenances_match_corner_scan():
         g = build_graph(n)
         for member in canonical_cover(g):
             for kind, base_id, corner in member.provenances:
-                assert full_simplex_by_scan(g, kind, base_id, corner) == member.vertices
+                scan = transfers_by_scan(g.vertices[base_id])
+                rebuilt = [base_id] + [g.index[moved] for c, a, moved in scan
+                                       if (c if kind == STAR else a) == corner]
+                assert tuple(sorted(rebuilt)) == member.vertices
 
 
 def test_maximal_simplices_small():

@@ -15,7 +15,7 @@ from partition_complex.graph import (
     format_legend,
     neighbors,
 )
-from partition_complex.oracles import edge_decompositions_by_scan, edges_by_conjugate_scan
+from partition_complex.oracles import edges_by_conjugate_scan, transfers_by_scan
 from partition_complex.partitions import (
     InvalidPartitionError,
     admissible_transfers,
@@ -93,8 +93,11 @@ def test_edge_decompositions_unique_and_correct():
 def test_edge_decompositions_match_corner_scan_on_all_pairs():
     for n in range(1, 11):
         vertices = enumerate_partitions(n)
-        for lam, mu in itertools.product(vertices, repeat=2):
-            assert edge_decompositions(lam, mu) == edge_decompositions_by_scan(lam, mu)
+        for lam in vertices:
+            scan = transfers_by_scan(lam)
+            for mu in vertices:
+                assert edge_decompositions(lam, mu) == [
+                    (c, a) for c, a, moved in scan if moved == mu]
     with pytest.raises(InvalidPartitionError):
         edge_decompositions((3, 1), (2, 2, 1))
     with pytest.raises(InvalidPartitionError):
@@ -114,8 +117,10 @@ def test_moves_record_each_transfer_in_order():
             assert list(g.moves[u].items()) == [
                 (g.index[mu], (c, a)) for c, a, mu in admissible_transfers(lam)]
             assert g.moves[u].keys() == g.adjacency_sets[u]
+            scan = transfers_by_scan(lam)
             for v, corners in g.moves[u].items():
-                assert [corners] == edge_decompositions_by_scan(lam, g.vertices[v])
+                assert [corners] == [(c, a) for c, a, moved in scan
+                                     if moved == g.vertices[v]]
 
 
 def test_symmetric_irreflexive_and_matches_conjugate_scan():

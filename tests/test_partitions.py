@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_complex.graph import adjacency_by_conjugate
-from partition_complex.oracles import partition_count
+from partition_complex.oracles import partition_count, transfers_by_scan
 from partition_complex.partitions import (
     ADDABLE,
     REMOVABLE,
@@ -175,7 +175,8 @@ def test_is_admissible():
 
 def test_admissible_transfers_preserve_size_and_change_shape():
     # The sort-free enumeration must list exactly the transfers that the
-    # validating, re-sorting route accepts, in corner order.
+    # validating, re-sorting route accepts, in corner order; so must the
+    # corner-pair scan oracle.
     for n in range(1, 15):
         for lam in enumerate_partitions(n):
             expected = [
@@ -185,6 +186,7 @@ def test_admissible_transfers_preserve_size_and_change_shape():
                 if is_admissible(lam, c, a)
             ]
             assert admissible_transfers(lam) == expected
+            assert transfers_by_scan(lam) == expected
             for c, a, result in expected:
                 assert sum(result) == n
                 assert result != lam

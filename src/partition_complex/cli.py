@@ -51,22 +51,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _write_file(path: str, text: str) -> None:
-    """Write text to path atomically: into a temp file beside it, then
-    os.replace, so a failed write leaves no partial file and any existing
-    file at path unchanged.  A directory at path is refused before any
-    temp file is made."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(f"Is a directory: {path!r}")
-    temp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(temp, "w", newline="\n") as handle:
-            handle.write(text)
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(temp)
-        raise
+def _write_files(texts: dict[str, str]) -> None:
+    """Write each text to its path atomically: into a temp file beside it,
+    then os.replace, so a failed write leaves no partial file and any
+    existing file at that path unchanged.  A directory at any of the paths
+    is refused before any file is written."""
+    for path in texts:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"Is a directory: {path!r}")
+    for path, text in texts.items():
+        temp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(temp, "w", newline="\n") as handle:
+                handle.write(text)
+            os.replace(temp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+            raise
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -74,7 +76,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_file(out, text)
+        _write_files({out: text})
 
 
 # -- table -------------------------------------------------------------
@@ -287,10 +289,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     g = build_graph(args.n)
     if args.what == "graph":
         text = format_dimacs(g) if fmt == "dimacs" else format_edge_list(g)
-        _emit(text, args.out)
-        if args.out is not None:
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
             # Vertex legend rides along as a sibling file, never on stdout.
-            _write_file(args.out + ".legend", format_legend(g))
+            _write_files({args.out: text, args.out + ".legend": format_legend(g)})
         return 0
     if args.what == "facets":
         _emit(format_facet_lines(maximal_simplices(g)), args.out)

@@ -146,7 +146,7 @@ def _check_clique(g: PartitionGraph, ids: Sequence[int]) -> tuple[int, ...]:
     if len(sorted_ids) != len(ids):
         raise NotACliqueError(f"repeated vertices in {tuple(ids)}")
     for i, j in itertools.combinations(sorted_ids, 2):
-        if j not in g.adjacency_sets[i]:
+        if j not in g.moves[i]:
             raise NotACliqueError(f"{g.vertices[i]} and {g.vertices[j]} are not adjacent")
     return sorted_ids
 

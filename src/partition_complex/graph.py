@@ -5,10 +5,11 @@ dense 0-based ids in that order.  Two partitions are adjacent when one is an
 admissible single-cell transfer of the other.  One transfer pass per vertex
 gives the corner pair (c, a) of each of its edges, its star fibers (targets
 grouped by the removable corner that moves) and its top fibers (grouped by
-the addable corner that receives); the graph keeps all three, and its
-adjacency is the set of targets.  The equivalent conjugate criterion (one
-column count lowered, another raised, by one) is kept as the oracle form of
-adjacency.
+the addable corner that receives); the graph keeps all three.  Its
+adjacency is stored once, as the keys of the corner-pair maps, plus each
+vertex's neighbours in id order for walks and edge lists.  The equivalent
+conjugate criterion (one column count lowered, another raised, by one) is
+kept as the oracle form of adjacency.
 """
 
 from __future__ import annotations
@@ -45,12 +46,16 @@ class PartitionGraph:
     """Immutable adjacency structure over the partitions of n.
 
     moves[v] maps each neighbour id of vertex v, in admissible_transfers
-    order, to the corner pair (c, a) of the transfer from v to it.  star[v]
-    maps each removable corner of v, in removable_corners order, to the ids
-    of the results of moving that corner's cell; top[v] maps each addable
-    corner, in addable_corners order, to the ids of the results of moving a
-    cell there.  Empty fibers are included, and each fiber lists its targets
-    in admissible_transfers order.
+    order, to the corner pair (c, a) of the transfer from v to it; its keys
+    are the adjacency, so u in moves[v] is the edge test and moves[v].keys()
+    the neighbour set.  adjacency[v] lists the same neighbours in id order,
+    the order random walks draw from.
+
+    star[v] maps each removable corner of v, in removable_corners order, to
+    the ids of the results of moving that corner's cell; top[v] maps each
+    addable corner, in addable_corners order, to the ids of the results of
+    moving a cell there.  Empty fibers are included, and each fiber lists its
+    targets in admissible_transfers order.
     """
 
     def __init__(self, n: int, vertices: list[Partition], index: dict[Partition, int],
@@ -62,7 +67,6 @@ class PartitionGraph:
         self.star = star
         self.top = top
         self.adjacency = [tuple(sorted(targets)) for targets in moves]
-        self.adjacency_sets = [frozenset(targets) for targets in moves]
         self.heights = tuple(height(lam) for lam in vertices)
 
     def __repr__(self) -> str:
@@ -129,7 +133,7 @@ def build_graph(n: int) -> PartitionGraph:
     g = PartitionGraph(n, vertices, index, tuple(moves), tuple(stars), tuple(tops))
     for i, nbrs in enumerate(g.adjacency):
         for j in nbrs:
-            if i == j or i not in g.adjacency_sets[j]:
+            if i == j or i not in g.moves[j]:
                 raise TheoremViolationError(
                     f"transfer adjacency is not symmetric and irreflexive at "
                     f"{vertices[i]}, {vertices[j]}")
@@ -146,7 +150,7 @@ def are_adjacent(g: PartitionGraph, lam: Iterable[int], mu: Iterable[int]) -> bo
     """True iff lam and mu are distinct and joined by an admissible transfer."""
     i = g.vertex_id(lam)
     j = g.vertex_id(mu)
-    return j in g.adjacency_sets[i]
+    return j in g.moves[i]
 
 
 def adjacency_by_conjugate(lam: Iterable[int], mu: Iterable[int]) -> Optional[tuple[int, int]]:

@@ -45,7 +45,7 @@ class EdgeLoop:
         if len(ids) > 1:
             for i, vertex_id in enumerate(ids):
                 successor = ids[(i + 1) % len(ids)]
-                if successor not in graph.adjacency_sets[vertex_id]:
+                if successor not in graph.moves[vertex_id]:
                     raise InvalidLoopError(
                         f"consecutive loop vertices {graph.vertices[vertex_id]} and "
                         f"{graph.vertices[successor]} are not adjacent")
@@ -107,36 +107,26 @@ def format_loop(loop: EdgeLoop) -> str:
 
 
 def normalize_ids(ids: Sequence[int]) -> list[int]:
-    """Collapse consecutive repeats and backtrack spurs, cyclically, to a fixpoint.
+    """Cut backtrack spurs x y x to x, smallest centre first, cyclically, to a fixpoint.
 
-    Two-vertex loops are left alone: they reduce through the peak step, not here.
+    ids must have no equal consecutive ids, cyclically, as every loop of the
+    graph has; cutting a spur keeps that, since the x left behind is next to
+    the id that followed the second x.  Two-vertex loops are left alone:
+    they reduce through the peak step, not here.
     """
     out = list(ids)
-    changed = True
-    while changed:
-        changed = False
+    while len(out) >= 3:
         size = len(out)
-        if size >= 2:
-            for i in range(size):
-                if out[i] == out[(i + 1) % size]:
-                    del out[(i + 1) % size]
-                    changed = True
-                    break
-        if changed:
-            continue
-        size = len(out)
-        if size >= 3:
-            for i in range(size):
-                if out[(i - 1) % size] == out[(i + 1) % size]:
-                    for k in sorted({i, (i + 1) % size}, reverse=True):
-                        del out[k]
-                    changed = True
-                    break
+        centre = next((i for i in range(size) if out[i - 1] == out[(i + 1) % size]), None)
+        if centre is None:
+            break
+        for k in sorted((centre, (centre + 1) % size), reverse=True):
+            del out[k]
     return out
 
 
 def _require_adjacent(graph: PartitionGraph, u: int, v: int, context: str) -> None:
-    if v not in graph.adjacency_sets[u]:
+    if v not in graph.moves[u]:
         raise TheoremViolationError(
             f"{context}: {graph.vertices[u]} and {graph.vertices[v]} are not adjacent")
 
@@ -157,7 +147,8 @@ def _replace_peak(graph: PartitionGraph, ids: list[int], top: int) -> str:
     corner_after, add_after = graph.moves[peak_id][after_id]
     if corner_before == corner_after or add_before == add_after:
         # triangle shortcut: the fragment collapses to the edge between the
-        # neighbours (or to a repeat, when both neighbours coincide)
+        # neighbours; they coincide only in a two-vertex loop, which leaves
+        # one vertex
         if before_id != after_id:
             _require_adjacent(graph, before_id, after_id, "shortcut triangle")
         del ids[peak]

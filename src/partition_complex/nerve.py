@@ -82,10 +82,10 @@ def closure_ids(nerve: NerveComplex, vertex_ids: Sequence[int]) -> tuple[int, ..
     if not vertex_ids:
         raise NotACliqueError("closure needs a nonempty clique")
     distinct = sorted(set(vertex_ids))
-    adjacency = nerve.graph.adjacency_sets
+    moves = nerve.graph.moves
     for i, u in enumerate(distinct):
         for v in distinct[i + 1 :]:
-            if v not in adjacency[u]:
+            if v not in moves[u]:
                 raise NotACliqueError(f"vertices {u} and {v} are not adjacent")
     common = anchor_intersection_ids(nerve, distinct)
     if not common:
@@ -189,9 +189,9 @@ def build_poset(nerve: NerveComplex) -> IntersectionPoset:
         common = anchors[u] & anchors[v]
         if common:
             found.add(tuple(sorted(common)))
-    adjacency = graph.adjacency_sets
+    moves = graph.moves
     for u, v in edges:
-        for w in adjacency[u] & adjacency[v]:
+        for w in moves[u].keys() & moves[v].keys():
             if w > v:
                 common = anchors[u] & anchors[v] & anchors[w]
                 if common:

@@ -1,21 +1,21 @@
 """Independent recomputation paths for cross-checking the main constructions.
 
 Everything here deliberately avoids the code paths it is used to check:
-clique enumeration is generic graph search over adjacency sets with no
-corner calculus (maximal cliques by Bron-Kerbosch with Tomita's pivot), the
-edge oracle uses only conjugate arithmetic, partition counting uses the
-recurrence with generalized pentagonal numbers, and a vertex's transfers
-come from scanning all its corner pairs through the sorting transfer route
-(reading only the public corner lists), not from the one transfer pass that
-builds the graph.  Edge decompositions and full star- and top-simplices are
-checked by filtering that one scan per vertex.
+clique enumeration is generic graph search over the neighbour sets (the
+keys of g.moves) with no corner calculus (maximal cliques by Bron-Kerbosch
+with Tomita's pivot), the edge oracle uses only conjugate arithmetic,
+partition counting uses the recurrence with generalized pentagonal numbers,
+and a vertex's transfers come from scanning all its corner pairs through the
+sorting transfer route (reading only the public corner lists), not from the
+one transfer pass that builds the graph.  Edge decompositions and full
+star- and top-simplices are checked by filtering that one scan per vertex.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .graph import PartitionGraph, _conjugate_unit_move
 from .partitions import (
@@ -31,14 +31,15 @@ from .partitions import (
 
 
 def maximal_cliques_reference(g: PartitionGraph) -> list[tuple[int, ...]]:
-    """Facets by generic maximal-clique enumeration over g.adjacency_sets.
+    """Facets by generic maximal-clique enumeration over the neighbour sets.
 
-    Reads nothing of the graph but its adjacency; see bron_kerbosch_pivot.
+    Reads nothing of the graph but its adjacency, the keys of g.moves; see
+    bron_kerbosch_pivot.
     """
-    return bron_kerbosch_pivot(g.adjacency_sets)
+    return bron_kerbosch_pivot([targets.keys() for targets in g.moves])
 
 
-def bron_kerbosch_pivot(adjacency: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
+def bron_kerbosch_pivot(adjacency: Sequence[AbstractSet[int]]) -> list[tuple[int, ...]]:
     """Maximal cliques of the graph on vertices 0..len(adjacency)-1, sorted.
 
     Bron-Kerbosch (CACM 16(9), 1973) with Tomita's pivot (TCS 363, 2006):
@@ -70,17 +71,18 @@ def bron_kerbosch_pivot(adjacency: Sequence[frozenset[int]]) -> list[tuple[int, 
 
 
 def all_cliques_reference(g: PartitionGraph) -> list[tuple[int, ...]]:
-    """Every nonempty clique, by direct recursive extension over vertex ids."""
+    """Every nonempty clique, by direct recursive extension over vertex ids
+    through the neighbour sets, the keys of g.moves."""
     out: list[tuple[int, ...]] = []
 
-    def extend(clique: tuple[int, ...], candidates: frozenset[int]) -> None:
+    def extend(clique: tuple[int, ...], candidates: AbstractSet[int]) -> None:
         out.append(clique)
         for vid in sorted(candidates):
             if vid > clique[-1]:
-                extend(clique + (vid,), candidates & g.adjacency_sets[vid])
+                extend(clique + (vid,), candidates & g.moves[vid].keys())
 
     for start in range(len(g.vertices)):
-        extend((start,), g.adjacency_sets[start])
+        extend((start,), g.moves[start].keys())
     out.sort(key=lambda clique: (len(clique), clique))
     return out
 

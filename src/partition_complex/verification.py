@@ -177,7 +177,7 @@ def _suite_triangles(ctx: NContext) -> VerificationOutcome:
         moves = g.moves[lam_id]
         for i1, i2 in itertools.combinations(g.adjacency[lam_id], 2):
             verdict = _triangle_class(moves[i1], moves[i2])
-            closed = i2 in g.adjacency_sets[i1]
+            closed = i2 in g.moves[i1]
             checked += 1
             if verdict.is_triangle != closed:
                 return _fail("triangles", ctx, {
@@ -193,7 +193,7 @@ def _suite_triangles(ctx: NContext) -> VerificationOutcome:
             for corner, fiber in fibers.items():
                 for i1, i2 in itertools.combinations(fiber, 2):
                     checked += 1
-                    if i2 not in g.adjacency_sets[i1]:
+                    if i2 not in g.moves[i1]:
                         return _fail("triangles", ctx, {
                             "lam": format_partition(lam), "corner": list(corner)[:2],
                             "mu1": format_partition(g.vertices[i1]),
@@ -269,7 +269,7 @@ def _suite_cover(ctx: NContext) -> VerificationOutcome:
     for member in ctx.cover:
         for u, v in itertools.combinations(member.vertices, 2):
             checked += 1
-            if v not in g.adjacency_sets[u]:
+            if v not in g.moves[u]:
                 return _fail("cover", ctx, {
                     "member": list(member.vertices),
                     "claim": "cover members must be cliques"})
@@ -356,7 +356,7 @@ def _suite_nerve(ctx: NContext) -> VerificationOutcome:
     checked += vertex_count * (vertex_count - 1) // 2 - g.edge_count()
     strays = [(u, v) for vids in _postings(nerve.anchor_sets).values()
               for u, v in itertools.combinations(vids, 2)
-              if v not in g.adjacency_sets[u]]
+              if v not in g.moves[u]]
     if strays:
         return _fail("nerve", ctx, {
             "pair": _literals(g, min(strays)),
@@ -709,6 +709,9 @@ def run_suite(name: str, ctx: NContext) -> VerificationOutcome:
 def verify_single_n(n: int, suites, seed: Optional[int],
                     ignore_budget: bool = False) -> list[VerificationOutcome]:
     """All requested suites at one n, in canonical order, honoring budgets."""
+    unknown = set(suites) - set(SUITE_ORDER)
+    if unknown:
+        raise ValueError(f"unknown suites: {sorted(unknown)}")
     ctx = NContext(n, seed)
     outcomes = []
     for name in SUITE_ORDER:
@@ -727,9 +730,6 @@ def verify_single_n(n: int, suites, seed: Optional[int],
 def run_verification(max_n: int, suites, seed: Optional[int] = None,
                      ignore_budget: bool = False) -> list[VerificationOutcome]:
     chosen = set(suites)
-    unknown = chosen - set(SUITE_ORDER)
-    if unknown:
-        raise ValueError(f"unknown suites: {sorted(unknown)}")
     outcomes = []
     for n in range(1, max_n + 1):
         outcomes.extend(verify_single_n(n, chosen, seed, ignore_budget))

@@ -227,6 +227,16 @@ def test_out_directory_exits_1_without_temp_file(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_export_graph_refuses_a_legend_directory_before_writing(tmp_path, capsys):
+    out = tmp_path / "g"
+    legend = tmp_path / "g.legend"
+    legend.mkdir()
+    assert main(["export", "graph", "--n", "4", "--out", str(out)]) == 1
+    assert str(legend) in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_failed_out_write_keeps_existing_file(tmp_path, monkeypatch, capsys):
     out = tmp_path / "table.txt"
     out.write_bytes(b"previous contents\n")

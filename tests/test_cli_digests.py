@@ -31,6 +31,8 @@ STDOUT_SHA256 = {
         "d01020992a0de9fd8cc3899f45931e1b23d5b0bb78be305251c5361c38dd7ad9",
     "verify --suite cover --max-n 16":
         "446721ff2e1a4ec191e337cae718746e38f6685ed7ff84446aaddad1b0351882",
+    "verify --suite facets --suite nerve --suite poset --suite closure --max-n 16":
+        "6ea0fd9323f6f0c2b0319b6a673adbdd7d4cf1cc14e7e80885dfa2c69e0ce1ca",
     "homology --n 12":
         "05a82c62a9df0a221f17333f9f09be42ac3c78aabc81d6e27a926c57c5013faa",
     "homology --n 12 --format json":

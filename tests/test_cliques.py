@@ -106,7 +106,7 @@ def test_triangle_verdict_matches_adjacency_at_n7():
         for mu1_id, mu2_id in itertools.combinations(row, 2):
             verdict = classify_triangle(
                 g.vertices[lam_id], g.vertices[mu1_id], g.vertices[mu2_id])
-            assert verdict.is_triangle == (mu2_id in g.adjacency_sets[mu1_id])
+            assert verdict.is_triangle == (mu2_id in g.moves[mu1_id])
 
 
 def test_classify_clique():

@@ -42,7 +42,7 @@ def test_graph_4():
     triangles = [
         (i, j, k)
         for i, j, k in itertools.combinations(range(5), 3)
-        if j in g.adjacency_sets[i] and k in g.adjacency_sets[i] and k in g.adjacency_sets[j]
+        if j in g.moves[i] and k in g.moves[i] and k in g.moves[j]
     ]
     assert len(triangles) == 1
     members = {g.vertices[v] for v in triangles[0]}
@@ -116,7 +116,7 @@ def test_moves_record_each_transfer_in_order():
         for u, lam in enumerate(g.vertices):
             assert list(g.moves[u].items()) == [
                 (g.index[mu], (c, a)) for c, a, mu in admissible_transfers(lam)]
-            assert g.moves[u].keys() == g.adjacency_sets[u]
+            assert g.adjacency[u] == tuple(sorted(g.moves[u]))
             scan = transfers_by_scan(lam)
             for v, corners in g.moves[u].items():
                 assert [corners] == [(c, a) for c, a, moved in scan
@@ -127,9 +127,9 @@ def test_symmetric_irreflexive_and_matches_conjugate_scan():
     for n in range(1, 9):
         g = build_graph(n)
         for i, row in enumerate(g.adjacency):
-            assert i not in g.adjacency_sets[i]
+            assert i not in g.moves[i]
             for j in row:
-                assert i in g.adjacency_sets[j]
+                assert i in g.moves[j]
         assert sorted(g.edges()) == edges_by_conjugate_scan(g)
 
 

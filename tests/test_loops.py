@@ -1,8 +1,11 @@
 """Edge loops, (H, M) complexity, and peak reduction to constant loops."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from partition_complex.graph import build_graph
 from partition_complex.loops import (
@@ -118,17 +121,50 @@ def test_each_step_descends():
             previous = current
 
 
+def _has_repeat(ids):
+    return len(ids) >= 2 and any(ids[i - 1] == ids[i] for i in range(len(ids)))
+
+
+def _has_spur(ids):
+    return len(ids) >= 3 and any(
+        ids[i - 1] == ids[(i + 1) % len(ids)] for i in range(len(ids)))
+
+
 def test_only_the_input_is_normalized():
     # normalize_ids runs to a fixpoint, so once the input is normalized every
-    # later state already is: "normalize" can only be the first rule.
+    # later state already is: "normalize" can only be the first rule.  No
+    # state has equal consecutive ids, so normalizing only ever cuts spurs.
     g = build_graph(8)
     rng = random.Random(11)
     for _ in range(200):
         trace = reduce_loop(random_closed_walk(g, rng))
         rules = [rule for rule, _ in trace.steps]
         assert "normalize" not in rules[1:]
+        assert not _has_repeat(trace.initial.ids)
         for _, loop in trace.steps:
+            assert not _has_repeat(loop.ids)
             assert normalize_ids(loop.ids) == list(loop.ids)
+
+
+@st.composite
+def repeat_free_cycles(draw):
+    # Each id differs from the one before by a nonzero step mod labels, so
+    # only the wrap-around pair can repeat.
+    labels = draw(st.integers(min_value=2, max_value=5))
+    steps = draw(st.lists(st.integers(min_value=1, max_value=labels - 1), max_size=9))
+    ids = list(itertools.accumulate(steps, lambda vid, step: (vid + step) % labels,
+                                    initial=0))
+    assume(not _has_repeat(ids))
+    return ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeat_free_cycles())
+def test_normalize_cuts_every_spur_and_keeps_repeats_out(ids):
+    out = normalize_ids(ids)
+    assert not _has_repeat(out)
+    assert not _has_spur(out)
+    assert normalize_ids(out) == out
 
 
 def test_seeded_loop_suite_step_counts():

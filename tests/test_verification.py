@@ -19,7 +19,15 @@ from partition_complex.verification import (
     NContext,
     run_suite,
     run_verification,
+    verify_single_n,
 )
+
+
+def test_unknown_suite_names_are_refused_at_one_n():
+    with pytest.raises(ValueError, match="bogus"):
+        verify_single_n(3, {"bogus"}, None)
+    with pytest.raises(ValueError, match="bogus"):
+        verify_single_n(3, {"bogus", "euler"}, None)
 
 
 def test_suite_exception_becomes_fail_outcome(monkeypatch):
@@ -120,14 +128,14 @@ def test_nerve_fail_names_the_smallest_non_edge_in_a_member():
     # so that several non-edges share a member
     index, member = next(
         (i, m) for i, m in enumerate(ctx.cover)
-        if sum(0 not in g.adjacency_sets[u] for u in m.vertices) >= 2)
+        if sum(0 not in g.moves[u] for u in m.vertices) >= 2)
     widened = dataclasses.replace(member, vertices=(0,) + member.vertices)
     ctx = verification.NContext(6)
     ctx.cover[index] = widened
     # the pair an all-pairs scan over non-edges finds first
     expected = next(
         (u, v) for u, v in itertools.combinations(range(len(g.vertices)), 2)
-        if v not in g.adjacency_sets[u]
+        if v not in g.moves[u]
         and any({u, v} <= set(m.vertices) for m in ctx.cover))
     outcome = run_suite("nerve", ctx)
     assert outcome.status == FAIL

@@ -20,8 +20,6 @@ from .cliques import (
     classify_triangle,
     enumerate_simplices,
     format_facet_lines,
-    full_star_simplex,
-    full_top_simplex,
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
     fvector_table,
@@ -33,7 +31,6 @@ from .graph import (
     PartitionGraph,
     UnknownVertexError,
     adjacency_by_conjugate,
-    are_adjacent,
     build_graph,
     edge_decompositions,
     format_dimacs,
@@ -88,7 +85,6 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     height,
-    is_admissible,
     iter_partitions,
     parse_partition,
     removable_corners,

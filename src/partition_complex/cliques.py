@@ -200,20 +200,6 @@ def _full_simplex(base_id: int, fiber: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted((base_id,) + fiber))
 
 
-def full_star_simplex(g: PartitionGraph, lam: Iterable[int], c) -> tuple[int, ...]:
-    """Vertex ids of {lam} union its star fiber at c, sorted."""
-    vid = g.vertex_id(lam)
-    c = _validated_removable(g.vertices[vid], c)
-    return _full_simplex(vid, g.star[vid][c])
-
-
-def full_top_simplex(g: PartitionGraph, lam: Iterable[int], a) -> tuple[int, ...]:
-    """Vertex ids of {lam} union its top fiber at a, sorted."""
-    vid = g.vertex_id(lam)
-    a = _validated_addable(g.vertices[vid], a)
-    return _full_simplex(vid, g.top[vid][a])
-
-
 def maximal_simplices(
     g: PartitionGraph, cover: Optional[list[CoverMember]] = None
 ) -> list[tuple[int, ...]]:

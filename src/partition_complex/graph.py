@@ -146,13 +146,6 @@ def neighbors(g: PartitionGraph, lam: Iterable[int]) -> list[Partition]:
     return [g.vertices[other] for other in g.adjacency[vid]]
 
 
-def are_adjacent(g: PartitionGraph, lam: Iterable[int], mu: Iterable[int]) -> bool:
-    """True iff lam and mu are distinct and joined by an admissible transfer."""
-    i = g.vertex_id(lam)
-    j = g.vertex_id(mu)
-    return j in g.moves[i]
-
-
 def adjacency_by_conjugate(lam: Iterable[int], mu: Iterable[int]) -> Optional[tuple[int, int]]:
     """Columns (u, v) with mu' = lam' - e_u + e_v, or None if no such unit move exists.
 

@@ -5,9 +5,16 @@ Reduction repeatedly rewrites a highest vertex of the loop: when the moves
 to its two lower neighbours share a corner, the fragment shortcuts across
 a triangle; otherwise a strictly lower detour vertex replaces the peak,
 crossing two triangles that share it.  Every step is checked against the
-structure theory (neighbours strictly lower, triangles genuinely cliques,
-complexity strictly decreasing), so a finished trace is a machine-checked
-contraction certificate.
+structure theory where it happens: the peak's neighbours are strictly
+lower, each triangle crossed is a clique, the loop edges the rewrite
+creates are edges of the graph, and the complexity strictly decreases.  A
+finished trace is therefore a machine-checked contraction certificate.
+
+Only outside input is validated edge by edge, by the EdgeLoop constructor.
+The states of a reduction need no such pass: every edge of a new state
+either was an edge of the previous state, or was checked at the rewrite
+site, and cutting a spur x y x to x only joins x to the id that already
+followed the second x.
 """
 
 from __future__ import annotations
@@ -52,6 +59,14 @@ class EdgeLoop:
         self.graph = graph
         self.ids = ids
 
+    @classmethod
+    def _unchecked(cls, graph: PartitionGraph, ids: tuple[int, ...]) -> EdgeLoop:
+        """A reduction state, whose edges the reducer has already checked."""
+        loop = object.__new__(cls)
+        loop.graph = graph
+        loop.ids = ids
+        return loop
+
     @property
     def is_constant(self) -> bool:
         return len(self.ids) == 1
@@ -84,7 +99,10 @@ class LoopComplexity(NamedTuple):
 
 
 def complexity(loop: EdgeLoop) -> LoopComplexity:
-    heights = loop.heights()
+    return _complexity(loop.heights())
+
+
+def _complexity(heights: Sequence[int]) -> LoopComplexity:
     top = max(heights)
     return LoopComplexity(top, heights.count(top))
 
@@ -113,15 +131,25 @@ def normalize_ids(ids: Sequence[int]) -> list[int]:
     graph has; cutting a spur keeps that, since the x left behind is next to
     the id that followed the second x.  Two-vertex loops are left alone:
     they reduce through the peak step, not here.
+
+    A cut at centre c changes the neighbours of the x it keeps and of no
+    other id, so no centre below the kept x can appear: the scan resumes
+    there, at c - 1, or at the end when the cut wrapped past it.
     """
     out = list(ids)
-    while len(out) >= 3:
-        size = len(out)
-        centre = next((i for i in range(size) if out[i - 1] == out[(i + 1) % size]), None)
-        if centre is None:
-            break
-        for k in sorted((centre, (centre + 1) % size), reverse=True):
-            del out[k]
+    size = len(out)
+    centre = 0
+    while size >= 3 and centre < size:
+        if out[centre - 1] != out[(centre + 1) % size]:
+            centre += 1
+            continue
+        if centre == size - 1:
+            del out[centre]
+            del out[0]
+        else:
+            del out[centre:centre + 2]
+        size -= 2
+        centre = max(0, min(centre - 1, size - 1))
     return out
 
 
@@ -131,12 +159,16 @@ def _require_adjacent(graph: PartitionGraph, u: int, v: int, context: str) -> No
             f"{context}: {graph.vertices[u]} and {graph.vertices[v]} are not adjacent")
 
 
-def _replace_peak(graph: PartitionGraph, ids: list[int], top: int) -> str:
-    """Rewrite, in place, the lowest-index vertex of ids at height top;
-    returns the rule tag."""
+def _replace_peak(graph: PartitionGraph, ids: list[int], peak: int) -> str:
+    """Rewrite, in place, the highest vertex ids[peak]: delete it or replace
+    it by a lower detour vertex.  Returns the rule tag.
+
+    Checks the triangles the rewrite crosses, except for the loop edges it
+    creates, which the caller checks at the rewrite site.
+    """
     size = len(ids)
-    peak = next(i for i, vertex_id in enumerate(ids) if graph.heights[vertex_id] == top)
     peak_id = ids[peak]
+    top = graph.heights[peak_id]
     before_id = ids[(peak - 1) % size]
     after_id = ids[(peak + 1) % size]
     if graph.heights[before_id] >= top or graph.heights[after_id] >= top:
@@ -149,8 +181,6 @@ def _replace_peak(graph: PartitionGraph, ids: list[int], top: int) -> str:
         # triangle shortcut: the fragment collapses to the edge between the
         # neighbours; they coincide only in a two-vertex loop, which leaves
         # one vertex
-        if before_id != after_id:
-            _require_adjacent(graph, before_id, after_id, "shortcut triangle")
         del ids[peak]
         return "shortcut"
     # distinct removable corners always sit in distinct rows, so the
@@ -175,8 +205,6 @@ def _replace_peak(graph: PartitionGraph, ids: list[int], top: int) -> str:
         raise TheoremViolationError(
             f"detour vertex {detour} is not lower than the peak {peak_partition}")
     _require_adjacent(graph, detour_id, peak_id, "detour triangle")
-    _require_adjacent(graph, detour_id, before_id, "detour triangle")
-    _require_adjacent(graph, detour_id, after_id, "detour triangle")
     ids[peak] = detour_id
     return "detour"
 
@@ -211,33 +239,57 @@ class ReductionTrace:
 def reduce_loop(loop: EdgeLoop) -> ReductionTrace:
     """Reduce a loop to a constant loop, recording each rewrite.
 
-    normalize_ids runs to a fixpoint and every later state is its output,
-    so only the input can need normalizing: a "normalize" step is recorded
-    first, and only when it shortens the loop.  Each further step rewrites
-    a peak and normalizes the result.  Every recorded state is built once,
-    as a validated EdgeLoop, and measured once; its complexity is the next
-    step's "before".  A normalize step must not raise the complexity, and
-    a peak step must strictly lower it.
+    The input is normalized first, and a "normalize" step is recorded only
+    when that shortens it.  Each further step rewrites the first highest
+    vertex and then cuts spurs, which can only appear around the rewrite,
+    since the state before it had none.
+
+    Each rewrite is checked where it happens.  The loop edges on either
+    side of the rewrite site must be graph edges; every other edge of the
+    new state was an edge of the previous one, and cutting a spur x y x to
+    x only joins x to the id that already followed the second x.  So every
+    state is a closed walk without a second validation pass, and is
+    recorded unchecked.  The heights of the ids are kept in step with every
+    edit, and each state's complexity is measured from them in full: a
+    normalize step must not raise it, and a peak step must strictly lower
+    it.
     """
     graph = loop.graph
-    current, before = loop, complexity(loop)
+    heights = graph.heights
+    before, length = complexity(loop), len(loop)
     steps = []
     ids = normalize_ids(loop.ids)
-    rule = "normalize" if len(ids) < len(loop) else None
+    hs = [heights[v] for v in ids]
+    rule = "normalize" if len(ids) < length else None
     while True:
         if rule is not None:
-            new = EdgeLoop(graph, ids)
-            after = complexity(new)
+            after = _complexity(hs)
             if not (after <= before if rule == "normalize" else after < before):
                 raise TheoremViolationError(
                     f"{rule} step did not decrease complexity: "
-                    f"{before} (length {len(current)}) -> {after} (length {len(new)})")
-            steps.append((rule, new))
-            current, before = new, after
-        if current.is_constant:
+                    f"{before} (length {length}) -> {after} (length {len(ids)})")
+            steps.append((rule, EdgeLoop._unchecked(graph, tuple(ids))))
+            before, length = after, len(ids)
+        if length == 1:
             return ReductionTrace(loop, tuple(steps))
-        rule = _replace_peak(graph, ids, before.max_height)
-        ids = normalize_ids(ids)
+        peak = hs.index(before.max_height)
+        rule = _replace_peak(graph, ids, peak)
+        if len(ids) < len(hs):
+            del hs[peak]
+        else:
+            hs[peak] = heights[ids[peak]]
+        size = len(ids)
+        if size == 1:
+            continue
+        site = peak % size
+        _require_adjacent(graph, ids[site - 1], ids[site], rule)
+        _require_adjacent(graph, ids[site], ids[(site + 1) % size], rule)
+        # spur centres at site - 1, site and site + 1
+        if size >= 3 and (ids[site - 2] == ids[site]
+                          or ids[site - 1] == ids[(site + 1) % size]
+                          or ids[site] == ids[(site + 2) % size]):
+            ids = normalize_ids(ids)
+            hs = [heights[v] for v in ids]
 
 
 def random_closed_walk(graph: PartitionGraph, rng, max_len: int = 40) -> EdgeLoop:

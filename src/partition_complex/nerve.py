@@ -99,19 +99,18 @@ def nerve_fvector(nerve: NerveComplex) -> FVector:
     """Face counts of the nerve, grouped by anchor and deduplicated.
 
     Every intersecting subfamily has a common partition, so it appears as a
-    subset of that partition's anchor; subsets are keyed by member-id bitmask.
+    subset of that partition's anchor.  Subsets are keyed by member-id
+    bitmask; an anchor's keys are built by doubling, each member adding its
+    bit to every key so far, and the empty key is dropped at the end.
     """
     seen: set[int] = set()
     for anchor_set in nerve.anchor_sets:
-        members = sorted(anchor_set)
-        for mask in range(1, 1 << len(members)):
-            key = 0
-            bits = mask
-            while bits:
-                low = bits & -bits
-                key |= 1 << members[low.bit_length() - 1]
-                bits ^= low
-            seen.add(key)
+        keys = [0]
+        for member in anchor_set:
+            bit = 1 << member
+            keys += [key | bit for key in keys]
+        seen.update(keys)
+    seen.discard(0)
     counts: list[int] = []
     for key in seen:
         dim = key.bit_count() - 1

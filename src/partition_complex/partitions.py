@@ -204,14 +204,6 @@ def apply_transfer(lam: Iterable[int], c, a) -> Partition:
     return result
 
 
-def is_admissible(lam: Iterable[int], c, a) -> bool:
-    """True iff apply_transfer(lam, c, a) would succeed."""
-    lam = as_partition(lam)
-    c = _validated_removable(lam, c)
-    a = _validated_addable(lam, a)
-    return c.row != a.row and _transfer_result(lam, c, a) != lam
-
-
 def admissible_transfers(lam: Iterable[int]) -> list[tuple[Corner, Corner, Partition]]:
     """All (c, a, result) triples of admissible transfers from lam.
 

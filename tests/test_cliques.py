@@ -18,10 +18,8 @@ from partition_complex.cliques import (
     classify_triangle,
     enumerate_simplices,
     format_facet_lines,
-    full_star_simplex,
     _fiber_size_histograms,
     _raising_fiber_sizes,
-    full_top_simplex,
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
     fvector_table,
@@ -36,6 +34,9 @@ from partition_complex.oracles import (
     transfers_by_scan,
 )
 from partition_complex.partitions import (
+    ADDABLE,
+    REMOVABLE,
+    Corner,
     InvalidCornerError,
     InvalidPartitionError,
     addable_corners,
@@ -139,6 +140,12 @@ def test_every_clique_classifies_at_n9():
             assert verdict.kind in (STAR, TOP)
 
 
+def _full_simplex(g, fibers, lam, corner):
+    """Vertex ids of lam and its stored fiber at corner, sorted."""
+    vid = g.vertex_id(lam)
+    return tuple(sorted((vid,) + fibers[vid][corner]))
+
+
 def test_canonical_cover_small():
     g2 = build_graph(2)
     cover2 = canonical_cover(g2)
@@ -152,17 +159,20 @@ def test_canonical_cover_small():
 
     g4 = build_graph(4)
     cover4 = canonical_cover(g4)
-    star = full_star_simplex(g4, (3, 1), (1, 3))
+    star = _full_simplex(g4, g4.star, (3, 1), Corner(1, 3, REMOVABLE))
     assert star == tuple(sorted(g4.vertex_id(lam) for lam in [(3, 1), (2, 2), (2, 1, 1)]))
     assert any(member.vertices == star for member in cover4)
 
 
 def test_full_simplices_match_fibers():
     g = build_graph(6)
-    star = full_star_simplex(g, (3, 2, 1), (2, 2))
-    assert g.vertex_id((3, 2, 1)) in star
-    top = full_top_simplex(g, (3, 2, 1), (2, 3))
-    assert g.vertex_id((3, 2, 1)) in top
+    lam = (3, 2, 1)
+    star = _full_simplex(g, g.star, lam, Corner(2, 2, REMOVABLE))
+    assert star == tuple(sorted(
+        [g.vertex_id(lam)] + [g.vertex_id(mu) for mu in star_fiber(lam, (2, 2))]))
+    top = _full_simplex(g, g.top, lam, Corner(2, 3, ADDABLE))
+    assert top == tuple(sorted(
+        [g.vertex_id(lam)] + [g.vertex_id(mu) for mu in top_fiber(lam, (2, 3))]))
 
 
 def test_bulk_fibers_match_partition_fibers():
@@ -173,16 +183,15 @@ def test_bulk_fibers_match_partition_fibers():
         expected_cover: dict = {}
         lone_edges = set()
         for vid, lam in enumerate(g.vertices):
-            for kind, corners, fiber_of, full_simplex, stored in (
-                (STAR, removable_corners(lam), star_fiber, full_star_simplex, g.star[vid]),
-                (TOP, addable_corners(lam), top_fiber, full_top_simplex, g.top[vid]),
+            for kind, corners, fiber_of, stored in (
+                (STAR, removable_corners(lam), star_fiber, g.star[vid]),
+                (TOP, addable_corners(lam), top_fiber, g.top[vid]),
             ):
                 assert list(stored) == corners
                 for corner in corners:
                     fiber = [g.index[mu] for mu in fiber_of(lam, corner)]
                     assert list(stored[corner]) == fiber
                     members = tuple(sorted([vid] + fiber))
-                    assert full_simplex(g, lam, corner) == members
                     if fiber:
                         expected_cover.setdefault(members, []).append((kind, vid, corner))
             for j in g.adjacency[vid]:

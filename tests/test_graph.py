@@ -7,7 +7,6 @@ import pytest
 from partition_complex.graph import (
     UnknownVertexError,
     adjacency_by_conjugate,
-    are_adjacent,
     build_graph,
     edge_decompositions,
     format_dimacs,
@@ -58,10 +57,13 @@ def test_neighbors():
 
 
 def test_are_adjacent():
+    # The edge test is membership in the moves of either endpoint.
     g = build_graph(4)
-    assert are_adjacent(g, (4,), (3, 1))
-    assert not are_adjacent(g, (4,), (2, 2))
-    assert not are_adjacent(g, (3, 1), (3, 1))
+    vid = g.vertex_id
+    assert vid((3, 1)) in g.moves[vid((4,))]
+    assert vid((4,)) in g.moves[vid((3, 1))]
+    assert vid((2, 2)) not in g.moves[vid((4,))]
+    assert vid((3, 1)) not in g.moves[vid((3, 1))]
 
 
 def test_unknown_vertex():

@@ -1,12 +1,19 @@
 """Edge loops, (H, M) complexity, and peak reduction to constant loops."""
 
+import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import partition_complex
+from partition_complex import loops
 from partition_complex.graph import build_graph
 from partition_complex.loops import (
     EdgeLoop,
@@ -147,11 +154,12 @@ def test_only_the_input_is_normalized():
 
 
 @st.composite
-def repeat_free_cycles(draw):
+def repeat_free_cycles(draw, max_size=10):
     # Each id differs from the one before by a nonzero step mod labels, so
     # only the wrap-around pair can repeat.
     labels = draw(st.integers(min_value=2, max_value=5))
-    steps = draw(st.lists(st.integers(min_value=1, max_value=labels - 1), max_size=9))
+    steps = draw(st.lists(st.integers(min_value=1, max_value=labels - 1),
+                          max_size=max_size - 1))
     ids = list(itertools.accumulate(steps, lambda vid, step: (vid + step) % labels,
                                     initial=0))
     assume(not _has_repeat(ids))
@@ -165,6 +173,117 @@ def test_normalize_cuts_every_spur_and_keeps_repeats_out(ids):
     assert not _has_repeat(out)
     assert not _has_spur(out)
     assert normalize_ids(out) == out
+
+
+def normalize_ids_whole_list(ids):
+    """The whole-list normalize_ids that rescanned from index 0 after every
+    cut, kept verbatim as the reference for the resuming scan."""
+    out = list(ids)
+    while len(out) >= 3:
+        size = len(out)
+        centre = next((i for i in range(size) if out[i - 1] == out[(i + 1) % size]), None)
+        if centre is None:
+            break
+        for k in sorted((centre, (centre + 1) % size), reverse=True):
+            del out[k]
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(repeat_free_cycles(max_size=14))
+@example([])
+def test_normalize_matches_the_whole_list_rescan(ids):
+    assert normalize_ids(ids) == normalize_ids_whole_list(ids)
+
+
+def test_seeded_traces_are_unchanged():
+    # sha256 of every walk and every (rule, ids) state of its trace, recorded
+    # from the reducer that re-validated and re-normalized each whole state.
+    digest = hashlib.sha256()
+    for n in range(2, 11):
+        g = build_graph(n)
+        rng = random.Random(11)
+        for _ in range(200):
+            walk = random_closed_walk(g, rng)
+            digest.update(repr(walk.ids).encode())
+            for rule, loop in reduce_loop(walk).steps:
+                digest.update(f"{rule}:{loop.ids!r};".encode())
+            digest.update(b"|")
+    assert digest.hexdigest() == (
+        "11e182c4307def04e42bd47e341f60c130198504414886ad61eb1dd7dada7191")
+
+
+# Its first peak [3,2,1] sits between [4,1,1] and [3,3], which are not adjacent.
+MUTATION_LOOP = "[3,3] [4,2] [4,1,1] [3,2,1] [3,3]"
+
+
+def _detour_off_before(graph, ids, peak):
+    """Replace the peak by a lower vertex that is not adjacent to the one before it."""
+    before_id = ids[peak - 1]
+    top = graph.heights[ids[peak]]
+    ids[peak] = next(v for v in range(len(graph.vertices))
+                     if graph.heights[v] < top and v != before_id
+                     and v not in graph.moves[before_id])
+    return "detour"
+
+
+def _shortcut_without_edge(graph, ids, peak):
+    """Delete the peak whatever its neighbours."""
+    del ids[peak]
+    return "shortcut"
+
+
+def _no_descent(graph, ids, peak):
+    """Claim a detour but leave the loop as it is."""
+    return "detour"
+
+
+MUTANTS = {
+    "detour_off_before": _detour_off_before,
+    "shortcut_without_edge": _shortcut_without_edge,
+    "no_descent": _no_descent,
+}
+
+
+def _mutant_outcomes():
+    """For each mutant _replace_peak, the name of the exception that reducing
+    MUTATION_LOOP raised, or None."""
+    loop = parse_loop(build_graph(6), MUTATION_LOOP)
+    real = loops._replace_peak
+    outcomes = {}
+    try:
+        for name, mutant in MUTANTS.items():
+            loops._replace_peak = mutant
+            try:
+                reduce_loop(loop)
+            except Exception as exc:
+                outcomes[name] = type(exc).__name__
+            else:
+                outcomes[name] = None
+    finally:
+        loops._replace_peak = real
+    return outcomes
+
+
+def test_mutant_rewrites_are_caught_where_they_happen():
+    assert reduce_loop(parse_loop(build_graph(6), MUTATION_LOOP)).final.is_constant
+    assert _mutant_outcomes() == {name: "TheoremViolationError" for name in MUTANTS}
+
+
+def test_mutant_rewrites_are_caught_without_asserts():
+    # Under -O every assert is stripped, so the local checks must raise on
+    # their own.
+    script = ("import json, runpy, sys; ns = runpy.run_path(sys.argv[1]); "
+              "print(json.dumps([sys.flags.optimize, ns['_mutant_outcomes']()]))")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(partition_complex.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-O", "-c", script, __file__],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    optimize, outcomes = json.loads(result.stdout)
+    assert optimize == 1
+    assert outcomes == {name: "TheoremViolationError" for name in MUTANTS}
 
 
 def test_seeded_loop_suite_step_counts():

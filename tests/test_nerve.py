@@ -8,7 +8,6 @@ from partition_complex.cliques import (
     NotACliqueError,
     canonical_cover,
     enumerate_simplices,
-    full_star_simplex,
 )
 from partition_complex.graph import build_graph
 from partition_complex.nerve import (
@@ -25,6 +24,13 @@ from partition_complex.nerve import (
     poset_json_dict,
 )
 from partition_complex.oracles import all_cliques_reference
+from partition_complex.partitions import REMOVABLE, Corner
+
+
+def star_simplex(g, lam, row, col):
+    """Vertex ids of lam and its star fiber at the removable corner (row, col)."""
+    vid = g.vertex_id(lam)
+    return tuple(sorted((vid,) + g.star[vid][Corner(row, col, REMOVABLE)]))
 
 
 def nerve_at(n):
@@ -70,7 +76,7 @@ def test_anchor():
 
     g4 = build_graph(4)
     n4 = build_nerve(g4)
-    star = full_star_simplex(g4, (3, 1), (1, 3))
+    star = star_simplex(g4, (3, 1), 1, 3)
     star_member = next(
         i for i, member in enumerate(n4.cover) if member.vertices == star)
     assert star_member in anchor_intersection(n4, [(3, 1)])
@@ -95,7 +101,7 @@ def test_anchor_intersection():
     n4 = build_nerve(g4)
     triple = anchor_intersection(n4, [(3, 1), (2, 2), (2, 1, 1)])
     assert len(triple) == 1
-    assert n4.cover[triple[0]].vertices == full_star_simplex(g4, (3, 1), (1, 3))
+    assert n4.cover[triple[0]].vertices == star_simplex(g4, (3, 1), 1, 3)
 
     with pytest.raises(ValueError):
         anchor_intersection(n4, [])

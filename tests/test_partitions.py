@@ -21,7 +21,6 @@ from partition_complex.partitions import (
     enumerate_partitions,
     format_partition,
     height,
-    is_admissible,
     iter_partitions,
     parse_partition,
     removable_corners,
@@ -167,10 +166,18 @@ def test_apply_transfer_rejects_non_corners():
         apply_transfer((3, 1), (1, 3), (2, 3))
 
 
+def _transfer_or_none(lam, c, a):
+    try:
+        return apply_transfer(lam, c, a)
+    except InadmissibleTransferError:
+        return None
+
+
 def test_is_admissible():
-    assert is_admissible((3, 1), (1, 3), (2, 2))
-    assert not is_admissible((2,), (1, 2), (1, 3))
-    assert not is_admissible((1, 1), (2, 1), (3, 1))
+    assert _transfer_or_none((3, 1), (1, 3), (2, 2)) == (2, 2)
+    # Same row, and a move that fixes the shape.
+    assert _transfer_or_none((2,), (1, 2), (1, 3)) is None
+    assert _transfer_or_none((1, 1), (2, 1), (3, 1)) is None
 
 
 def test_admissible_transfers_preserve_size_and_change_shape():
@@ -180,10 +187,10 @@ def test_admissible_transfers_preserve_size_and_change_shape():
     for n in range(1, 15):
         for lam in enumerate_partitions(n):
             expected = [
-                (c, a, apply_transfer(lam, c, a))
+                (c, a, result)
                 for c in removable_corners(lam)
                 for a in addable_corners(lam)
-                if is_admissible(lam, c, a)
+                if (result := _transfer_or_none(lam, c, a)) is not None
             ]
             assert admissible_transfers(lam) == expected
             assert transfers_by_scan(lam) == expected

@@ -16,10 +16,13 @@ in descending order (Bauer, "Ripser: efficient computation of Vietoris-Rips
 persistence barcodes", J. Appl. Comput. Topol. 5, 2021, on apparent pairs
 and on reducing the coboundary side).  A line's pivot is its leading index;
 it is combined only with earlier pivot lines, and only +-1 pivots are kept.
-On boundary matrices nearly every pivot is apparent, found with no
-combination at all.  Lines whose leading entry is not a unit form the
-residue; once the pivot indices are cleared from it, it goes to a dense
-Smith normal form, the only place torsion can come from.
+The apparent lines, whose +-1 leading entry no earlier such line shares,
+are read in bulk and taken first, as they are; only the other lines are
+built as sparse lines and reduced, in their original order.  On K_n every
+line is apparent (all 100,013 lines of the six sparse maps at n = 30), so
+no combination runs at all.  Lines whose leading entry is not a unit form
+the residue; once the pivot indices are cleared from it, it goes to a
+dense Smith normal form, the only place torsion can come from.
 
 The maps are reduced with clearing (Chen & Kerber, "Persistent homology
 computation with a twist", EuroCG 2011): first the map out of dimension 1,
@@ -35,8 +38,9 @@ exactly those of the full maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, filterfalse, repeat
 from math import gcd
+from operator import getitem, indexOf, ne, neg
 from typing import Collection, Iterable, Sequence
 
 from .partitions import TheoremViolationError
@@ -291,24 +295,35 @@ def _eliminate(line: dict[int, int], pivot_line: dict[int, int], top: int) -> No
 
 
 def _sparse_rank_and_factors(
-    columns: Iterable[Iterable[tuple[int, int]]], nrows: int, ncols: int,
+    columns: Sequence[Sequence[int]], values: Sequence[Sequence[int]], nrows: int, ncols: int,
     skip_rows: Collection[int], skip_cols: Collection[int],
 ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
     """Rank, invariant factors and unit pivots of a sparse integer matrix.
 
-    The matrix is nrows by ncols and is given by its columns, each an
-    iterable of (row, value) pairs with distinct rows and no zero values;
-    the rows in skip_rows and the columns in skip_cols (distinct valid
-    indices) are left out.  One left-to-right pass runs over whichever
+    The matrix is nrows by ncols and is given by its columns: entry k of
+    column j has row columns[j][k] and value values[j][k], with distinct
+    rows and no zero values in a column; the rows in skip_rows and the
+    columns in skip_cols (distinct valid indices) are left out.  The input
+    is read, never mutated.  One left-to-right pass runs over whichever
     side has fewer lines: the columns, pivot the largest row, or else the
     rows in descending order, pivot the smallest column (the columns of
     the anti-transpose).  A line is combined only with earlier pivot
     lines, until its leading entry is new; a +-1 there makes it a pivot
-    line, anything else puts it in the residue.  Every line is built fresh
-    from the input, which is read once and never mutated.  After the pass
-    every pivot index is cleared from each residue line, largest first,
-    and what is left goes to the dense Smith reduction.  The (row, column)
-    of every unit pivot is returned.
+    line, anything else puts it in the residue.  After the pass every
+    pivot index is cleared from each residue line, largest first, and what
+    is left goes to the dense Smith reduction.  The (row, column) of every
+    unit pivot is returned.
+
+    The pass takes the apparent lines first.  A line is apparent when its
+    leading entry is +-1 and no earlier line with a +-1 leading entry has
+    the same leading index; every leading entry is read in bulk, by
+    _leading_entries.  Apparent lines meet no earlier pivot, so each
+    becomes a pivot line as it is, and is built as a sparse line only when
+    an elimination or the clearing reads it.  The other lines then run in
+    their original order; the rows are transposed only when some row is
+    not apparent.  This is the same pass over a permuted line order, and
+    the lemmas below ask of the order only that each line is combined with
+    pivot lines before it.
 
     Pivot lemma: the unit pivots index a square submatrix of the original
     matrix that is invertible over Z.  Sorted by pivot index, the reduced
@@ -336,38 +351,92 @@ def _sparse_rank_and_factors(
     invertible submatrix of the input.
     """
     by_columns = ncols - len(skip_cols) <= nrows - len(skip_rows)
-    if by_columns:
-        lines: list[tuple[int, dict[int, int]]] = [
-            (j, {i: v for i, v in column if i not in skip_rows})
-            for j, column in enumerate(columns) if j not in skip_cols]
-    else:
-        rows: dict[int, dict[int, int]] = {}
-        for j, column in enumerate(columns):
-            if j not in skip_cols:
-                for i, v in column:
-                    if i not in skip_rows:
-                        rows.setdefault(i, {})[-j] = v
-        lines = sorted(rows.items(), reverse=True)
-    pivot_lines: dict[int, dict[int, int]] = {}
-    pivots: list[tuple[int, int]] = []
+    line_ids, tops, leads = _leading_entries(
+        columns, values, nrows, ncols, skip_rows, skip_cols, by_columns)
+    units = list(map((1).__eq__, map(abs, leads)))
+    pivot_of = dict(zip(reversed(list(compress(tops, units))),
+                        reversed(list(compress(line_ids, units)))))
+    rest = list(compress(line_ids, map(ne, map(pivot_of.get, tops), line_ids)))
     residue: list[dict[int, int]] = []
-    for line_id, line in lines:
-        while line and (top := max(line)) in pivot_lines:
-            _eliminate(line, pivot_lines[top], top)
-        if not line:
-            continue
-        if abs(line[top]) == 1:
-            pivot_lines[top] = line
-            pivots.append((top, line_id) if by_columns else (line_id, -top))
+    if rest:
+        if by_columns:
+            def line_of(j: int) -> dict[int, int]:
+                return {i: v for i, v in zip(columns[j], values[j]) if i not in skip_rows}
         else:
-            residue.append(line)
-    for line in residue:
-        while paired := [i for i in line if i in pivot_lines]:
-            top = max(paired)
-            _eliminate(line, pivot_lines[top], top)
+            rows: dict[int, dict[int, int]] = {}
+            for j, column in enumerate(columns):
+                if j not in skip_cols:
+                    for i, v in zip(column, values[j]):
+                        if i not in skip_rows:
+                            rows.setdefault(i, {})[-j] = v
+            line_of = rows.__getitem__
+        built: dict[int, dict[int, int]] = {}
+
+        def pivot_line(top: int) -> dict[int, int]:
+            if top not in built:
+                built[top] = line_of(pivot_of[top])
+            return built[top]
+
+        for line_id in rest:
+            line = line_of(line_id)
+            while line and (top := max(line)) in pivot_of:
+                _eliminate(line, pivot_line(top), top)
+            if not line:
+                continue
+            if abs(line[top]) == 1:
+                pivot_of[top] = line_id
+                built[top] = line
+            else:
+                residue.append(line)
+        for line in residue:
+            while paired := [i for i in line if i in pivot_of]:
+                top = max(paired)
+                _eliminate(line, pivot_line(top), top)
     indices = sorted({i for line in residue for i in line})
     residual_rank, factors = smith_normal_form([[line.get(i, 0) for i in indices] for line in residue])
+    if by_columns:
+        pivots = list(pivot_of.items())
+    else:
+        pivots = list(zip(pivot_of.values(), map(neg, pivot_of)))
     return len(pivots) + residual_rank, factors, pivots
+
+
+def _leading_entries(
+    columns: Sequence[Sequence[int]], values: Sequence[Sequence[int]], nrows: int, ncols: int,
+    skip_rows: Collection[int], skip_cols: Collection[int], by_columns: bool,
+) -> tuple[list[int], list[int], list[int]]:
+    """Each line's id, leading index and leading value, in pass order.
+
+    The lines are the kept columns in order, or else the kept rows in
+    descending order; lines with no kept entry are left out.  A column
+    leads at its largest kept row.  A row leads at its smallest kept
+    column j, at index -j so that a row's pivot is its largest key too; it
+    is read from one dict over the entries of the kept columns in
+    descending column order, where the last entry of each row wins.
+    """
+    kept_ids = list(filterfalse(skip_cols.__contains__, compress(range(ncols), columns)))
+    kept = list(map(columns.__getitem__, kept_ids))
+    if by_columns:
+        if skip_rows:
+            row_key = list(range(nrows))
+            for i in skip_rows:
+                row_key[i] = -1
+            tops = list(map(max, map(map, repeat(row_key.__getitem__), kept)))
+            nonzero = list(map((-1).__ne__, tops))
+            kept_ids, kept, tops = (list(compress(seq, nonzero)) for seq in (kept_ids, kept, tops))
+        else:
+            tops = list(map(max, kept))
+        leads = list(map(getitem, map(values.__getitem__, kept_ids), map(indexOf, kept, tops)))
+        return kept_ids, tops, leads
+    first = dict(zip(chain.from_iterable(reversed(kept)),
+                     chain.from_iterable(map(repeat, reversed(kept_ids), map(len, reversed(kept))))))
+    for i in skip_rows:
+        first.pop(i, None)
+    line_ids = sorted(first, reverse=True)
+    lead_cols = list(map(first.__getitem__, line_ids))
+    leads = list(map(getitem, map(values.__getitem__, lead_cols),
+                     map(indexOf, map(columns.__getitem__, lead_cols), line_ids)))
+    return line_ids, list(map(neg, lead_cols)), leads
 
 
 def _spanning_forest(
@@ -441,11 +510,9 @@ def reduced_homology(cplx: ChainComplex) -> HomologyReport:
     if top:
         ranks[1], torsion[0], pivots[1] = _spanning_forest(cplx.boundaries[1], fvector[0])
     for p in range(top, 1, -1):
-        # Columns are streamed: a zip per column held all at once costs
-        # memory and full collector passes.
         signs = tuple(-1 if k % 2 else 1 for k in range(p + 1))
         ranks[p], torsion[p - 1], pivots[p] = _sparse_rank_and_factors(
-            map(zip, cplx.boundaries[p], repeat(signs)), fvector[p - 1], fvector[p],
+            cplx.boundaries[p], (signs,) * fvector[p], fvector[p - 1], fvector[p],
             skip_rows={col for _, col in pivots.get(p - 1, ())},
             skip_cols={row for row, _ in pivots.pop(p + 1, ())})
     for p in range(1, top + 1):

@@ -37,6 +37,8 @@ STDOUT_SHA256 = {
         "05a82c62a9df0a221f17333f9f09be42ac3c78aabc81d6e27a926c57c5013faa",
     "homology --n 12 --format json":
         "5477d9ff3cf8618c48fa17ab9d7178233befb092545a8781efdb2bc6fe38756a",
+    "homology --n 24 --format json":
+        "506cb177bf2f7164e79fe0638cb9e7274bda262762ff40ee22e3f57f12a61556",
     "export facets --n 12":
         "bb6cec9c6628806161ea743170c4683ccb73c11afeaa0c148000dc99640f4bad",
     "export graph --n 8 --format dimacs":

@@ -1,5 +1,6 @@
 """Chain complexes, Smith normal form, and exact integer homology."""
 
+import copy
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from partition_complex.homology import (
     smith_normal_form,
 )
 from partition_complex.partitions import TheoremViolationError
+from partition_complex.reference import SPHERE_COUNT
 
 
 def test_snf_edge_cases():
@@ -335,6 +337,12 @@ def test_disconnected_complex():
     assert reduced_homology(build_chain_complex(hollow)).reduced_betti == (2, 2)
 
 
+def _rows_and_values(columns):
+    """{row: value} columns as the reduction's input: row lists and value lists."""
+    columns = list(columns)
+    return [list(column) for column in columns], [list(column.values()) for column in columns]
+
+
 def _assert_pivots_invertible(dense, pivots):
     """The unit pivots index a square block with Smith form the identity."""
     block = [[dense[i][j] for _, j in pivots] for i, _ in pivots]
@@ -364,18 +372,70 @@ def sparse_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sparse_matrices())
 def test_sparse_reduction_matches_dense_snf(case):
-    dense, skip_rows, skip_cols = case
-    columns = [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(len(dense[0]))]
-    before = [dict(column) for column in columns]
+    _checked_reduction(*case)
+
+
+def _checked_reduction(dense, skip_rows, skip_cols):
+    """Rank, factors and sorted unit pivots of the sparse reduction of a dense matrix.
+
+    The input must come back unchanged, rank and factors must match the
+    dense Smith form of the kept block, and the pivots must be kept lines
+    indexing an invertible block.
+    """
+    columns, values = _rows_and_values(
+        [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(len(dense[0]))])
+    before = copy.deepcopy((columns, values))
     rank, factors, pivots = homology._sparse_rank_and_factors(
-        [column.items() for column in columns], len(dense), len(columns), skip_rows, skip_cols)
-    assert columns == before
+        columns, values, len(dense), len(columns), set(skip_rows), set(skip_cols))
+    assert (columns, values) == before
     kept_rows = [i for i in range(len(dense)) if i not in skip_rows]
     kept_cols = [j for j in range(len(columns)) if j not in skip_cols]
     assert (rank, factors) == smith_normal_form(
         [[dense[i][j] for j in kept_cols] for i in kept_rows])
     assert all(i in kept_rows and j in kept_cols for i, j in pivots)
     _assert_pivots_invertible(dense, pivots)
+    return rank, factors, sorted(pivots)
+
+
+def test_non_unit_leading_entry_is_never_a_pivot():
+    # Alone at its leading index, by columns and by rows: residue, not pivot.
+    assert _checked_reduction([[2]], (), ()) == (1, (2,), [])
+    assert _checked_reduction([[2, 4]], (), ()) == (1, (2,), [])
+    # Column 0 leads at row 2 with a 2, the later column 1 with a 1 there:
+    # column 1 is the pivot, and column 0 less twice column 1 is the residue.
+    assert _checked_reduction([[2, 0], [0, 1], [2, 1]], (), ()) == (2, (2,), [(2, 1)])
+
+
+def test_reduced_line_meets_a_later_apparent_pivot():
+    # Columns 0 and 2 are apparent, at rows 3 and 1.  Column 1 also leads at
+    # row 3, behind column 0; less column 0 it leads at row 1, which the later
+    # column 2 holds, and less that it is the residue -2 at row 0.
+    dense = [[1, 0, 1], [0, 1, 1], [0, 0, 0], [1, 1, 0]]
+    assert _checked_reduction(dense, (), ()) == (3, (2,), [(1, 2), (3, 0)])
+
+
+def test_row_side_leads_with_skipped_rows():
+    # Two kept rows against four columns, so the rows are reduced, in
+    # descending order, each leading at its first column.  Row 2 is apparent
+    # at column 1; row 0 leads there too, and less row 2 it is the residue
+    # (2, 2) on columns 2 and 3.  Row 1 would add rank, but it is left out.
+    dense = [[0, 1, 2, 3], [1, 1, 1, 1], [0, 1, 0, 1]]
+    assert _checked_reduction(dense, {1}, ()) == (2, (2,), [(2, 1)])
+    assert _checked_reduction(dense, (), ())[0] == 3
+
+
+def test_partition_complexes_need_no_elimination(monkeypatch):
+    # Every line of every sparse map of K_n is apparent (checked up to
+    # n = 30), which is what keeps the reduction fast.
+    def refuse(*args):
+        raise AssertionError("a line needed elimination")
+
+    monkeypatch.setattr(homology, "_eliminate", refuse)
+    for n in range(1, 17):
+        report = partition_homology(n)
+        assert report.reduced_betti == tuple(
+            SPHERE_COUNT[n] if p == 2 else 0 for p in range(len(report.betti)))
+        assert not any(report.torsion)
 
 
 @st.composite
@@ -442,7 +502,7 @@ def test_rank_overcount_raises(monkeypatch):
             # alternating Betti sum check would have let them through.
             ranks = [0, homology._spanning_forest(cplx.boundaries[1], f[0])[0]]
             ranks += [homology._sparse_rank_and_factors(
-                [signed_column(column).items() for column in cplx.boundaries[p]],
+                *_rows_and_values(map(signed_column, cplx.boundaries[p])),
                 f[p - 1], f[p], (), ())[0] for p in range(2, len(f))] + [0]
             betti = [f[p] - ranks[p] - ranks[p + 1] for p in range(len(f))]
             assert _alternating_sum(betti) == cplx.euler_characteristic

@@ -353,6 +353,8 @@ def _sparse_rank_and_factors(
     by_columns = ncols - len(skip_cols) <= nrows - len(skip_rows)
     line_ids, tops, leads = _leading_entries(
         columns, values, nrows, ncols, skip_rows, skip_cols, by_columns)
+    # Read backwards, the dict keeps the first +-1-led line at each index:
+    # the apparent lines.  Every other line is in rest.
     units = list(map((1).__eq__, map(abs, leads)))
     pivot_of = dict(zip(reversed(list(compress(tops, units))),
                         reversed(list(compress(line_ids, units)))))

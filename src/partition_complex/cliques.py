@@ -350,13 +350,27 @@ def fvector_by_corner_counting(n: int) -> FVector:
     return FVector(tuple(counts))
 
 
-def _with_copies(rows: list[list[int]], v: int) -> list[list[int]]:
-    """out[m] = rows[m - v] + rows[m - 2v] + ...: whatever rows[m'] counts,
-    with one or more parts v added to reach sum m."""
-    out = [[0] * len(row) for row in rows]
-    for m in range(v, len(rows)):
-        out[m] = [x + y for x, y in zip(rows[m - v], out[m - v])]
-    return out
+def _partition_counts(max_n: int) -> list[int]:
+    """p(0), ..., p(max_n), by adding the part values 1..max_n in turn."""
+    counts = [1] + [0] * max_n
+    for v in range(1, max_n + 1):
+        for m in range(v, max_n + 1):
+            counts[m] += counts[m - v]
+    return counts
+
+
+def _slot_bits(largest: int, width: int) -> int:
+    """The least W with 2^W > largest * (width + 2): the bits of one slot."""
+    return (largest * (width + 2)).bit_length()
+
+
+def _unpack(row: int, bits: int, width: int) -> list[int]:
+    """The width slots of bits bits each of row, lowest first; a bit above
+    the top slot raises TheoremViolationError."""
+    if row >> (bits * width):
+        raise TheoremViolationError(f"a packed row overflows its {width} slots of {bits} bits")
+    mask = (1 << bits) - 1
+    return [(row >> (bits * i)) & mask for i in range(width)]
 
 
 def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]:
@@ -384,44 +398,77 @@ def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]
       part added later raises s by one.
 
     Adding one or more parts v to a partition with d distinct parts gives v
-    the star size d + 1 - adj and the top size 1 - adj so far.  The work is
-    O(max_n^2 * sqrt(max_n)) integer additions, since d <= sqrt(2 max_n).
+    the star size d + 1 - adj and the top size 1 - adj so far.
+
+    Each row, a vector over d or s of length width = isqrt(2 max_n) + 1, is
+    one int with slot i in bits [W i, W (i + 1)): adding rows is +, the
+    shift from d to d + 1 is << W, and a digit sum is one product with
+    sum_i 2^(W i), read off slot width - 1.  The work is O(max_n^2)
+    big-integer operations on width * W-bit rows, after an O(max_n^2)
+    pre-pass for p(0..max_n), which sets W = _slot_bits(p(max_n), width).
+
+    Lemma (no carry crosses a slot): a partition of m <= max_n with d
+    distinct parts has m >= d (d + 1) / 2, so d <= width - 1; it counts at
+    most once in a ways row, and in at most d star and d + 1 top slots
+    over all s.  So every slot value, and every digit sum and partial
+    digit sum, is at most p(m) * width < p(max_n) * (width + 2) < 2^W, and
+    nothing is ever shifted past slot width - 1.  The sweep still checks
+    that it holds, since a carry out of a slot changes a digit sum: a bit
+    left above the top slot at unpacking, a vertex count that differs from
+    the pre-pass p(n), or fiber counts where top does not exceed star by
+    p(n) (one star and one top fiber per distinct part, and the first-row
+    top fiber) raise TheoremViolationError.
     """
     if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 1:
         raise InvalidPartitionError(f"max_n must be a positive integer, got {max_n!r}")
     width = math.isqrt(2 * max_n) + 1
+    partitions = _partition_counts(max_n)
+    bits = _slot_bits(partitions[max_n], width)
+    mask = (1 << bits) - 1
+    ones = sum(1 << (bits * i) for i in range(width))
+    last = bits * (width - 1)
 
-    def rows() -> list[list[int]]:
-        return [[0] * width for _ in range(max_n + 1)]
+    def digit_sum(row: int) -> int:
+        return ((row * ones) >> last) & mask
 
-    ways = [rows(), rows()]
-    ways[1][0][0] = 1
-    star = rows()
-    top = rows()
+    def copies(rows: list[int], v: int) -> list[int]:
+        # out[m] = rows[m - v] + rows[m - 2v] + ...: whatever rows[m']
+        # counts, with one or more parts v added to reach sum m.
+        out = [0] * (max_n + 1)
+        for m in range(v, max_n + 1):
+            out[m] = rows[m - v] + out[m - v]
+        return out
+
+    ways = [[0] * (max_n + 1), [1] + [0] * max_n]
+    star = [0] * (max_n + 1)
+    top = [0] * (max_n + 1)
     for v in range(1, max_n + 1):
         # Partitions with one or more parts v, without and with the part v - 1.
-        absent, present = (_with_copies(w, v) for w in ways)
-        star_kept = _with_copies(star, v)
-        top_kept = _with_copies(top, v)
+        absent, present, star_kept, top_kept = (copies(rows, v) for rows in (*ways, star, top))
         for m in range(v, max_n + 1):
             a, b = absent[m], present[m]
             # v's star fiber has size d + 1 without v - 1 and d with it.
-            star[m] = [x + y + z + w for x, y, z, w in
-                       zip(star[m], star_kept[m], [0] + a[:-1], b)]
             # v raises every smaller part's top size by one, and its own top
             # fiber has size 1 without v - 1 and 0 with it so far.
-            top[m] = [x + y for x, y in zip(top[m], [0] + top_kept[m][:-1])]
-            top[m][0] += sum(b)
-            top[m][1] += sum(a)
+            star[m] += star_kept[m] + (a << bits) + b
+            top[m] += (top_kept[m] << bits) + digit_sum(b) + (digit_sum(a) << bits)
         ways = [
-            [[x + y for x, y in zip(a, b)] for a, b in zip(*ways)],
-            [[0] + [x + y for x, y in zip(a, b)][:-1] for a, b in zip(absent, present)],
+            [x + y for x, y in zip(*ways)],
+            [(a + b) << bits for a, b in zip(absent, present)],
         ]
+
     out = []
     for n in range(1, max_n + 1):
-        vertices = sum(ways[0][n]) + sum(ways[1][n])
-        top[n][0] += vertices
-        out.append((vertices, star[n], top[n]))
+        vertices = sum(_unpack(ways[0][n], bits, width)) + sum(_unpack(ways[1][n], bits, width))
+        if vertices != partitions[n]:
+            raise TheoremViolationError(
+                f"n={n}: the sweep counts {vertices} partitions, not p(n) = {partitions[n]}")
+        star_n, top_n = _unpack(star[n], bits, width), _unpack(top[n] + vertices, bits, width)
+        if sum(star_n) + vertices != sum(top_n):
+            raise TheoremViolationError(
+                f"n={n}: {sum(star_n)} star fibers but {sum(top_n)} top fibers"
+                f" for {vertices} partitions")
+        out.append((vertices, star_n, top_n))
     return out
 
 
@@ -431,7 +478,14 @@ def fvector_table(max_n: int) -> list[FVector]:
     The counting is that of fvector_by_corner_counting, aggregated by
     _fiber_size_histograms instead of summed partition by partition:
     f_0 = p(n), f_1 = sum of s * star[s], and f_k = sum of
-    (star[s] + top[s]) * C(s, k) for k >= 2.
+    (star[s] + top[s]) * C(s, k) for k >= 2.  Those sums are the
+    coefficients of sum_s (star[s] + top[s]) (1 + x)^s, built by Horner's
+    rule, so each step is one Pascal's-rule pass and no binomial is formed.
+    The polynomial is one int with B-bit slots, one per power of x, so a
+    step is P + (P << B) + count.  Every coefficient of every step is at
+    most the number of fibers, sum_s (star[s] + top[s]), times
+    2^(width - 1), so B with 2^B above that number times 2^width keeps
+    each in its slot.
 
     Lemma, in the aggregate this route sees: both histograms count every
     height-raising transfer once, so their edge sums agree at every n; an n
@@ -445,12 +499,12 @@ def fvector_table(max_n: int) -> list[FVector]:
             raise TheoremViolationError(
                 f"n={n} has {edges} raising transfers by removable corner"
                 f" but {by_addable} by addable corner")
-        counts = [vertices, edges]
-        for k in range(2, len(star)):
-            faces = sum((x + y) * math.comb(s, k) for s, (x, y) in enumerate(zip(star, top)))
-            if not faces:
-                break
-            counts.append(faces)
+        fibers = [x + y for x, y in zip(star, top)]
+        bits = (sum(fibers) << len(fibers)).bit_length()
+        packed = 0
+        for count in reversed(fibers):
+            packed += (packed << bits) + count
+        counts = [vertices, edges] + _unpack(packed, bits, len(fibers))[2:]
         while counts[-1] == 0:
             counts.pop()
         table.append(FVector(tuple(counts)))

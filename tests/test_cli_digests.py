@@ -20,8 +20,14 @@ STDOUT_SHA256 = {
         "02d83dcca6b070210db749544fdc8fe8a462ee8e25e07aa7f0d0d0d48852d4f8",
     "table --max-n 25 --format json":
         "70adf75aff26fdc2173215a75c1b570a8fd1df997b9be3687d9141d23af832f0",
+    "table --max-n 120 --format json":
+        "56df85d6b65ed91ced492f038e6443eee1f6a3195f53d52de90943016149f7d0",
     "export bfile chi --max-n 25":
         "96a2e2731fa8ebbc51eeccfb17fa31e7864931f82b3ba46b48a4c4a79b7571ea",
+    "export bfile chi --max-n 200":
+        "db0c35c8a8707037a25cf3f5c0496dcea6ba8419434f920c556a9eca79e63b6e",
+    "export bfile b --max-n 200":
+        "62608e523e1a39ce87172f061f9bf3b0b302ba21006eba3b1a22a551c9859bde",
     "verify --suite all --max-n 8 --seed 5":
         "d42ae2933f241e559784954f3230d9ef1b5001e20cb4ed1c97776e73cfa00c76",
     "verify --suite all --max-n 8 --seed 5 --format json":

@@ -1,12 +1,17 @@
 """Fibers, triangle and clique classification, covers, facets, f-vectors."""
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partition_complex
+from partition_complex import cliques
 from partition_complex.cliques import (
     NOT_TRIANGLE,
     SMALL,
@@ -19,7 +24,9 @@ from partition_complex.cliques import (
     enumerate_simplices,
     format_facet_lines,
     _fiber_size_histograms,
+    _partition_counts,
     _raising_fiber_sizes,
+    _unpack,
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
     fvector_table,
@@ -31,6 +38,7 @@ from partition_complex.graph import build_graph, edge_decompositions
 from partition_complex.oracles import (
     all_cliques_reference,
     maximal_cliques_reference,
+    partition_count,
     transfers_by_scan,
 )
 from partition_complex.partitions import (
@@ -39,6 +47,7 @@ from partition_complex.partitions import (
     Corner,
     InvalidCornerError,
     InvalidPartitionError,
+    TheoremViolationError,
     addable_corners,
     admissible_transfers,
     enumerate_partitions,
@@ -303,6 +312,67 @@ def test_fiber_size_histograms_sum_the_per_partition_sizes(n):
     assert vertices == len(enumerate_partitions(n))
     assert {s: count for s, count in enumerate(star) if count} == star_sizes
     assert {s: count for s, count in enumerate(top) if count} == top_sizes
+
+
+def test_partition_counts_match_the_pentagonal_recurrence():
+    assert _partition_counts(200) == [partition_count(n) for n in range(201)]
+
+
+def test_wrong_partition_count_raises(monkeypatch):
+    def off_by_one(max_n):
+        counts = _partition_counts(max_n)
+        counts[max_n // 2] += 1
+        return counts
+    monkeypatch.setattr(cliques, "_partition_counts", off_by_one)
+    with pytest.raises(TheoremViolationError, match="p\\(n\\)"):
+        fvector_table(25)
+
+
+def test_unpack_reads_slots_and_rejects_a_bit_above_them():
+    assert _unpack(0b101_011, 3, 2) == [3, 5]
+    assert _unpack(0, 4, 3) == [0, 0, 0]
+    with pytest.raises(TheoremViolationError):
+        _unpack(1 << 6 | 0b101_011, 3, 2)
+
+
+def _raises(function, *args) -> bool:
+    try:
+        function(*args)
+    except TheoremViolationError:
+        return True
+    return False
+
+
+def _narrow_slots_raise(max_n: int = 25) -> bool:
+    """Whether the sweep, and so fvector_table, raise at max_n for every slot
+    width W with 2^W at most the largest count of the histograms, where
+    carries must occur."""
+    largest = max(max(p, *star, *top) for p, star, top in _fiber_size_histograms(max_n))
+    real_slot_bits = cliques._slot_bits
+    try:
+        for bits in range(1, largest.bit_length()):
+            cliques._slot_bits = lambda largest, width: bits
+            if not (_raises(cliques._fiber_size_histograms, max_n)
+                    and _raises(cliques.fvector_table, max_n)):
+                return False
+    finally:
+        cliques._slot_bits = real_slot_bits
+    return True
+
+
+def test_narrow_slots_raise_with_and_without_optimize():
+    # At max_n = 25 the largest count is 2436, so W = 1..11 all carry.
+    assert _narrow_slots_raise()
+    assert fvector_table(25) == [fvector_by_corner_counting(n) for n in range(1, 26)]
+    # Under -O every assert is stripped, so the checks must raise on their own.
+    script = ("import runpy, sys; ns = runpy.run_path(sys.argv[1]); "
+              "sys.exit(0 if sys.flags.optimize and ns['_narrow_slots_raise']() else 1)")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(partition_complex.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-O", "-c", script, __file__],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_format_facet_lines():

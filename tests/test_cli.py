@@ -10,7 +10,7 @@ import pytest
 from partition_complex import cli
 from partition_complex.cli import _worker_count, main
 from partition_complex.reference import EULER_CHARACTERISTIC
-from partition_complex.verification import BUDGETS, verify_single_n
+from partition_complex.verification import BUDGETS, SUITE_ORDER, verify_single_n
 
 
 def run_cli(*argv):
@@ -204,6 +204,44 @@ def test_export_usage_errors(capsys):
         assert main(["export", what, "--n", "3", "--max-n", "9"]) == 2
         assert capsys.readouterr().err == (
             f"usage error: export {what} takes no --max-n; use --n\n")
+
+
+# One invalid export input each -> its exact stderr line (exit code 2).
+EXPORT_USAGE_ERRORS = {
+    "export bfile --max-n 3": "export bfile needs a sequence: chi or b",
+    "export bfile chi": "export bfile needs --max-n",
+    "export graph": "export graph needs --n",
+    "export facets": "export facets needs --n",
+    "export poset": "export poset needs --n",
+    "export graph chi --n 3":
+        "export graph takes no sequence argument",
+    "export graph --n 3 --format text":
+        "format 'text' is not valid for graph (choose from dimacs, edges)",
+    "export poset --n 4 --format dimacs":
+        "format 'dimacs' is not valid for poset (choose from json, text)",
+    "export facets --n 3 --format json":
+        "format 'json' is not valid for facets (choose from text)",
+    "export bfile chi --max-n 3 --format json":
+        "format 'json' is not valid for bfile (choose from text)",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPORT_USAGE_ERRORS))
+def test_export_usage_error_messages(command, capsys):
+    assert main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {EXPORT_USAGE_ERRORS[command]}\n"
+
+
+def test_main_calls_share_no_parsed_state(capsys):
+    assert main(["verify", "--suite", "euler", "--max-n", "2", "--format", "json"]) == 0
+    first = json.loads(capsys.readouterr().out)["outcomes"]
+    assert {outcome["suite"] for outcome in first} == {"euler"}
+    assert main(["verify", "--max-n", "2", "--format", "json"]) == 0
+    second = json.loads(capsys.readouterr().out)["outcomes"]
+    assert len(second) == 2 * len(SUITE_ORDER)
+    assert {outcome["suite"] for outcome in second} == set(SUITE_ORDER)
 
 
 def test_argparse_usage_exit_code():

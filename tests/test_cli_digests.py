@@ -3,6 +3,8 @@
 Each command runs in-process through cli.main; its stdout's sha256 must
 match the digest recorded below.  A refactor that changes any byte of a
 table, a verification report, a homology report or an export shows up here.
+The --help texts are pinned the same way, at a fixed width of 80 columns
+(recorded with Python 3.11, whose argparse layout they depend on).
 """
 
 import contextlib
@@ -30,6 +32,8 @@ STDOUT_SHA256 = {
         "62608e523e1a39ce87172f061f9bf3b0b302ba21006eba3b1a22a551c9859bde",
     "verify --suite all --max-n 8 --seed 5":
         "d42ae2933f241e559784954f3230d9ef1b5001e20cb4ed1c97776e73cfa00c76",
+    "verify --suite all --max-n 6 --seed 5 --format csv":
+        "c7192cfd549106e39738060e79d23106c88d8d9203ab0a0c342da24f012aba4a",
     "verify --suite all --max-n 8 --seed 5 --format json":
         "38d32f9480d0911cee69fc133523a782279007ae63ffd8a532ae5d1e000d5181",
     "verify --suite triangles --suite cliques --suite anchors --suite heights"
@@ -64,3 +68,24 @@ def test_cli_stdout_is_unchanged(command):
     with contextlib.redirect_stdout(out):
         assert cli.main(command.split()) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+# Subcommand ("" for the top-level parser) -> sha256 of its --help text.
+HELP_SHA256 = {
+    "": "fa2be51c6cdd89a1281d5e11ae1307857648888dbc3ea314bd7d406b2482d841",
+    "table": "12578fcc4e288561ea038f0e959682e5da3a37dcb008097aae0eb685bbce294a",
+    "verify": "c08487a34306378504cd20b81647f612484400c5e187af52967612ffbee97f5b",
+    "homology": "6ea9fccb656cb1b5d9ce2dfea5e51b49eeefc3bab0d93bbf21a4306640d1cee5",
+    "export": "8c378184f852875b176ab93545f6c5af7add65e183383b2ce4f63f0f7e312623",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_text_is_unchanged(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        cli.main(command.split() + ["--help"])
+    assert exit_info.value.code == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command], text

@@ -1,0 +1,35 @@
+"""The benchmark's trace seams still exist in the package.
+
+perfbench/worker.py times each pipeline layer by wrapping the functions its
+LAYER_CALLS names, looked up by module and attribute.  A function renamed or
+deleted in the package would only break a traced benchmark run; this test
+reads LAYER_CALLS from the worker's source (without importing it) and fails
+first.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+
+
+def layer_calls():
+    """The (module, function) pairs at the head of each LAYER_CALLS entry."""
+    tree = ast.parse(WORKER.read_text(), filename=str(WORKER))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "LAYER_CALLS"
+                for target in node.targets):
+            return [(ast.literal_eval(entry.elts[0]), ast.literal_eval(entry.elts[1]))
+                    for entry in node.value.elts]
+    raise AssertionError(f"no LAYER_CALLS assignment in {WORKER}")
+
+
+def test_every_traced_function_resolves():
+    pairs = layer_calls()
+    assert len(pairs) >= 10
+    for module_name, func_name in pairs:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, func_name, None)), (
+            f"{module_name}.{func_name} is traced by perfbench but not defined")

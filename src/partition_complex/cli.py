@@ -7,6 +7,13 @@ byte-identical files, and `verify` gives the same bytes for every --jobs.
 Only `verify` takes --jobs, to run its n values in parallel.  `table` and
 `export bfile` take every row from one pass over part values
 (cliques.fvector_table), so they have nothing to split among workers.
+
+Each output rule is written once.  `_table_rows` reads chi and b = chi - 1
+off the f-vectors for every table format and for `export bfile`;
+`_json_text` fixes the bytes of every JSON document; and each subcommand
+looks its --format up in one format -> formatter table (`_TABLE_FORMATS`,
+`_VERIFY_FORMATS`, `_HOMOLOGY_FORMATS`, `_EXPORT_FORMATS`), whose keys are
+the formats it accepts.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import io
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from collections import Counter
+from typing import NamedTuple, Optional, Sequence
 
 from .cliques import (
     format_facet_lines,
@@ -79,6 +87,17 @@ def _emit(text: str, out: Optional[str]) -> None:
         _write_files({out: text})
 
 
+def _json_text(payload) -> str:
+    """Every JSON document on stdout: sorted keys, two-space indent, final LF."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 # -- table -------------------------------------------------------------
 
 
@@ -100,61 +119,64 @@ def _map_over_n(worker, ns, jobs: int) -> list:
     return [worker(n) for n in ns]
 
 
-def _format_table_text(fvectors) -> str:
-    header = ("n", "p", "f-vector", "chi", "b")
-    cells = [header]
+class TableRow(NamedTuple):
+    """One row of the chi sweep: n, the f-vector counts, chi and b = chi - 1."""
+
+    n: int
+    counts: tuple[int, ...]
+    chi: int
+    b: int
+
+
+def _table_rows(fvectors) -> list[TableRow]:
+    """One row per n.  This is the only place chi and b = chi - 1 are read
+    off an f-vector, for every table format and for `export bfile`."""
+    rows = []
     for n, fvector in enumerate(fvectors, start=1):
-        counts = fvector.counts
         chi = fvector.euler_characteristic
-        cells.append((str(n), str(counts[0]), str(list(counts)),
-                      str(chi), str(chi - 1)))
+        rows.append(TableRow(n, fvector.counts, chi, chi - 1))
+    return rows
+
+
+def _format_table_text(rows) -> str:
+    cells = [("n", "p", "f-vector", "chi", "b")]
+    cells += [(str(n), str(counts[0]), str(list(counts)), str(chi), str(b))
+              for n, counts, chi, b in rows]
     widths = [max(len(row[col]) for row in cells) for col in range(5)]
+    # Right-align the numeric columns, left-align the f-vector.
+    aligns = (str.rjust, str.rjust, str.ljust, str.rjust, str.rjust)
     lines = []
     for row in cells:
-        # Right-align the numeric columns, left-align the f-vector.
-        parts = [row[0].rjust(widths[0]), row[1].rjust(widths[1]),
-                 row[2].ljust(widths[2]), row[3].rjust(widths[3]),
-                 row[4].rjust(widths[4])]
+        parts = [align(cell, width) for align, cell, width in zip(aligns, row, widths)]
         lines.append("  ".join(parts).rstrip())
     return "\n".join(lines) + "\n"
 
 
-def _format_table_csv(fvectors) -> str:
-    depth = max(len(fvector.counts) for fvector in fvectors)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["n", "p"] + [f"f{i}" for i in range(depth)] + ["chi", "b"])
-    for n, fvector in enumerate(fvectors, start=1):
-        counts = fvector.counts
-        chi = fvector.euler_characteristic
+def _format_table_csv(rows) -> str:
+    depth = max(len(row.counts) for row in rows)
+    lines = [["n", "p"] + [f"f{i}" for i in range(depth)] + ["chi", "b"]]
+    for n, counts, chi, b in rows:
         padded = list(counts) + [""] * (depth - len(counts))
-        writer.writerow([n, counts[0]] + padded + [chi, chi - 1])
-    return buffer.getvalue()
+        lines.append([n, counts[0]] + padded + [chi, b])
+    return _csv_text(lines)
 
 
-def _format_table_json(fvectors) -> str:
-    payload = {"rows": []}
-    for n, fvector in enumerate(fvectors, start=1):
-        chi = fvector.euler_characteristic
-        payload["rows"].append({
-            "n": n,
-            "p": fvector.counts[0],
-            "fvector": list(fvector.counts),
-            "chi": chi,
-            "b": chi - 1,
-        })
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _format_table_json(rows) -> str:
+    return _json_text({"rows": [
+        {"n": n, "p": counts[0], "fvector": counts, "chi": chi, "b": b}
+        for n, counts, chi, b in rows]})
+
+
+_TABLE_FORMATS = {
+    "text": _format_table_text,
+    "csv": _format_table_csv,
+    "json": _format_table_json,
+}
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    fvectors = fvector_table(args.max_n)
-    if args.format == "csv":
-        text = _format_table_csv(fvectors)
-    elif args.format == "json":
-        text = _format_table_json(fvectors)
-    else:
-        text = _format_table_text(fvectors)
-    _emit(text, args.out)
+    rows = _table_rows(fvector_table(args.max_n))
+    _emit(_TABLE_FORMATS[args.format](rows), args.out)
     return 0
 
 
@@ -169,30 +191,30 @@ def _selected_suites(requested: Optional[list]) -> frozenset:
 
 def _format_verify_text(outcomes) -> str:
     lines = [outcome.line() for outcome in outcomes]
-    tally = {PASS: 0, FAIL: 0, VACUOUS: 0, SKIP: 0}
-    for outcome in outcomes:
-        tally[outcome.status] += 1
+    tally = Counter(outcome.status for outcome in outcomes)
     lines.append(f"{tally[PASS]} pass, {tally[FAIL]} fail,"
                  f" {tally[VACUOUS]} vacuous, {tally[SKIP]} skip")
     return "\n".join(lines) + "\n"
 
 
 def _format_verify_csv(outcomes) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["suite", "n", "status", "detail", "counterexample"])
+    rows = [("suite", "n", "status", "detail", "counterexample")]
     for outcome in outcomes:
         witness = ""
         if outcome.counterexample is not None:
+            # Compact: a csv cell, not a JSON document.
             witness = json.dumps(outcome.counterexample, sort_keys=True)
-        writer.writerow([outcome.suite, outcome.n, outcome.status,
-                         outcome.detail or "", witness])
-    return buffer.getvalue()
+        rows.append((outcome.suite, outcome.n, outcome.status,
+                     outcome.detail or "", witness))
+    return _csv_text(rows)
 
 
-def _format_verify_json(outcomes) -> str:
-    payload = {"outcomes": [outcome.to_json_dict() for outcome in outcomes]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+_VERIFY_FORMATS = {
+    "text": _format_verify_text,
+    "csv": _format_verify_csv,
+    "json": lambda outcomes: _json_text(
+        {"outcomes": [outcome.to_json_dict() for outcome in outcomes]}),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -207,17 +229,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                ignore_budget=args.ignore_budget)
     chunks = _map_over_n(worker, range(1, args.max_n + 1), args.jobs)
     outcomes = [outcome for chunk in chunks for outcome in chunk]
-    if args.format == "csv":
-        text = _format_verify_csv(outcomes)
-    elif args.format == "json":
-        text = _format_verify_json(outcomes)
-    else:
-        text = _format_verify_text(outcomes)
-    _emit(text, args.out)
+    _emit(_VERIFY_FORMATS[args.format](outcomes), args.out)
     return 1 if any(outcome.status == FAIL for outcome in outcomes) else 0
 
 
 # -- homology ----------------------------------------------------------
+
+_HOMOLOGY_FORMATS = {
+    "text": lambda report: report.summary() + "\n",
+    "json": lambda report: _json_text(report.to_json_dict()),
+}
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
@@ -232,11 +253,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
               f" n <= {budget}; this may take a long time", file=sys.stderr)
     facets = maximal_simplices(build_graph(args.n))
     report = reduced_homology(build_chain_complex(facets))
-    if args.format == "json":
-        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    else:
-        text = report.summary() + "\n"
-    _emit(text, args.out)
+    _emit(_HOMOLOGY_FORMATS[args.format](report), args.out)
     if not homology_concentrated(report, report.euler_characteristic):
         print("error: homology deviates from the degree-2 concentration"
               " pattern; see the report above", file=sys.stderr)
@@ -246,11 +263,24 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 # -- export ------------------------------------------------------------
 
+
+def _format_bfile(rows, sequence: str) -> str:
+    """Lines "n value" of one column; sequence (chi or b) is a TableRow field."""
+    return "".join(f"{row.n} {getattr(row, sequence)}\n" for row in rows)
+
+
+def _poset(g):
+    return build_poset(build_nerve(g))
+
+
+# Target -> {format: formatter}; the first format is the target's default.
+# bfile formats table rows; the other targets format the graph on n.
 _EXPORT_FORMATS = {
-    "graph": ("dimacs", ("dimacs", "edges")),
-    "facets": ("text", ("text",)),
-    "poset": ("json", ("json", "text")),
-    "bfile": ("text", ("text",)),
+    "graph": {"dimacs": format_dimacs, "edges": format_edge_list},
+    "facets": {"text": lambda g: format_facet_lines(maximal_simplices(g))},
+    "poset": {"json": lambda g: _json_text(poset_json_dict(_poset(g))),
+              "text": lambda g: format_facet_lines(order_complex(_poset(g)).facets)},
+    "bfile": {"text": _format_bfile},
 }
 
 
@@ -260,12 +290,12 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    default_format, allowed = _EXPORT_FORMATS[args.what]
-    fmt = args.format or default_format
-    if fmt not in allowed:
+    formats = _EXPORT_FORMATS[args.what]
+    fmt = args.format or next(iter(formats))
+    if fmt not in formats:
         return _usage_error(
             f"format {fmt!r} is not valid for {args.what}"
-            f" (choose from {', '.join(allowed)})")
+            f" (choose from {', '.join(formats)})")
     if args.what == "bfile":
         if args.n is not None:
             return _usage_error("export bfile takes no --n; use --max-n")
@@ -273,12 +303,8 @@ def cmd_export(args: argparse.Namespace) -> int:
             return _usage_error("export bfile needs a sequence: chi or b")
         if args.max_n is None:
             return _usage_error("export bfile needs --max-n")
-        lines = []
-        for n, fvector in enumerate(fvector_table(args.max_n), start=1):
-            chi = fvector.euler_characteristic
-            value = chi if args.sequence == "chi" else chi - 1
-            lines.append(f"{n} {value}\n")
-        _emit("".join(lines), args.out)
+        rows = _table_rows(fvector_table(args.max_n))
+        _emit(formats[fmt](rows, args.sequence), args.out)
         return 0
     if args.sequence is not None:
         return _usage_error(f"export {args.what} takes no sequence argument")
@@ -287,30 +313,30 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.n is None:
         return _usage_error(f"export {args.what} needs --n")
     g = build_graph(args.n)
-    if args.what == "graph":
-        text = format_dimacs(g) if fmt == "dimacs" else format_edge_list(g)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            # Vertex legend rides along as a sibling file, never on stdout.
-            _write_files({args.out: text, args.out + ".legend": format_legend(g)})
-        return 0
-    if args.what == "facets":
-        _emit(format_facet_lines(maximal_simplices(g)), args.out)
-        return 0
-    poset = build_poset(build_nerve(g))
-    if fmt == "json":
-        text = json.dumps(poset_json_dict(poset), indent=2, sort_keys=True) + "\n"
+    text = formats[fmt](g)
+    if args.what == "graph" and args.out is not None:
+        # Vertex legend rides along as a sibling file, never on stdout.
+        _write_files({args.out: text, args.out + ".legend": format_legend(g)})
     else:
-        text = format_facet_lines(order_complex(poset).facets)
-    _emit(text, args.out)
+        _emit(text, args.out)
     return 0
 
 
 # -- parser ------------------------------------------------------------
 
 
+def _add_output_arguments(parser: argparse.ArgumentParser, formats: dict) -> None:
+    """--format, whose choices are the keys of a formatter table (the first
+    is the default), and --out."""
+    parser.add_argument("--format", choices=tuple(formats),
+                        default=next(iter(formats)))
+    parser.add_argument("--out", help="write here instead of stdout")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call returns a
+    fresh namespace, so calls share no parsed state."""
     parser = argparse.ArgumentParser(
         prog="partition-complex",
         description="Transfer graphs on integer partitions, their clique"
@@ -323,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         " partition listed")
     table.add_argument("--max-n", type=_positive_int, required=True,
                        help="largest n to tabulate")
-    table.add_argument("--format", choices=("text", "csv", "json"),
-                       default="text")
-    table.add_argument("--out", help="write here instead of stdout")
+    _add_output_arguments(table, _TABLE_FORMATS)
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="run the verification suites")
@@ -336,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest n to verify")
     verify.add_argument("--seed", type=int, default=None,
                         help="base seed for the randomized walk suite")
-    verify.add_argument("--format", choices=("text", "csv", "json"),
-                        default="text")
-    verify.add_argument("--out", help="write here instead of stdout")
+    _add_output_arguments(verify, _VERIFY_FORMATS)
     verify.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes, capped at the CPU count and the"
                         " number of n values; output is identical either way")
@@ -349,16 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     homology = sub.add_parser(
         "homology", help="exact integer homology of the clique complex")
     homology.add_argument("--n", type=_positive_int, required=True)
-    homology.add_argument("--format", choices=("text", "json"),
-                          default="text")
-    homology.add_argument("--out", help="write here instead of stdout")
+    _add_output_arguments(homology, _HOMOLOGY_FORMATS)
     homology.add_argument("--ignore-budget", action="store_true",
                           help="allow n past the default budget")
     homology.set_defaults(func=cmd_homology)
 
     export = sub.add_parser(
         "export", help="write graphs, facets, posets, or integer sequences")
-    export.add_argument("what", choices=("graph", "facets", "poset", "bfile"))
+    export.add_argument("what", choices=tuple(_EXPORT_FORMATS))
     export.add_argument("sequence", nargs="?", choices=("chi", "b"),
                         help="which sequence to export (bfile only)")
     export.add_argument("--n", type=_positive_int,

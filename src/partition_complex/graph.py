@@ -79,9 +79,6 @@ class PartitionGraph:
         except KeyError:
             raise UnknownVertexError(f"{lam} is not a partition of {self.n}") from None
 
-    def degree(self, vid: int) -> int:
-        return len(self.adjacency[vid])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) id pairs with i < j, sorted."""
         return [(i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs if i < j]

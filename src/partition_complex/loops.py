@@ -25,6 +25,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .graph import PartitionGraph
 from .partitions import TheoremViolationError, format_partition, parse_partition
 
+# Steps a random walk may take to return to its start before it is dropped.
+WALK_MAX_LEN = 40
+
 
 class InvalidLoopError(ValueError):
     """The sequence does not describe a closed walk in the graph."""
@@ -292,8 +295,9 @@ def reduce_loop(loop: EdgeLoop) -> ReductionTrace:
             hs = [heights[v] for v in ids]
 
 
-def random_closed_walk(graph: PartitionGraph, rng, max_len: int = 40) -> EdgeLoop:
-    """Random walk from a random start until it returns; retries on timeout."""
+def random_closed_walk(graph: PartitionGraph, rng) -> EdgeLoop:
+    """Random walk from a random start until it returns; a walk still out
+    after WALK_MAX_LEN steps is dropped and a new one started."""
     if not any(graph.adjacency):
         raise ValueError("the graph has no edges, so it has no nonconstant loops")
     for _ in range(10000):
@@ -302,9 +306,10 @@ def random_closed_walk(graph: PartitionGraph, rng, max_len: int = 40) -> EdgeLoo
             continue
         walk = [start]
         position = start
-        for _ in range(max_len):
+        for _ in range(WALK_MAX_LEN):
             position = rng.choice(graph.adjacency[position])
             if position == start:
                 return EdgeLoop(graph, walk)
             walk.append(position)
-    raise RuntimeError("no random walk returned to its start; raise max_len")
+    raise RuntimeError("no random walk returned to its start within"
+                       f" WALK_MAX_LEN = {WALK_MAX_LEN} steps")

@@ -312,6 +312,13 @@ def test_random_closed_walk_is_closed_and_seeded():
         random_closed_walk(build_graph(1), random.Random(0))
 
 
+def test_random_closed_walk_names_its_step_limit(monkeypatch):
+    # One step never returns: the graph has no loops at a vertex.
+    monkeypatch.setattr(loops, "WALK_MAX_LEN", 1)
+    with pytest.raises(RuntimeError, match="WALK_MAX_LEN = 1 steps"):
+        random_closed_walk(build_graph(5), random.Random(0))
+
+
 def test_loop_equality_and_hash():
     a = loop4("[4] [3,1] [4]")
     b = loop4("[4] [3,1] [4]")

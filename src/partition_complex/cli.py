@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -213,7 +214,7 @@ _VERIFY_FORMATS = {
     "text": _format_verify_text,
     "csv": _format_verify_csv,
     "json": lambda outcomes: _json_text(
-        {"outcomes": [outcome.to_json_dict() for outcome in outcomes]}),
+        {"outcomes": [dataclasses.asdict(outcome) for outcome in outcomes]}),
 }
 
 

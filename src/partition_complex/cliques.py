@@ -200,29 +200,28 @@ def _full_simplex(base_id: int, fiber: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted((base_id,) + fiber))
 
 
-def maximal_simplices(
-    g: PartitionGraph, cover: Optional[list[CoverMember]] = None
-) -> list[tuple[int, ...]]:
-    """Facets of the clique complex, derived from the classification.
+def maximal_simplices(g: PartitionGraph) -> list[tuple[int, ...]]:
+    """Facets of the clique complex, derived from the classification and
+    read off the graph's fibers.
 
     They are: full star- or top-simplices with fiber size >= 2, edges whose
     two fibers both have size 1, and isolated vertices as singletons (the
     last case only arises when the graph has a vertex with no moves at all).
     Each edge (i, j), i < j, lies in exactly one star fiber and one top
-    fiber of i, so it is a facet when the cover member (i, j) has both a
-    star and a top provenance based at i.
+    fiber of i, at the corners (c, a) of its move, so it is a facet when
+    both of those fibers hold j alone.
     """
-    if cover is None:
-        cover = canonical_cover(g)
     facets = set()
-    for member in cover:
-        if len(member.vertices) >= 3:
-            facets.add(member.vertices)
-        elif len(member.vertices) == 2:
-            low = member.vertices[0]
-            if len({kind for kind, base, _ in member.provenances if base == low}) == 2:
-                facets.add(member.vertices)
-    facets.update((i,) for i, nbrs in enumerate(g.adjacency) if not nbrs)
+    for i, moves in enumerate(g.moves):
+        star, top = g.star[i], g.top[i]
+        for fiber in itertools.chain(star.values(), top.values()):
+            if len(fiber) >= 2:
+                facets.add(_full_simplex(i, fiber))
+        for j, (c, a) in moves.items():
+            if i < j and len(star[c]) == 1 and len(top[a]) == 1:
+                facets.add((i, j))
+        if not moves:
+            facets.add((i,))
     return sorted(facets)
 
 

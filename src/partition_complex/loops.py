@@ -14,7 +14,8 @@ Only outside input is validated edge by edge, by the EdgeLoop constructor.
 The states of a reduction need no such pass: every edge of a new state
 either was an edge of the previous state, or was checked at the rewrite
 site, and cutting a spur x y x to x only joins x to the id that already
-followed the second x.
+followed the second x.  Nor do random walks, whose every step is drawn
+from the graph's adjacency.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class EdgeLoop:
 
     @classmethod
     def _unchecked(cls, graph: PartitionGraph, ids: tuple[int, ...]) -> EdgeLoop:
-        """A reduction state, whose edges the reducer has already checked."""
+        """A loop whose edges its maker has already checked: a reduction
+        state, or a random walk drawn step by step from the adjacency."""
         loop = object.__new__(cls)
         loop.graph = graph
         loop.ids = ids
@@ -309,7 +311,7 @@ def random_closed_walk(graph: PartitionGraph, rng) -> EdgeLoop:
         for _ in range(WALK_MAX_LEN):
             position = rng.choice(graph.adjacency[position])
             if position == start:
-                return EdgeLoop(graph, walk)
+                return EdgeLoop._unchecked(graph, tuple(walk))
             walk.append(position)
     raise RuntimeError("no random walk returned to its start within"
                        f" WALK_MAX_LEN = {WALK_MAX_LEN} steps")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .cliques import CoverMember, FVector, NotACliqueError, canonical_cover
+from .cliques import CoverMember, FVector, NotACliqueError, _check_clique, canonical_cover
 from .graph import PartitionGraph
 from .partitions import Partition, as_partition
 
@@ -81,12 +81,7 @@ def closure(nerve: NerveComplex, partitions: Iterable) -> tuple[Partition, ...]:
 def closure_ids(nerve: NerveComplex, vertex_ids: Sequence[int]) -> tuple[int, ...]:
     if not vertex_ids:
         raise NotACliqueError("closure needs a nonempty clique")
-    distinct = sorted(set(vertex_ids))
-    moves = nerve.graph.moves
-    for i, u in enumerate(distinct):
-        for v in distinct[i + 1 :]:
-            if v not in moves[u]:
-                raise NotACliqueError(f"vertices {u} and {v} are not adjacent")
+    distinct = _check_clique(nerve.graph, sorted(set(vertex_ids)))
     common = anchor_intersection_ids(nerve, distinct)
     if not common:
         return tuple(range(len(nerve.anchor_sets)))

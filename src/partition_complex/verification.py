@@ -1,9 +1,11 @@
 """Machine checks of the structure theory, organized as named suites.
 
-Each suite checks one cluster of claims for a single n and reports pass,
-fail (with a concrete counterexample), or vacuous when the claim has no
-instances at that n.  Suites at an n beyond their default runtime budget
-are skipped with an explicit record instead of silently running long.
+Each suite checks one cluster of claims for a single n.  It returns its
+pass detail, or raises _Counterexample with a concrete witness, or
+_Vacuous when the claim has no instances at that n; run_suite alone turns
+a suite run into a VerificationOutcome.  Suites at an n beyond their
+default runtime budget are skipped with an explicit record instead of
+silently running long.
 
 The checks deliberately pit independent routes against each other: the
 classification-driven constructions on one side, and either brute-force
@@ -59,17 +61,6 @@ FAIL = "fail"
 VACUOUS = "vacuous"
 SKIP = "skip"
 
-SUITE_ORDER = (
-    "triangles", "cliques", "facets", "cover", "nerve", "anchors",
-    "poset", "closure", "heights", "loops", "homology", "euler",
-)
-
-# default per-suite caps on n; beyond these a run records a skip unless told
-# to ignore budgets.  Each suite alone costs at most about 2 s at its cap on
-# one 2-vCPU machine.  The `homology` subcommand shares the homology cap:
-# the suite alone took 1.6-1.8 s at n = 32 and 2.2-2.4 s at n = 33.
-BUDGETS = {**dict.fromkeys(SUITE_ORDER, 20), "homology": 32, "euler": 25}
-
 WALKS_PER_N = 1000
 
 
@@ -89,15 +80,6 @@ class VerificationOutcome:
             pairs = ", ".join(f"{k}={v}" for k, v in sorted(self.counterexample.items()))
             text += f" [{pairs}]"
         return text
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n": self.n,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "detail": self.detail,
-        }
 
 
 class NContext:
@@ -121,7 +103,7 @@ class NContext:
 
     @cached_property
     def facets(self):
-        return maximal_simplices(self.graph, self.cover)
+        return maximal_simplices(self.graph)
 
     @cached_property
     def fvector(self):
@@ -155,19 +137,23 @@ def _literals(g, ids) -> list[str]:
     return [format_partition(g.vertices[v]) for v in ids]
 
 
-def _pass(suite: str, ctx: NContext, detail: str) -> VerificationOutcome:
-    return VerificationOutcome(suite, ctx.n, PASS, detail=detail)
+class _Counterexample(Exception):
+    """Raised by a suite that found a counterexample; carries its witness."""
+
+    def __init__(self, witness: dict):
+        super().__init__(witness)
+        self.witness = witness
 
 
-def _fail(suite: str, ctx: NContext, witness: dict) -> VerificationOutcome:
-    return VerificationOutcome(suite, ctx.n, FAIL, counterexample=witness)
+class _Vacuous(Exception):
+    """Raised by a suite whose claim has no instances at this n."""
+
+    def __init__(self, detail: str):
+        super().__init__(detail)
+        self.detail = detail
 
 
-def _vacuous(suite: str, ctx: NContext, detail: str) -> VerificationOutcome:
-    return VerificationOutcome(suite, ctx.n, VACUOUS, detail=detail)
-
-
-def _suite_triangles(ctx: NContext) -> VerificationOutcome:
+def _suite_triangles(ctx: NContext) -> str:
     """Triangle classification against raw adjacency, fiber cliqueness, and
     the graph's edge decompositions against a corner-pair scan, which must
     find exactly that one."""
@@ -180,7 +166,7 @@ def _suite_triangles(ctx: NContext) -> VerificationOutcome:
             closed = i2 in g.moves[i1]
             checked += 1
             if verdict.is_triangle != closed:
-                return _fail("triangles", ctx, {
+                raise _Counterexample({
                     "lam": format_partition(lam),
                     "mu1": format_partition(g.vertices[i1]),
                     "mu2": format_partition(g.vertices[i2]),
@@ -194,7 +180,7 @@ def _suite_triangles(ctx: NContext) -> VerificationOutcome:
                 for i1, i2 in itertools.combinations(fiber, 2):
                     checked += 1
                     if i2 not in g.moves[i1]:
-                        return _fail("triangles", ctx, {
+                        raise _Counterexample({
                             "lam": format_partition(lam), "corner": list(corner)[:2],
                             "mu1": format_partition(g.vertices[i1]),
                             "mu2": format_partition(g.vertices[i2]),
@@ -205,17 +191,17 @@ def _suite_triangles(ctx: NContext) -> VerificationOutcome:
         brute = [(c, a) for c, a, moved in ctx.scans[u] if moved == mu]
         checked += 1
         if [g.moves[u][v]] != brute:
-            return _fail("triangles", ctx, {
+            raise _Counterexample({
                 "lam": format_partition(lam), "mu": format_partition(mu),
                 "fast": 1, "scan": len(brute),
                 "claim": "every edge has exactly one decomposition",
             })
     if checked == 0:
-        return _vacuous("triangles", ctx, "no two-edge paths in this graph")
-    return _pass("triangles", ctx, f"{checked} checks")
+        raise _Vacuous("no two-edge paths in this graph")
+    return f"{checked} checks"
 
 
-def _suite_cliques(ctx: NContext) -> VerificationOutcome:
+def _suite_cliques(ctx: NContext) -> str:
     """Every clique of size >= 3 is star- or top-type at its lowest vertex,
     never both, and the witness fiber really contains the other members."""
     g = ctx.graph
@@ -227,50 +213,48 @@ def _suite_cliques(ctx: NContext) -> VerificationOutcome:
         verdict = classify_clique(g, clique)
         base_id = min(clique, key=lambda vid: g.heights[vid])
         if g.vertex_id(verdict.base) != base_id:
-            return _fail("cliques", ctx, {
+            raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "witness base must be the lowest vertex"})
         fibers = g.star if verdict.kind == STAR else g.top
         if not set(clique) - {base_id} <= set(fibers[base_id][verdict.corner]):
-            return _fail("cliques", ctx, {
+            raise _Counterexample({
                 "clique": _literals(g, clique), "kind": verdict.kind,
                 "claim": "members must lie in the witness fiber"})
         decomps = [g.moves[base_id][v] for v in clique if v != base_id]
         star_shared = len({c for c, _ in decomps}) == 1
         top_shared = len({a for _, a in decomps}) == 1
         if star_shared and top_shared:
-            return _fail("cliques", ctx, {
+            raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "a clique of size >= 3 cannot be both star- and top-type"})
     if checked == 0:
-        return _vacuous("cliques", ctx, "no cliques of size 3 or more")
-    return _pass("cliques", ctx, f"{checked} cliques classified")
+        raise _Vacuous("no cliques of size 3 or more")
+    return f"{checked} cliques classified"
 
 
-def _suite_facets(ctx: NContext) -> VerificationOutcome:
+def _suite_facets(ctx: NContext) -> str:
     """Classification-derived facets against generic maximal-clique search."""
     ours = set(ctx.facets)
     oracle = set(maximal_cliques_reference(ctx.graph))
     if ours != oracle:
         extra = sorted(ours - oracle)[:3]
         missing = sorted(oracle - ours)[:3]
-        return _fail("facets", ctx, {"extra": extra, "missing": missing})
-    return _pass("facets", ctx, f"{len(ours)} facets agree")
+        raise _Counterexample({"extra": extra, "missing": missing})
+    return f"{len(ours)} facets agree"
 
 
-def _suite_cover(ctx: NContext) -> VerificationOutcome:
+def _suite_cover(ctx: NContext) -> str:
     """Cover members are cliques matching each provenance (rebuilt from the
     base's corner-pair scan), and every clique of the graph lies inside some
     member, looked for among the members that hold its first vertex."""
-    if not ctx.cover:
-        return _vacuous("cover", ctx, "empty cover")
     g = ctx.graph
     checked = 0
     for member in ctx.cover:
         for u, v in itertools.combinations(member.vertices, 2):
             checked += 1
             if v not in g.moves[u]:
-                return _fail("cover", ctx, {
+                raise _Counterexample({
                     "member": list(member.vertices),
                     "claim": "cover members must be cliques"})
         for kind, base_id, corner in member.provenances:
@@ -278,7 +262,7 @@ def _suite_cover(ctx: NContext) -> VerificationOutcome:
             rebuilt = [base_id] + [g.index[moved] for c, a, moved in ctx.scans[base_id]
                                    if (c if kind == STAR else a) == corner]
             if tuple(sorted(rebuilt)) != member.vertices:
-                return _fail("cover", ctx, {
+                raise _Counterexample({
                     "member": list(member.vertices), "kind": kind,
                     "base": format_partition(g.vertices[base_id]),
                     "claim": "provenance must rebuild the member"})
@@ -288,10 +272,10 @@ def _suite_cover(ctx: NContext) -> VerificationOutcome:
         checked += 1
         vertex_set = set(clique)
         if not any(vertex_set <= member_sets[j] for j in holders.get(clique[0], ())):
-            return _fail("cover", ctx, {
+            raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "every clique lies in a cover member"})
-    return _pass("cover", ctx, f"{checked} checks over {len(ctx.cover)} members")
+    return f"{checked} checks over {len(ctx.cover)} members"
 
 
 def _postings(sets) -> dict[int, list[int]]:
@@ -331,7 +315,7 @@ def _count_intersecting_subfamilies(member_sets) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _suite_nerve(ctx: NContext) -> VerificationOutcome:
+def _suite_nerve(ctx: NContext) -> str:
     """Nerve simplices match cliques (nonempty intersections exactly over
     cliques), and the anchored f-vector agrees with brute subfamily search
     and with the clique complex's Euler characteristic.
@@ -341,15 +325,13 @@ def _suite_nerve(ctx: NContext) -> VerificationOutcome:
     smallest one that is not is the witness.  The brute search extends a
     subfamily only over the later members that meet its last member.
     """
-    if not ctx.cover:
-        return _vacuous("nerve", ctx, "empty cover")
     g = ctx.graph
     nerve = ctx.nerve
     checked = 0
     for clique in ctx.all_cliques:
         checked += 1
         if not anchor_intersection_ids(nerve, clique):
-            return _fail("nerve", ctx, {
+            raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "cliques must have nonempty member intersection"})
     vertex_count = len(g.vertices)
@@ -358,39 +340,35 @@ def _suite_nerve(ctx: NContext) -> VerificationOutcome:
               for u, v in itertools.combinations(vids, 2)
               if v not in g.moves[u]]
     if strays:
-        return _fail("nerve", ctx, {
+        raise _Counterexample({
             "pair": _literals(g, min(strays)),
             "claim": "non-edges must have empty member intersection"})
     anchored = ctx.nerve_fvector
     brute = _count_intersecting_subfamilies(nerve.member_sets)
     if anchored.counts != brute:
-        return _fail("nerve", ctx, {
+        raise _Counterexample({
             "anchored": list(anchored.counts), "brute": list(brute)})
     chi_complex = ctx.fvector.euler_characteristic
     if anchored.euler_characteristic != chi_complex:
-        return _fail("nerve", ctx, {
+        raise _Counterexample({
             "nerve_chi": anchored.euler_characteristic, "complex_chi": chi_complex})
-    return _pass("nerve", ctx,
-                 f"{checked} intersections, {sum(brute)} nerve simplices")
+    return f"{checked} intersections, {sum(brute)} nerve simplices"
 
 
-def _suite_anchors(ctx: NContext) -> VerificationOutcome:
+def _suite_anchors(ctx: NContext) -> str:
     """Anchor membership, the two-witness rigidity of full simplices, the
     candidate list for edge intersections, and the single-member rule for
     larger cliques."""
-    if not ctx.cover:
-        return _vacuous("anchors", ctx, "empty cover")
     g = ctx.graph
     nerve = ctx.nerve
-    checked = 0
+    checked = len(g.vertices) * len(nerve.member_sets)
+    holders = _postings(nerve.member_sets)
     for vid in range(len(g.vertices)):
-        members = nerve.anchor_sets[vid]
-        for mid, member_set in enumerate(nerve.member_sets):
-            checked += 1
-            if (mid in members) != (vid in member_set):
-                return _fail("anchors", ctx, {
-                    "vertex": format_partition(g.vertices[vid]), "member": mid,
-                    "claim": "anchor membership must mirror containment"})
+        mismatched = nerve.anchor_sets[vid].symmetric_difference(holders.get(vid, ()))
+        if mismatched:
+            raise _Counterexample({
+                "vertex": format_partition(g.vertices[vid]), "member": min(mismatched),
+                "claim": "anchor membership must mirror containment"})
     for member in ctx.cover:
         vertex_set = set(member.vertices)
         for vid in member.vertices:
@@ -401,7 +379,7 @@ def _suite_anchors(ctx: NContext) -> VerificationOutcome:
                     if len(vertex_set.intersection(fiber)) >= 2:
                         checked += 1
                         if member.vertices != _full_simplex(vid, fiber):
-                            return _fail("anchors", ctx, {
+                            raise _Counterexample({
                                 "member": list(member.vertices),
                                 "base": format_partition(g.vertices[vid]),
                                 "claim": claim})
@@ -409,7 +387,7 @@ def _suite_anchors(ctx: NContext) -> VerificationOutcome:
         common = anchor_intersection_ids(nerve, (u, v))
         checked += 1
         if not 1 <= len(common) <= 3:
-            return _fail("anchors", ctx, {
+            raise _Counterexample({
                 "edge": _literals(g, (u, v)),
                 "members": len(common),
                 "claim": "edge intersections have between one and three members"})
@@ -424,7 +402,7 @@ def _suite_anchors(ctx: NContext) -> VerificationOutcome:
             for mid in common:
                 checked += 1
                 if nerve.cover[mid].vertices not in candidates:
-                    return _fail("anchors", ctx, {
+                    raise _Counterexample({
                         "edge": _literals(g, (u, v)),
                         "member": list(nerve.cover[mid].vertices),
                         "claim": "edge-intersection members come from the candidate list"})
@@ -432,18 +410,16 @@ def _suite_anchors(ctx: NContext) -> VerificationOutcome:
         if len(clique) >= 3:
             checked += 1
             if len(anchor_intersection_ids(nerve, clique)) != 1:
-                return _fail("anchors", ctx, {
+                raise _Counterexample({
                     "clique": _literals(g, clique),
                     "claim": "larger cliques lie in exactly one member"})
-    return _pass("anchors", ctx, f"{checked} checks")
+    return f"{checked} checks"
 
 
-def _suite_poset(ctx: NContext) -> VerificationOutcome:
+def _suite_poset(ctx: NContext) -> str:
     """Restricted poset generators match the all-cliques definition, chains
     stay short, non-singleton elements are single-vertex or single-edge
     intersections, and all three Euler characteristics agree."""
-    if not ctx.cover:
-        return _vacuous("poset", ctx, "empty cover")
     g = ctx.graph
     nerve = ctx.nerve
     poset = ctx.poset
@@ -453,11 +429,11 @@ def _suite_poset(ctx: NContext) -> VerificationOutcome:
         if common:
             unrestricted.add(tuple(sorted(common)))
     if set(poset.elements) != unrestricted:
-        return _fail("poset", ctx, {
+        raise _Counterexample({
             "restricted": len(poset.elements), "unrestricted": len(unrestricted)})
     chain = max_chain_length(poset)
     if chain > 2:
-        return _fail("poset", ctx, {"max_chain_length": chain})
+        raise _Counterexample({"max_chain_length": chain})
     single_vertex = {tuple(sorted(s)) for s in nerve.anchor_sets if s}
     single_edge = set()
     for u, v in g.edges():
@@ -466,7 +442,7 @@ def _suite_poset(ctx: NContext) -> VerificationOutcome:
             single_edge.add(tuple(sorted(common)))
     for element in poset.elements:
         if len(element) >= 2 and element not in single_vertex and element not in single_edge:
-            return _fail("poset", ctx, {
+            raise _Counterexample({
                 "element": list(element),
                 "claim": "non-singleton elements arise from a vertex or an edge"})
     chains = order_complex(poset)
@@ -474,14 +450,13 @@ def _suite_poset(ctx: NContext) -> VerificationOutcome:
     chi_nerve = ctx.nerve_fvector.euler_characteristic
     chi_chains = chains.fvector.euler_characteristic
     if not chi_chains == chi_nerve == chi_complex:
-        return _fail("poset", ctx, {
+        raise _Counterexample({
             "chain_chi": chi_chains, "nerve_chi": chi_nerve, "complex_chi": chi_complex})
     if poset.elements and len(chains.fvector.counts) - 1 != chain:
-        return _fail("poset", ctx, {
+        raise _Counterexample({
             "chain_dimension": len(chains.fvector.counts) - 1,
             "max_chain_length": chain})
-    return _pass("poset", ctx,
-                 f"{len(poset.elements)} elements, longest chain {chain}")
+    return f"{len(poset.elements)} elements, longest chain {chain}"
 
 
 def _inclusions(sets) -> set[tuple[int, int]]:
@@ -496,7 +471,7 @@ def _inclusions(sets) -> set[tuple[int, int]]:
     return pairs
 
 
-def _suite_closure(ctx: NContext) -> VerificationOutcome:
+def _suite_closure(ctx: NContext) -> str:
     """Closure-operator laws over every clique, the anchor-preservation
     property, and the bijection between closed cliques and poset elements
     (order-reversing both ways).
@@ -506,8 +481,6 @@ def _suite_closure(ctx: NContext) -> VerificationOutcome:
     of their member intersections, each from one posting list per element.
     A fail names the smallest pair on which they differ.
     """
-    if not ctx.cover:
-        return _vacuous("closure", ctx, "empty cover")
     g = ctx.graph
     nerve = ctx.nerve
     checked = 0
@@ -523,23 +496,23 @@ def _suite_closure(ctx: NContext) -> VerificationOutcome:
         closed = close(clique)
         checked += 1
         if not set(clique) <= set(closed):
-            return _fail("closure", ctx, {
+            raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "closure must contain its argument"})
         if close(closed) != closed:
-            return _fail("closure", ctx, {
+            raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "closure must be idempotent"})
         if (anchor_intersection_ids(nerve, closed)
                 != anchor_intersection_ids(nerve, clique)):
-            return _fail("closure", ctx, {
+            raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "closure must preserve the member intersection"})
         for size in range(1, len(clique)):
             for sub in itertools.combinations(clique, size):
                 checked += 1
                 if not set(close(sub)) <= set(closed):
-                    return _fail("closure", ctx, {
+                    raise _Counterexample({
                         "clique": _literals(g, clique),
                         "subset": _literals(g, sub),
                         "claim": "closure must be monotone"})
@@ -548,12 +521,12 @@ def _suite_closure(ctx: NContext) -> VerificationOutcome:
     for closed in fixed:
         common = tuple(sorted(anchor_intersection_ids(nerve, closed)))
         if common in anchors_seen:
-            return _fail("closure", ctx, {
+            raise _Counterexample({
                 "first": list(anchors_seen[common]), "second": list(closed),
                 "claim": "closed cliques map injectively to intersections"})
         anchors_seen[common] = closed
     if set(anchors_seen) != set(ctx.poset.elements):
-        return _fail("closure", ctx, {
+        raise _Counterexample({
             "closed_images": len(anchors_seen), "poset": len(ctx.poset.elements),
             "claim": "closed cliques map onto the poset"})
     included = _inclusions(fixed)
@@ -562,13 +535,13 @@ def _suite_closure(ctx: NContext) -> VerificationOutcome:
     checked += len(fixed) * (len(fixed) - 1)
     if included != reversed_anchors:
         i, j = min(included ^ reversed_anchors)
-        return _fail("closure", ctx, {
+        raise _Counterexample({
             "first": list(fixed[i]), "second": list(fixed[j]),
             "claim": "inclusion of closed cliques reverses on intersections"})
-    return _pass("closure", ctx, f"{checked} checks, {len(fixed)} closed cliques")
+    return f"{checked} checks, {len(fixed)} closed cliques"
 
 
-def _suite_heights(ctx: NContext) -> VerificationOutcome:
+def _suite_heights(ctx: NContext) -> str:
     """Height change equals the row difference of the corners, adjacent
     heights always differ, and the conjugate criterion reproduces adjacency
     on every vertex pair."""
@@ -578,7 +551,7 @@ def _suite_heights(ctx: NContext) -> VerificationOutcome:
         for v, (c, a) in moves.items():
             checked += 1
             if g.heights[v] - g.heights[u] != a.row - c.row:
-                return _fail("heights", ctx, {
+                raise _Counterexample({
                     "lam": format_partition(g.vertices[u]),
                     "mu": format_partition(g.vertices[v]),
                     "from_row": c.row, "to_row": a.row,
@@ -586,7 +559,7 @@ def _suite_heights(ctx: NContext) -> VerificationOutcome:
     for u, v in g.edges():
         checked += 1
         if g.heights[u] == g.heights[v]:
-            return _fail("heights", ctx, {
+            raise _Counterexample({
                 "lam": format_partition(g.vertices[u]),
                 "mu": format_partition(g.vertices[v]),
                 "claim": "adjacent partitions must differ in height"})
@@ -595,21 +568,21 @@ def _suite_heights(ctx: NContext) -> VerificationOutcome:
     mismatched = set(edges_by_conjugate_scan(g)) ^ set(g.edges())
     if mismatched:
         u, v = min(mismatched)
-        return _fail("heights", ctx, {
+        raise _Counterexample({
             "lam": format_partition(g.vertices[u]),
             "mu": format_partition(g.vertices[v]),
             "claim": "conjugate criterion must match adjacency"})
     if checked == 0:
-        return _vacuous("heights", ctx, "no transfers, edges, or pairs")
-    return _pass("heights", ctx, f"{checked} checks")
+        raise _Vacuous("no transfers, edges, or pairs")
+    return f"{checked} checks"
 
 
-def _suite_loops(ctx: NContext) -> VerificationOutcome:
+def _suite_loops(ctx: NContext) -> str:
     """Seeded random closed walks all reduce to constant loops; descent and
     triangle validity are asserted inside every reduction step."""
     g = ctx.graph
     if g.edge_count() == 0:
-        return _vacuous("loops", ctx, "no edges, no loops")
+        raise _Vacuous("no edges, no loops")
     rng = random.Random(ctx.derived_seed)
     total_steps = 0
     for _ in range(WALKS_PER_N):
@@ -617,13 +590,13 @@ def _suite_loops(ctx: NContext) -> VerificationOutcome:
         try:
             trace = reduce_loop(walk)
         except TheoremViolationError as exc:
-            return _fail("loops", ctx, {
+            raise _Counterexample({
                 "loop": format_loop(walk), "error": str(exc)})
         if not trace.final.is_constant:
-            return _fail("loops", ctx, {
+            raise _Counterexample({
                 "loop": format_loop(walk), "claim": "reduction must end constant"})
         total_steps += len(trace.steps)
-    return _pass("loops", ctx, f"{WALKS_PER_N} walks, {total_steps} steps")
+    return f"{WALKS_PER_N} walks, {total_steps} steps"
 
 
 def homology_concentrated(report: HomologyReport, chi: int) -> bool:
@@ -638,20 +611,20 @@ def homology_concentrated(report: HomologyReport, chi: int) -> bool:
     )
 
 
-def _suite_homology(ctx: NContext) -> VerificationOutcome:
+def _suite_homology(ctx: NContext) -> str:
     """Exact homology is concentrated in degree 2 with free rank chi - 1."""
     cplx = build_chain_complex(ctx.facets)
     if cplx.fvector != ctx.fvector.counts:
-        return _fail("homology", ctx, {
+        raise _Counterexample({
             "chain_faces": list(cplx.fvector), "counted": list(ctx.fvector.counts)})
     report = reduced_homology(cplx)
     chi = ctx.fvector.euler_characteristic
     if not homology_concentrated(report, chi):
-        return _fail("homology", ctx, report.to_json_dict())
-    return _pass("homology", ctx, report.summary())
+        raise _Counterexample(report.to_json_dict())
+    return report.summary()
 
 
-def _suite_euler(ctx: NContext) -> VerificationOutcome:
+def _suite_euler(ctx: NContext) -> str:
     """Subset enumeration versus graph-based fiber counting versus corner
     counting per partition versus the sweep over part values (its row n)
     versus tabulated values, plus the partition-count recurrence for the
@@ -662,25 +635,26 @@ def _suite_euler(ctx: NContext) -> VerificationOutcome:
                          ("corner", fvector_by_corner_counting(ctx.n)),
                          ("dp", fvector_table(ctx.n)[-1])):
         if counted.counts != other.counts:
-            return _fail("euler", ctx, {
+            raise _Counterexample({
                 "route": route, "counted": list(counted.counts),
                 route: list(other.counts)})
     if counted.counts[0] != partition_count(ctx.n):
-        return _fail("euler", ctx, {
+        raise _Counterexample({
             "vertices": counted.counts[0], "recurrence": partition_count(ctx.n)})
     chi = counted.euler_characteristic
     if ctx.n <= reference.MAX_TABULATED_N:
         if chi != reference.EULER_CHARACTERISTIC[ctx.n]:
-            return _fail("euler", ctx, {
+            raise _Counterexample({
                 "chi": chi, "reference": reference.EULER_CHARACTERISTIC[ctx.n]})
         if chi - 1 != reference.SPHERE_COUNT[ctx.n]:
-            return _fail("euler", ctx, {
+            raise _Counterexample({
                 "shifted": chi - 1, "reference": reference.SPHERE_COUNT[ctx.n]})
-        return _pass("euler", ctx, f"chi={chi} matches the tabulated value")
-    return _pass("euler", ctx, f"chi={chi} (beyond the tabulated range)")
+        return f"chi={chi} matches the tabulated value"
+    return f"chi={chi} (beyond the tabulated range)"
 
 
-_SUITE_FUNCS: dict[str, Callable[[NContext], VerificationOutcome]] = {
+# Canonical suite order: a run reports its suites at each n in this order.
+_SUITE_FUNCS: dict[str, Callable[[NContext], str]] = {
     "triangles": _suite_triangles,
     "cliques": _suite_cliques,
     "facets": _suite_facets,
@@ -694,13 +668,31 @@ _SUITE_FUNCS: dict[str, Callable[[NContext], VerificationOutcome]] = {
     "homology": _suite_homology,
     "euler": _suite_euler,
 }
+SUITE_ORDER = tuple(_SUITE_FUNCS)
+
+# Suites about the cover, its nerve and poset: vacuous when the cover is empty.
+_COVER_SUITES = frozenset({"cover", "nerve", "anchors", "poset", "closure"})
+
+# default per-suite caps on n; beyond these a run records a skip unless told
+# to ignore budgets.  Each suite alone costs at most about 2 s at its cap on
+# one 2-vCPU machine.  The `homology` subcommand shares the homology cap:
+# the suite alone took 1.6-1.8 s at n = 32 and 2.2-2.4 s at n = 33.
+BUDGETS = {**dict.fromkeys(SUITE_ORDER, 20), "homology": 32, "euler": 25}
 
 
 def run_suite(name: str, ctx: NContext) -> VerificationOutcome:
-    """One suite at one n; any exception it raises becomes a fail outcome."""
+    """One suite at one n, recorded: its returned detail is a pass, a raised
+    _Counterexample a fail with that witness, a raised _Vacuous a vacuous
+    outcome, and any other exception a fail naming the error."""
     func = _SUITE_FUNCS[name]
     try:
-        return func(ctx)
+        if name in _COVER_SUITES and not ctx.cover:
+            raise _Vacuous("empty cover")
+        return VerificationOutcome(name, ctx.n, PASS, detail=func(ctx))
+    except _Counterexample as exc:
+        return VerificationOutcome(name, ctx.n, FAIL, counterexample=exc.witness)
+    except _Vacuous as exc:
+        return VerificationOutcome(name, ctx.n, VACUOUS, detail=exc.detail)
     except Exception as exc:
         return VerificationOutcome(name, ctx.n, FAIL, counterexample={
             "error": str(exc), "type": type(exc).__name__})

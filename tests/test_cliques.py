@@ -210,7 +210,7 @@ def test_bulk_fibers_match_partition_fibers():
                         lone_edges.add((vid, j))
         cover = canonical_cover(g)
         assert [(m.vertices, list(m.provenances)) for m in cover] == sorted(expected_cover.items())
-        assert {f for f in maximal_simplices(g, cover) if len(f) == 2} == lone_edges
+        assert {f for f in maximal_simplices(g) if len(f) == 2} == lone_edges
 
 
 def test_cover_provenances_match_corner_scan():

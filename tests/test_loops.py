@@ -312,6 +312,19 @@ def test_random_closed_walk_is_closed_and_seeded():
         random_closed_walk(build_graph(1), random.Random(0))
 
 
+def test_random_walks_pass_the_validating_constructor():
+    # Walks are built unchecked, since every step comes from the adjacency;
+    # the validating constructor must accept each one unchanged.
+    for n in range(2, 11):
+        g = build_graph(n)
+        for seed in (0, 1, 11):
+            rng = random.Random(seed)
+            for _ in range(100):
+                walk = random_closed_walk(g, rng)
+                assert len(walk) >= 2
+                assert EdgeLoop(g, walk.ids).ids == walk.ids
+
+
 def test_random_closed_walk_names_its_step_limit(monkeypatch):
     # One step never returns: the graph has no loops at a vertex.
     monkeypatch.setattr(loops, "WALK_MAX_LEN", 1)

@@ -165,6 +165,19 @@ def test_closure_rejects_non_cliques():
         closure_ids(nerve, [g.vertex_id((4,)), g.vertex_id((2, 2))])
 
 
+def test_closure_rejects_unknown_ids_and_accepts_repeats():
+    nerve = nerve_at(6)
+    # p(6) = 11, so the ids run 0..10; -1 must not wrap to the last vertex
+    for bad in (-1, 11):
+        with pytest.raises(NotACliqueError, match=f"unknown vertex id {bad}"):
+            closure_ids(nerve, [bad])
+    with pytest.raises(NotACliqueError, match="closure needs a nonempty clique"):
+        closure_ids(nerve, [])
+    g = nerve.graph
+    edge = (g.vertex_id((6,)), g.vertex_id((5, 1)))
+    assert closure_ids(nerve, edge + edge[::-1]) == closure_ids(nerve, edge)
+
+
 def test_poset_small():
     assert len(build_poset(nerve_at(2)).elements) == 1
     poset4 = build_poset(nerve_at(4))

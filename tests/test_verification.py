@@ -16,7 +16,9 @@ from partition_complex.verification import (
     FAIL,
     PASS,
     SUITE_ORDER,
+    VACUOUS,
     NContext,
+    VerificationOutcome,
     run_suite,
     run_verification,
     verify_single_n,
@@ -44,6 +46,52 @@ def test_suite_exception_becomes_fail_outcome(monkeypatch):
             assert outcome.counterexample == {"error": "'missing'", "type": "KeyError"}
         else:
             assert outcome.status != FAIL
+
+
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_run_suite_records_what_each_suite_reports(monkeypatch, name):
+    witness = {"claim": f"{name} found a counterexample", "n": 3}
+
+    def fails(ctx):
+        raise verification._Counterexample(witness)
+
+    def vacuous(ctx):
+        raise verification._Vacuous(f"{name} has no instances")
+
+    for suite, expected in (
+            (fails, VerificationOutcome(name, 3, FAIL, counterexample=witness)),
+            (vacuous, VerificationOutcome(name, 3, VACUOUS, detail=f"{name} has no instances")),
+            (lambda ctx: "all good", VerificationOutcome(name, 3, PASS, detail="all good"))):
+        monkeypatch.setitem(verification._SUITE_FUNCS, name, suite)
+        assert verify_single_n(3, {name}, 0) == [expected]
+
+
+def test_cover_suites_are_vacuous_on_an_empty_cover(monkeypatch):
+    ran = []
+    for name in SUITE_ORDER:
+        monkeypatch.setitem(verification._SUITE_FUNCS, name,
+                            lambda ctx, name=name: ran.append(name) or "ran")
+    # n = 1: one vertex, no moves, so the cover is empty
+    outcomes = verify_single_n(1, set(SUITE_ORDER), 0)
+    cover_suites = ["cover", "nerve", "anchors", "poset", "closure"]
+    assert [(o.suite, o.status, o.detail) for o in outcomes if o.status == VACUOUS] == [
+        (name, VACUOUS, "empty cover") for name in cover_suites]
+    assert ran == [name for name in SUITE_ORDER if name not in cover_suites]
+
+
+def test_verify_single_n_calls_run_suite_through_the_module(monkeypatch):
+    # perfbench's per-suite spans wrap the module attribute run_suite
+    real = verification.run_suite
+    calls = []
+
+    def recorder(name, ctx):
+        calls.append(name)
+        return real(name, ctx)
+
+    monkeypatch.setattr(verification, "run_suite", recorder)
+    outcomes = verify_single_n(3, set(SUITE_ORDER), 0)
+    assert calls == list(SUITE_ORDER)
+    assert [o.suite for o in outcomes] == list(SUITE_ORDER)
 
 
 @pytest.mark.parametrize("route, function", [
@@ -170,3 +218,25 @@ def test_closure_fail_names_the_pair_the_ordered_scan_finds_first(monkeypatch):
     assert outcome.counterexample == {
         "first": list(first), "second": list(second),
         "claim": "inclusion of closed cliques reverses on intersections"}
+
+
+def test_anchors_fail_names_the_first_vertex_and_member_that_disagree():
+    ctx = NContext(6)
+    assert run_suite("anchors", ctx).status == PASS
+    member_sets = ctx.nerve.member_sets
+    anchors = list(ctx.nerve.anchor_sets)
+    # vertex 4 loses its largest member and gains the first member it lacks,
+    # and vertex 6 gains or loses member 0
+    stranger = min(set(range(len(member_sets))) - anchors[4])
+    anchors[4] = anchors[4] - {max(anchors[4])} | {stranger}
+    anchors[6] = anchors[6] ^ {0}
+    ctx.nerve = dataclasses.replace(ctx.nerve, anchor_sets=tuple(anchors))
+    # the pair a scan of every (vertex, member) in order finds first
+    vertex, member = next(
+        (vid, mid) for vid in range(len(anchors)) for mid in range(len(member_sets))
+        if (mid in anchors[vid]) != (vid in member_sets[mid]))
+    outcome = run_suite("anchors", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {
+        "vertex": format_partition(ctx.graph.vertices[vertex]), "member": member,
+        "claim": "anchor membership must mirror containment"}

@@ -8,10 +8,8 @@ and each edge decomposes in exactly one way as a corner-to-corner transfer.
 from partition_complex import (
     adjacency_by_conjugate,
     build_graph,
-    edge_decompositions,
     format_dimacs,
     format_partition,
-    neighbors,
 )
 
 for n in (1, 3, 4):
@@ -23,7 +21,7 @@ print()
 g = build_graph(4)
 print("adjacency lists for n=4:")
 for vid, lam in enumerate(g.vertices):
-    targets = ", ".join(format_partition(mu) for mu in neighbors(g, lam))
+    targets = ", ".join(format_partition(g.vertices[other]) for other in g.adjacency[vid])
     print(f"  {format_partition(lam):12} -> {targets}")
 print()
 
@@ -35,7 +33,7 @@ print()
 print("each edge has exactly one transfer decomposition:")
 for i, j in g.edges():
     lam, mu = g.vertices[i], g.vertices[j]
-    ((c, a),) = edge_decompositions(lam, mu)
+    c, a = g.moves[i][j]
     print(f"  {format_partition(lam):10} -> {format_partition(mu):10} "
           f"via ({c.row},{c.col}) -> ({a.row},{a.col})")
 print()

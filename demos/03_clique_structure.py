@@ -9,27 +9,42 @@ counting the complex's faces cheap.
 from partition_complex import (
     build_graph,
     classify_clique,
-    classify_triangle,
     enumerate_simplices,
     format_partition,
     fvector_by_fiber_counting,
     maximal_simplices,
-    star_fiber,
-    top_fiber,
 )
 
+
+def fiber_names(g, fibers, row, col):
+    """Partition literals of the fiber at the corner (row, col)."""
+    (fiber,) = [f for c, f in fibers.items() if (c.row, c.col) == (row, col)]
+    return [format_partition(g.vertices[v]) for v in fiber]
+
+
+def triangle_verdict(g, lam, mu1, mu2):
+    """(kind, corner) of the path mu1 - lam - mu2, from its two edges' corner pairs."""
+    moves = g.moves[g.vertex_id(lam)]
+    (c1, a1), (c2, a2) = moves[g.vertex_id(mu1)], moves[g.vertex_id(mu2)]
+    if c1 == c2:
+        return "star", c1
+    if a1 == a2:
+        return "top", a1
+    return "none", None
+
+
+g4 = build_graph(4)
+base = g4.vertex_id((3, 1))
 print("fibers of (3,1): the one-corner neighborhoods")
-print(f"  star fiber at removable (1,3): "
-      f"{[format_partition(m) for m in star_fiber((3, 1), (1, 3))]}")
-print(f"  top fiber at addable (2,2):    "
-      f"{[format_partition(m) for m in top_fiber((3, 1), (2, 2))]}")
+print(f"  star fiber at removable (1,3): {fiber_names(g4, g4.star[base], 1, 3)}")
+print(f"  top fiber at addable (2,2):    {fiber_names(g4, g4.top[base], 2, 2)}")
 print()
 
-verdict = classify_triangle((3, 1), (2, 2), (2, 1, 1))
-print(f"path (2,2) - (3,1) - (2,1,1) closes into a {verdict.kind} triangle "
-      f"at corner ({verdict.corner.row},{verdict.corner.col})")
-fails = classify_triangle((2, 1), (3,), (1, 1, 1))
-print(f"path (3) - (2,1) - (1,1,1) classifies as '{fails.kind}': not a triangle")
+kind, corner = triangle_verdict(g4, (3, 1), (2, 2), (2, 1, 1))
+print(f"path (2,2) - (3,1) - (2,1,1) closes into a {kind} triangle "
+      f"at corner ({corner.row},{corner.col})")
+kind, _ = triangle_verdict(build_graph(3), (2, 1), (3,), (1, 1, 1))
+print(f"path (3) - (2,1) - (1,1,1) classifies as '{kind}': not a triangle")
 print()
 
 g = build_graph(6)

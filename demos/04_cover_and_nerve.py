@@ -7,18 +7,17 @@ exceed three elements: the order complex is at most 2-dimensional.
 """
 
 from partition_complex import (
-    anchor_intersection,
     build_graph,
     build_nerve,
     build_poset,
     canonical_cover,
-    closure,
     enumerate_simplices,
     format_partition,
     max_chain_length,
     nerve_fvector,
     order_complex,
 )
+from partition_complex.nerve import anchor_intersection_ids, closure_ids
 
 g = build_graph(4)
 cover = canonical_cover(g)
@@ -30,11 +29,12 @@ for member_id, member in enumerate(cover):
 print()
 
 nerve = build_nerve(g, cover)
-print(f"anchor of (3,1): members {anchor_intersection(nerve, [(3, 1)])}")
+triangle = [g.vertex_id(lam) for lam in [(3, 1), (2, 2), (2, 1, 1)]]
+print(f"anchor of (3,1): members {tuple(sorted(nerve.anchor_sets[triangle[0]]))}")
 print(f"anchor intersection of the star triangle: "
-      f"{anchor_intersection(nerve, [(3, 1), (2, 2), (2, 1, 1)])}")
-closed = closure(nerve, [(3, 1), (2, 2)])
-print(f"closure of {{(3,1),(2,2)}}: {[format_partition(p) for p in closed]}")
+      f"{tuple(sorted(anchor_intersection_ids(nerve, triangle)))}")
+closed = closure_ids(nerve, triangle[:2])
+print(f"closure of {{(3,1),(2,2)}}: {[format_partition(g.vertices[v]) for v in closed]}")
 print()
 
 print("nerve and complex agree on chi:")

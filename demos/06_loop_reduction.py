@@ -11,7 +11,6 @@ import random
 
 from partition_complex import (
     build_graph,
-    complexity,
     format_loop,
     parse_loop,
     random_closed_walk,
@@ -22,7 +21,9 @@ g4 = build_graph(4)
 for text in ["[4] [3,1] [4]", "[3,1] [2,2] [2,1,1] [3,1]"]:
     loop = parse_loop(g4, text)
     trace = reduce_loop(loop)
-    print(f"loop {text}   (H, M) = {tuple(complexity(loop))}")
+    heights = loop.heights()
+    peak = max(heights)
+    print(f"loop {text}   (H, M) = {(peak, heights.count(peak))}")
     for rule, step in trace.steps:
         print(f"  {rule:9} -> {format_loop(step)}")
     print()

@@ -14,29 +14,22 @@ from .cliques import (
     FVector,
     NotACliqueError,
     TheoremViolationError,
-    TriangleClass,
     canonical_cover,
     classify_clique,
-    classify_triangle,
     enumerate_simplices,
     format_facet_lines,
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
     fvector_table,
     maximal_simplices,
-    star_fiber,
-    top_fiber,
 )
 from .graph import (
     PartitionGraph,
     UnknownVertexError,
-    adjacency_by_conjugate,
     build_graph,
-    edge_decompositions,
     format_dimacs,
     format_edge_list,
     format_legend,
-    neighbors,
 )
 from .homology import (
     ChainComplex,
@@ -49,9 +42,7 @@ from .homology import (
 from .loops import (
     EdgeLoop,
     InvalidLoopError,
-    LoopComplexity,
     ReductionTrace,
-    complexity,
     format_loop,
     parse_loop,
     random_closed_walk,
@@ -61,16 +52,14 @@ from .nerve import (
     IntersectionPoset,
     NerveComplex,
     OrderComplex,
-    anchor_intersection,
     build_nerve,
     build_poset,
-    closure,
     max_chain_length,
     nerve_fvector,
     order_complex,
     poset_json_dict,
 )
-from .oracles import partition_count
+from .oracles import adjacency_by_conjugate, partition_count
 from .partitions import (
     Corner,
     InadmissibleTransferError,

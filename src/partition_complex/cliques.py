@@ -29,12 +29,6 @@ from .partitions import (
     InvalidPartitionError,
     Partition,
     TheoremViolationError,
-    as_partition,
-    _addable_corners,
-    _removable_corners,
-    _transfers,
-    _validated_addable,
-    _validated_removable,
     iter_partitions,
 )
 
@@ -93,42 +87,11 @@ class FVector:
         return _alternating_sum(self.counts)
 
 
-def star_fiber(lam: Iterable[int], c) -> list[Partition]:
-    """All results of moving the cell at removable corner c elsewhere."""
-    lam = as_partition(lam)
-    c = _validated_removable(lam, c)
-    return [mu for _, _, mu in _transfers(lam, [c], _addable_corners(lam))]
-
-
-def top_fiber(lam: Iterable[int], a) -> list[Partition]:
-    """All results of moving some removable cell of lam to addable corner a."""
-    lam = as_partition(lam)
-    a = _validated_addable(lam, a)
-    return [mu for _, _, mu in _transfers(lam, _removable_corners(lam), [a])]
-
-
-def classify_triangle(lam: Iterable[int], mu1: Iterable[int], mu2: Iterable[int]) -> TriangleClass:
-    """Decide whether the path mu1 - lam - mu2 closes into a triangle.
-
-    The verdict is read off the transfer decompositions: the triangle closes
-    iff the decompositions of the two edges share the removable corner
-    (star) or the addable corner (top).
-    """
-    lam = as_partition(lam)
-    mu1 = as_partition(mu1)
-    mu2 = as_partition(mu2)
-    if mu1 == mu2:
-        raise InvalidPartitionError(f"triangle arms must differ, got {mu1} twice")
-    arms = {mu: (c, a) for c, a, mu in
-            _transfers(lam, _removable_corners(lam), _addable_corners(lam))}
-    for mu in (mu1, mu2):
-        if mu not in arms:
-            raise InvalidPartitionError(f"{mu} is not adjacent to {lam}")
-    return _triangle_class(arms[mu1], arms[mu2])
-
-
 def _triangle_class(arm1: tuple[Corner, Corner], arm2: tuple[Corner, Corner]) -> TriangleClass:
-    """classify_triangle on the corner pairs (c, a) of the two edges."""
+    """Whether the path mu1 - lam - mu2 closes into a triangle, from the
+    corner pairs (c, a) of its two edges lam -> mu1 and lam -> mu2: it
+    closes iff they share the removable corner (star) or the addable
+    corner (top)."""
     (c1, a1), (c2, a2) = arm1, arm2
     if c1 == c2:
         return TriangleClass(STAR, c1)

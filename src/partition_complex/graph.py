@@ -7,27 +7,21 @@ gives the corner pair (c, a) of each of its edges, its star fibers (targets
 grouped by the removable corner that moves) and its top fibers (grouped by
 the addable corner that receives); the graph keeps all three.  Its
 adjacency is stored once, as the keys of the corner-pair maps, plus each
-vertex's neighbours in id order for walks and edge lists.  The equivalent
-conjugate criterion (one column count lowered, another raised, by one) is
-kept as the oracle form of adjacency.
+vertex's neighbours in id order for walks and edge lists.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .partitions import (
     Corner,
-    InvalidPartitionError,
     Partition,
     TheoremViolationError,
     _addable_corners,
     _removable_corners,
     _transfers,
-    admissible_transfers,
     as_partition,
-    conjugate,
     enumerate_partitions,
     format_partition,
     height,
@@ -135,50 +129,6 @@ def build_graph(n: int) -> PartitionGraph:
                     f"transfer adjacency is not symmetric and irreflexive at "
                     f"{vertices[i]}, {vertices[j]}")
     return g
-
-
-def neighbors(g: PartitionGraph, lam: Iterable[int]) -> list[Partition]:
-    """All vertices reachable from lam by one admissible transfer, in id order."""
-    vid = g.vertex_id(lam)
-    return [g.vertices[other] for other in g.adjacency[vid]]
-
-
-def adjacency_by_conjugate(lam: Iterable[int], mu: Iterable[int]) -> Optional[tuple[int, int]]:
-    """Columns (u, v) with mu' = lam' - e_u + e_v, or None if no such unit move exists.
-
-    This is the oracle form of adjacency: it never looks at corners or
-    transfers, only at the conjugate coordinate difference.
-    """
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    if sum(lam) != sum(mu):
-        raise InvalidPartitionError(f"{lam} and {mu} are partitions of different totals")
-    return _conjugate_unit_move(conjugate(lam), conjugate(mu))
-
-
-def _conjugate_unit_move(lam_conj: Partition, mu_conj: Partition) -> Optional[tuple[int, int]]:
-    """adjacency_by_conjugate on the two conjugates, unchecked."""
-    down = up = 0
-    for col, (old, new) in enumerate(zip_longest(lam_conj, mu_conj, fillvalue=0), start=1):
-        if old == new:
-            continue
-        if new == old - 1 and not down:
-            down = col
-        elif new == old + 1 and not up:
-            up = col
-        else:
-            return None
-    return (down, up) if down and up else None
-
-
-def edge_decompositions(lam: Iterable[int], mu: Iterable[int]) -> list[tuple[Corner, Corner]]:
-    """All corner pairs (c, a) with apply_transfer(lam, c, a) == mu, filtered
-    from the transfers of lam; each edge has exactly one."""
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    if sum(lam) != sum(mu):
-        raise InvalidPartitionError(f"{lam} and {mu} are partitions of different totals")
-    return [(c, a) for c, a, result in admissible_transfers(lam) if result == mu]
 
 
 def format_dimacs(g: PartitionGraph) -> str:

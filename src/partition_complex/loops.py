@@ -103,10 +103,6 @@ class LoopComplexity(NamedTuple):
     peak_count: int
 
 
-def complexity(loop: EdgeLoop) -> LoopComplexity:
-    return _complexity(loop.heights())
-
-
 def _complexity(heights: Sequence[int]) -> LoopComplexity:
     top = max(heights)
     return LoopComplexity(top, heights.count(top))
@@ -261,7 +257,7 @@ def reduce_loop(loop: EdgeLoop) -> ReductionTrace:
     """
     graph = loop.graph
     heights = graph.heights
-    before, length = complexity(loop), len(loop)
+    before, length = _complexity(loop.heights()), len(loop)
     steps = []
     ids = normalize_ids(loop.ids)
     hs = [heights[v] for v in ids]

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cliques import CoverMember, FVector, NotACliqueError, _check_clique, canonical_cover
 from .graph import PartitionGraph
-from .partitions import Partition, as_partition
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,6 @@ def build_nerve(graph: PartitionGraph, cover: Optional[Sequence[CoverMember]] = 
     return NerveComplex(graph, tuple(cover), member_sets, anchor_sets)
 
 
-def anchor_intersection(nerve: NerveComplex, partitions: Iterable) -> tuple[int, ...]:
-    """Members containing every given partition; empty exactly for non-cliques."""
-    ids = [nerve.graph.vertex_id(as_partition(p)) for p in partitions]
-    if not ids:
-        raise ValueError("anchor intersection needs at least one partition")
-    return tuple(sorted(anchor_intersection_ids(nerve, ids)))
-
-
 def anchor_intersection_ids(nerve: NerveComplex, vertex_ids: Sequence[int]) -> frozenset[int]:
     common = nerve.anchor_sets[vertex_ids[0]]
     for vertex_id in vertex_ids[1:]:
@@ -65,17 +56,6 @@ def anchor_intersection_ids(nerve: NerveComplex, vertex_ids: Sequence[int]) -> f
         if not common:
             break
     return common
-
-
-def closure(nerve: NerveComplex, partitions: Iterable) -> tuple[Partition, ...]:
-    """Largest vertex set whose anchors all contain the common anchor of S.
-
-    S must be a clique.  The result is again a clique containing S, and the
-    operator is extensive, monotone, and idempotent.
-    """
-    ids = [nerve.graph.vertex_id(as_partition(p)) for p in partitions]
-    closed = closure_ids(nerve, ids)
-    return tuple(nerve.graph.vertices[v] for v in closed)
 
 
 def closure_ids(nerve: NerveComplex, vertex_ids: Sequence[int]) -> tuple[int, ...]:

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths it is used to check:
 clique enumeration is generic graph search over the neighbour sets (the
 keys of g.moves) with no corner calculus (maximal cliques by Bron-Kerbosch
-with Tomita's pivot), the edge oracle uses only conjugate arithmetic,
-partition counting uses the recurrence with generalized pentagonal numbers,
+with Tomita's pivot), the edge oracle uses only conjugate arithmetic
+(two partitions are adjacent exactly when their conjugates differ by one
+unit move: one column count lowered, another raised, by one), partition
+counting uses the recurrence with generalized pentagonal numbers,
 and a vertex's transfers come from scanning all its corner pairs through the
 sorting transfer route (reading only the public corner lists), not from the
 one transfer pass that builds the graph.  Edge decompositions and full
@@ -15,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
-from .graph import PartitionGraph, _conjugate_unit_move
+from .graph import PartitionGraph
 from .partitions import (
     Corner,
     InadmissibleTransferError,
+    InvalidPartitionError,
     Partition,
     addable_corners,
     apply_transfer,
@@ -85,6 +88,35 @@ def all_cliques_reference(g: PartitionGraph) -> list[tuple[int, ...]]:
         extend((start,), g.moves[start].keys())
     out.sort(key=lambda clique: (len(clique), clique))
     return out
+
+
+def adjacency_by_conjugate(lam: Iterable[int], mu: Iterable[int]) -> Optional[tuple[int, int]]:
+    """Columns (u, v) with mu' = lam' - e_u + e_v, or None if no such unit move exists.
+
+    This is the oracle form of adjacency: it never looks at corners or
+    transfers, only at the conjugate coordinate difference.
+    """
+    lam = as_partition(lam)
+    mu = as_partition(mu)
+    if sum(lam) != sum(mu):
+        raise InvalidPartitionError(f"{lam} and {mu} are partitions of different totals")
+    return _conjugate_unit_move(conjugate(lam), conjugate(mu))
+
+
+def _conjugate_unit_move(lam_conj: Partition, mu_conj: Partition) -> Optional[tuple[int, int]]:
+    """adjacency_by_conjugate on the two conjugates, unchecked."""
+    down = up = 0
+    columns = itertools.zip_longest(lam_conj, mu_conj, fillvalue=0)
+    for col, (old, new) in enumerate(columns, start=1):
+        if old == new:
+            continue
+        if new == old - 1 and not down:
+            down = col
+        elif new == old + 1 and not up:
+            up = col
+        else:
+            return None
+    return (down, up) if down and up else None
 
 
 def edges_by_conjugate_scan(g: PartitionGraph) -> list[tuple[int, int]]:

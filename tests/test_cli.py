@@ -255,6 +255,7 @@ def test_out_write_failure_exits_1():
     result = run_cli("table", "--max-n", "2", "--out", "/nonexistent/dir/t.txt")
     assert result.returncode == 1
     assert "error" in result.stderr
+    assert "/nonexistent/dir/t.txt" in result.stderr and ".tmp" not in result.stderr
 
 
 def test_out_directory_exits_1_without_temp_file(tmp_path, capsys):

@@ -18,9 +18,10 @@ from partition_complex.cliques import (
     STAR,
     TOP,
     NotACliqueError,
+    TriangleClass,
+    _triangle_class,
     canonical_cover,
     classify_clique,
-    classify_triangle,
     enumerate_simplices,
     format_facet_lines,
     _fiber_size_histograms,
@@ -31,10 +32,8 @@ from partition_complex.cliques import (
     fvector_by_fiber_counting,
     fvector_table,
     maximal_simplices,
-    star_fiber,
-    top_fiber,
 )
-from partition_complex.graph import build_graph, edge_decompositions
+from partition_complex.graph import build_graph
 from partition_complex.oracles import (
     all_cliques_reference,
     maximal_cliques_reference,
@@ -45,7 +44,6 @@ from partition_complex.partitions import (
     ADDABLE,
     REMOVABLE,
     Corner,
-    InvalidCornerError,
     InvalidPartitionError,
     TheoremViolationError,
     addable_corners,
@@ -56,66 +54,85 @@ from partition_complex.partitions import (
 )
 
 
+def stored_fiber(lam, kind, row, col):
+    """The partitions in lam's stored star (REMOVABLE) or top (ADDABLE)
+    fiber at the corner (row, col)."""
+    g = build_graph(sum(lam))
+    vid = g.vertex_id(lam)
+    fibers = g.star[vid] if kind == REMOVABLE else g.top[vid]
+    return [g.vertices[mu] for mu in fibers[Corner(row, col, kind)]]
+
+
 def test_star_fiber():
-    assert set(star_fiber((3, 1), (1, 3))) == {(2, 2), (2, 1, 1)}
-    assert star_fiber((5,), (1, 5)) == [(4, 1)]
+    assert set(stored_fiber((3, 1), REMOVABLE, 1, 3)) == {(2, 2), (2, 1, 1)}
+    assert stored_fiber((5,), REMOVABLE, 1, 5) == [(4, 1)]
     # The new-row target of (1,1)'s only cell is the identity, so it drops out.
-    assert star_fiber((1, 1), (2, 1)) == [(2,)]
-    with pytest.raises(InvalidPartitionError):
-        star_fiber((1, 2), (1, 1))
-    with pytest.raises(InvalidCornerError):
-        star_fiber((3, 1), (1, 2))
+    assert stored_fiber((1, 1), REMOVABLE, 2, 1) == [(2,)]
+    # A cell that is not a removable corner has no star fiber.
+    g = build_graph(4)
+    assert Corner(1, 2, REMOVABLE) not in g.star[g.vertex_id((3, 1))]
 
 
 def test_top_fiber():
-    assert top_fiber((3, 1), (2, 2)) == [(2, 2)]
-    assert top_fiber((2, 1, 1), (1, 3)) == [(3, 1)]
-    assert top_fiber((2, 2), (3, 1)) == [(2, 1, 1)]
-    with pytest.raises(InvalidPartitionError):
-        top_fiber((1, 2), (1, 2))
-    with pytest.raises(InvalidCornerError):
-        top_fiber((3, 1), (2, 3))
+    assert stored_fiber((3, 1), ADDABLE, 2, 2) == [(2, 2)]
+    assert stored_fiber((2, 1, 1), ADDABLE, 1, 3) == [(3, 1)]
+    assert stored_fiber((2, 2), ADDABLE, 3, 1) == [(2, 1, 1)]
+    # A cell that is not an addable corner has no top fiber.
+    g = build_graph(4)
+    assert Corner(2, 3, ADDABLE) not in g.top[g.vertex_id((3, 1))]
 
 
 def test_fibers_filter_admissible_transfers():
-    """Each fiber lists its transfers' results in admissible_transfers order."""
+    """Each stored fiber lists its transfers' results in admissible_transfers
+    order, which is also the order of the corner-pair scan."""
     for n in range(1, 11):
-        for lam in enumerate_partitions(n):
-            transfers = admissible_transfers(lam)
-            for c in removable_corners(lam):
-                assert star_fiber(lam, c) == [mu for src, _, mu in transfers if src == c]
-            for a in addable_corners(lam):
-                assert top_fiber(lam, a) == [mu for _, dst, mu in transfers if dst == a]
+        g = build_graph(n)
+        for vid, lam in enumerate(g.vertices):
+            for transfers in (admissible_transfers(lam), transfers_by_scan(lam)):
+                for c, fiber in g.star[vid].items():
+                    assert [g.vertices[mu] for mu in fiber] == [
+                        mu for src, _, mu in transfers if src == c]
+                for a, fiber in g.top[vid].items():
+                    assert [g.vertices[mu] for mu in fiber] == [
+                        mu for _, dst, mu in transfers if dst == a]
+
+
+def triangle_class(g, lam, mu1, mu2):
+    """The verdict on the path mu1 - lam - mu2, from its two edges' moves."""
+    moves = g.moves[g.vertex_id(lam)]
+    return _triangle_class(moves[g.vertex_id(mu1)], moves[g.vertex_id(mu2)])
 
 
 def test_classify_triangle():
-    verdict = classify_triangle((3, 1), (2, 2), (2, 1, 1))
+    g = build_graph(4)
+    verdict = triangle_class(g, (3, 1), (2, 2), (2, 1, 1))
+    assert isinstance(verdict, TriangleClass)
     assert verdict.kind == STAR
     assert (verdict.corner.row, verdict.corner.col) == (1, 3)
     assert verdict.is_triangle
 
-    verdict = classify_triangle((2, 2), (3, 1), (2, 1, 1))
+    verdict = triangle_class(g, (2, 2), (3, 1), (2, 1, 1))
     assert verdict.kind == STAR
     assert (verdict.corner.row, verdict.corner.col) == (2, 2)
 
 
 def test_classify_triangle_rejects_bad_paths():
-    with pytest.raises(InvalidPartitionError):
-        classify_triangle((2, 1), (3,), (3,))
+    g = build_graph(3)
     # (3) and (1,1,1) are both adjacent to (2,1) but not to each other.
-    verdict = classify_triangle((2, 1), (3,), (1, 1, 1))
+    verdict = triangle_class(g, (2, 1), (3,), (1, 1, 1))
     assert verdict.kind == NOT_TRIANGLE
     assert not verdict.is_triangle
-    with pytest.raises(InvalidPartitionError):
-        classify_triangle((4,), (2, 2), (3, 1))
+    # (2,2) is no arm of (4): there is no move to classify.
+    g4 = build_graph(4)
+    assert g4.vertex_id((2, 2)) not in g4.moves[g4.vertex_id((4,))]
 
 
 def test_triangle_verdict_matches_adjacency_at_n7():
     g = build_graph(7)
     for lam_id, row in enumerate(g.adjacency):
+        moves = g.moves[lam_id]
         for mu1_id, mu2_id in itertools.combinations(row, 2):
-            verdict = classify_triangle(
-                g.vertices[lam_id], g.vertices[mu1_id], g.vertices[mu2_id])
+            verdict = _triangle_class(moves[mu1_id], moves[mu2_id])
             assert verdict.is_triangle == (mu2_id in g.moves[mu1_id])
 
 
@@ -176,37 +193,41 @@ def test_canonical_cover_small():
 def test_full_simplices_match_fibers():
     g = build_graph(6)
     lam = (3, 2, 1)
+    scan = transfers_by_scan(lam)
     star = _full_simplex(g, g.star, lam, Corner(2, 2, REMOVABLE))
     assert star == tuple(sorted(
-        [g.vertex_id(lam)] + [g.vertex_id(mu) for mu in star_fiber(lam, (2, 2))]))
+        [g.vertex_id(lam)] + [g.vertex_id(mu) for c, _, mu in scan if (c.row, c.col) == (2, 2)]))
     top = _full_simplex(g, g.top, lam, Corner(2, 3, ADDABLE))
     assert top == tuple(sorted(
-        [g.vertex_id(lam)] + [g.vertex_id(mu) for mu in top_fiber(lam, (2, 3))]))
+        [g.vertex_id(lam)] + [g.vertex_id(mu) for _, a, mu in scan if (a.row, a.col) == (2, 3)]))
 
 
 def test_bulk_fibers_match_partition_fibers():
     """The graph's stored fibers, the cover, edge facets and full simplices
-    agree with star_fiber/top_fiber."""
+    agree with the fibers filtered from each vertex's corner-pair scan."""
     for n in range(1, 13):
         g = build_graph(n)
         expected_cover: dict = {}
         lone_edges = set()
         for vid, lam in enumerate(g.vertices):
-            for kind, corners, fiber_of, stored in (
-                (STAR, removable_corners(lam), star_fiber, g.star[vid]),
-                (TOP, addable_corners(lam), top_fiber, g.top[vid]),
+            scan = transfers_by_scan(lam)
+            fibers = {}
+            for kind, corners, stored, side in (
+                (STAR, removable_corners(lam), g.star[vid], 0),
+                (TOP, addable_corners(lam), g.top[vid], 1),
             ):
                 assert list(stored) == corners
                 for corner in corners:
-                    fiber = [g.index[mu] for mu in fiber_of(lam, corner)]
+                    fiber = [g.index[move[2]] for move in scan if move[side] == corner]
                     assert list(stored[corner]) == fiber
+                    fibers[corner] = fiber
                     members = tuple(sorted([vid] + fiber))
                     if fiber:
                         expected_cover.setdefault(members, []).append((kind, vid, corner))
             for j in g.adjacency[vid]:
                 if vid < j:
-                    [(c, a)] = edge_decompositions(lam, g.vertices[j])
-                    if len(star_fiber(lam, c)) == 1 and len(top_fiber(lam, a)) == 1:
+                    [(c, a)] = [(c, a) for c, a, mu in scan if mu == g.vertices[j]]
+                    if len(fibers[c]) == 1 and len(fibers[a]) == 1:
                         lone_edges.add((vid, j))
         cover = canonical_cover(g)
         assert [(m.vertices, list(m.provenances)) for m in cover] == sorted(expected_cover.items())

@@ -6,22 +6,32 @@ import pytest
 
 from partition_complex.graph import (
     UnknownVertexError,
-    adjacency_by_conjugate,
     build_graph,
-    edge_decompositions,
     format_dimacs,
     format_edge_list,
     format_legend,
-    neighbors,
 )
-from partition_complex.oracles import edges_by_conjugate_scan, transfers_by_scan
+from partition_complex.oracles import (
+    adjacency_by_conjugate,
+    edges_by_conjugate_scan,
+    transfers_by_scan,
+)
 from partition_complex.partitions import (
     InvalidPartitionError,
     admissible_transfers,
     apply_transfer,
-    enumerate_partitions,
     height,
 )
+
+
+def neighbours(g, lam):
+    """The neighbours of lam, in id order."""
+    return [g.vertices[other] for other in g.adjacency[g.vertex_id(lam)]]
+
+
+def scan_decompositions(lam, mu):
+    """Every corner pair (c, a) of the corner-pair scan of lam that gives mu."""
+    return [(c, a) for c, a, moved in transfers_by_scan(lam) if moved == mu]
 
 
 def test_tiny_graphs():
@@ -30,8 +40,8 @@ def test_tiny_graphs():
     g3 = build_graph(3)
     assert len(g3.vertices) == 3 and g3.edge_count() == 2
     # (3)-(2,1)-(1,1,1) is a path: the middle vertex has both neighbors.
-    assert sorted(neighbors(g3, (2, 1))) == [(1, 1, 1), (3,)]
-    assert neighbors(g3, (3,)) == [(2, 1)]
+    assert sorted(neighbours(g3, (2, 1))) == [(1, 1, 1), (3,)]
+    assert neighbours(g3, (3,)) == [(2, 1)]
 
 
 def test_graph_4():
@@ -50,10 +60,10 @@ def test_graph_4():
 
 def test_neighbors():
     g2 = build_graph(2)
-    assert neighbors(g2, (1, 1)) == [(2,)]
+    assert neighbours(g2, (1, 1)) == [(2,)]
     g4 = build_graph(4)
-    assert sorted(neighbors(g4, (3, 1))) == [(2, 1, 1), (2, 2), (4,)]
-    assert neighbors(g4, (4,)) == [(3, 1)]
+    assert sorted(neighbours(g4, (3, 1))) == [(2, 1, 1), (2, 2), (4,)]
+    assert neighbours(g4, (4,)) == [(3, 1)]
 
 
 def test_are_adjacent():
@@ -82,34 +92,33 @@ def test_adjacency_by_conjugate():
 
 
 def test_edge_decompositions_unique_and_correct():
-    decomps = edge_decompositions((3, 1), (2, 2))
-    assert len(decomps) == 1
-    c, a = decomps[0]
+    g = build_graph(4)
+    vid = g.vertex_id
+    c, a = g.moves[vid((3, 1))][vid((2, 2))]
     assert (c.row, c.col) == (1, 3)
     assert (a.row, a.col) == (2, 2)
     assert apply_transfer((3, 1), c, a) == (2, 2)
-    assert edge_decompositions((4,), (1, 1, 1, 1)) == []
-    assert edge_decompositions((3, 1), (3, 1)) == []
+    assert scan_decompositions((3, 1), (2, 2)) == [(c, a)]
+    assert vid((1, 1, 1, 1)) not in g.moves[vid((4,))]
+    assert scan_decompositions((4,), (1, 1, 1, 1)) == []
+    assert scan_decompositions((3, 1), (3, 1)) == []
 
 
 def test_edge_decompositions_match_corner_scan_on_all_pairs():
+    """The scan reaches each neighbour by exactly one corner pair, and no
+    other vertex at all: a non-neighbour has no decomposition."""
     for n in range(1, 11):
-        vertices = enumerate_partitions(n)
-        for lam in vertices:
-            scan = transfers_by_scan(lam)
-            for mu in vertices:
-                assert edge_decompositions(lam, mu) == [
-                    (c, a) for c, a, moved in scan if moved == mu]
-    with pytest.raises(InvalidPartitionError):
-        edge_decompositions((3, 1), (2, 2, 1))
-    with pytest.raises(InvalidPartitionError):
-        edge_decompositions((3, 1), (3, 0))
+        g = build_graph(n)
+        for u, lam in enumerate(g.vertices):
+            reached = [g.index[moved] for _, _, moved in transfers_by_scan(lam)]
+            assert sorted(reached) == list(g.adjacency[u])
 
 
 def test_every_edge_has_exactly_one_decomposition():
     g = build_graph(9)
     for i, j in g.edges():
-        assert len(edge_decompositions(g.vertices[i], g.vertices[j])) == 1
+        assert scan_decompositions(g.vertices[i], g.vertices[j]) == [g.moves[i][j]]
+        assert scan_decompositions(g.vertices[j], g.vertices[i]) == [g.moves[j][i]]
 
 
 def test_moves_record_each_transfer_in_order():
@@ -126,13 +135,13 @@ def test_moves_record_each_transfer_in_order():
 
 
 def test_symmetric_irreflexive_and_matches_conjugate_scan():
-    for n in range(1, 9):
+    for n in range(1, 11):
         g = build_graph(n)
         for i, row in enumerate(g.adjacency):
             assert i not in g.moves[i]
             for j in row:
                 assert i in g.moves[j]
-        assert sorted(g.edges()) == edges_by_conjugate_scan(g)
+        assert edges_by_conjugate_scan(g) == g.edges()
 
 
 def test_conjugate_scan_matches_per_pair_conjugate_rule():

@@ -1,0 +1,61 @@
+"""The oracles and the demos keep to the package's public surface.
+
+oracles.py recomputes what the fast path builds, so it must not reach into
+the modules it checks: it imports no underscore-prefixed name from any
+partition_complex module, and from .graph nothing but the PartitionGraph
+type it reads.  The demos show the public API, so none of them imports an
+underscore-prefixed name from the package.  Both rules are read off the
+import statements, without importing anything.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ORACLES = ROOT / "src" / "partition_complex" / "oracles.py"
+DEMOS = ROOT / "demos"
+
+
+def package_imports(path):
+    """(module, name) for each name a file imports from partition_complex.
+
+    module is the dotted name inside the package ("graph" for both
+    "from .graph import x" and "from partition_complex.graph import x", ""
+    for the package itself); a plain "import partition_complex..." gives
+    the name "*".
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                inner = module
+            elif module == "partition_complex" or module.startswith("partition_complex."):
+                inner = module[len("partition_complex."):]
+            else:
+                continue
+            found.extend((inner, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.extend(
+                (alias.name[len("partition_complex."):], "*") for alias in node.names
+                if alias.name.split(".")[0] == "partition_complex")
+    return found
+
+
+def test_oracles_import_no_private_name_and_only_the_graph_type():
+    imports = package_imports(ORACLES)
+    assert ("graph", "PartitionGraph") in imports
+    private = [(module, name) for module, name in imports if name.startswith("_")]
+    assert not private, f"oracles.py imports private names {private}"
+    from_graph = [name for module, name in imports if module == "graph"]
+    assert from_graph == ["PartitionGraph"], (
+        f"oracles.py imports {from_graph} from .graph")
+
+
+def test_demos_import_no_private_name():
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos
+    for path in demos:
+        private = [(module, name) for module, name in package_imports(path)
+                   if name.startswith("_")]
+        assert not private, f"{path.name} imports private names {private}"

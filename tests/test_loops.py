@@ -19,7 +19,7 @@ from partition_complex.loops import (
     EdgeLoop,
     InvalidLoopError,
     LoopComplexity,
-    complexity,
+    _complexity,
     format_loop,
     normalize_ids,
     parse_loop,
@@ -33,6 +33,10 @@ G4 = build_graph(4)
 
 def loop4(text):
     return parse_loop(G4, text)
+
+
+def complexity(loop):
+    return _complexity(loop.heights())
 
 
 def test_parse_strips_the_closing_vertex():

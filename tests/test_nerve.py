@@ -12,11 +12,9 @@ from partition_complex.cliques import (
 from partition_complex.graph import build_graph
 from partition_complex.nerve import (
     NerveComplex,
-    anchor_intersection,
     anchor_intersection_ids,
     build_nerve,
     build_poset,
-    closure,
     closure_ids,
     max_chain_length,
     nerve_fvector,
@@ -37,6 +35,12 @@ def nerve_at(n):
     return build_nerve(build_graph(n))
 
 
+def anchor_of(nerve, partitions):
+    """Sorted ids of the members that contain every given partition."""
+    ids = [nerve.graph.vertex_id(lam) for lam in partitions]
+    return tuple(sorted(anchor_intersection_ids(nerve, ids)))
+
+
 def test_nerve_small():
     n2 = nerve_at(2)
     assert n2.vertex_count == 1
@@ -53,7 +57,7 @@ def test_empty_nerve_at_1():
     n1 = nerve_at(1)
     assert n1.vertex_count == 0
     assert nerve_fvector(n1).counts == ()
-    assert anchor_intersection(n1, [(1,)]) == ()
+    assert anchor_of(n1, [(1,)]) == ()
 
 
 def test_nerve_simplices_match_anchor_intersections():
@@ -63,29 +67,29 @@ def test_nerve_simplices_match_anchor_intersections():
         for members in itertools.combinations(range(nerve.vertex_count), size):
             shared = frozenset.intersection(*(nerve.member_sets[m] for m in members))
             in_some_anchor = any(
-                set(members) <= set(anchor_intersection(nerve, [lam])) for lam in vertices)
+                set(members) <= set(anchor_of(nerve, [lam])) for lam in vertices)
             assert in_some_anchor == bool(shared)
             if shared:
-                common = anchor_intersection(nerve, [vertices[v] for v in shared])
+                common = anchor_of(nerve, [vertices[v] for v in shared])
                 assert set(members) <= set(common)
 
 
 def test_anchor():
     n3 = nerve_at(3)
-    assert anchor_intersection(n3, [(2, 1)]) == (0, 1)
+    assert anchor_of(n3, [(2, 1)]) == (0, 1)
 
     g4 = build_graph(4)
     n4 = build_nerve(g4)
     star = star_simplex(g4, (3, 1), 1, 3)
     star_member = next(
         i for i, member in enumerate(n4.cover) if member.vertices == star)
-    assert star_member in anchor_intersection(n4, [(3, 1)])
+    assert star_member in anchor_of(n4, [(3, 1)])
 
 
 def test_anchor_members_all_contain_the_vertex():
     nerve = nerve_at(7)
     for vid, lam in enumerate(nerve.graph.vertices):
-        members = anchor_intersection(nerve, [lam])
+        members = anchor_of(nerve, [lam])
         assert members == tuple(
             mid for mid, member_set in enumerate(nerve.member_sets) if vid in member_set)
 
@@ -93,18 +97,15 @@ def test_anchor_members_all_contain_the_vertex():
 def test_anchor_intersection():
     n3 = nerve_at(3)
     # (3) and (1,1,1) sit at opposite ends of the path: not an edge.
-    assert anchor_intersection(n3, [(3,), (1, 1, 1)]) == ()
-    assert anchor_intersection(n3, [(2, 1)]) == tuple(
+    assert anchor_of(n3, [(3,), (1, 1, 1)]) == ()
+    assert anchor_of(n3, [(2, 1)]) == tuple(
         sorted(n3.anchor_sets[n3.graph.vertex_id((2, 1))]))
 
     g4 = build_graph(4)
     n4 = build_nerve(g4)
-    triple = anchor_intersection(n4, [(3, 1), (2, 2), (2, 1, 1)])
+    triple = anchor_of(n4, [(3, 1), (2, 2), (2, 1, 1)])
     assert len(triple) == 1
     assert n4.cover[triple[0]].vertices == star_simplex(g4, (3, 1), 1, 3)
-
-    with pytest.raises(ValueError):
-        anchor_intersection(n4, [])
 
 
 def test_triple_intersections_are_singletons():
@@ -120,11 +121,14 @@ def test_triple_intersections_are_singletons():
 
 def test_closure_of_full_star_clique_is_itself():
     n4 = nerve_at(4)
-    closed = closure(n4, [(3, 1), (2, 2), (2, 1, 1)])
-    assert set(closed) == {(3, 1), (2, 2), (2, 1, 1)}
+    g = n4.graph
+    clique = [g.vertex_id(lam) for lam in [(3, 1), (2, 2), (2, 1, 1)]]
+    closed = closure_ids(n4, clique)
+    assert {g.vertices[v] for v in closed} == {(3, 1), (2, 2), (2, 1, 1)}
 
 
 def test_closure_laws():
+    """closure_ids is extensive, monotone and idempotent on cliques."""
     for n in (4, 5, 6):
         g = build_graph(n)
         nerve = build_nerve(g)
@@ -132,6 +136,9 @@ def test_closure_laws():
             closed = closure_ids(nerve, clique)
             assert set(clique) <= set(closed)
             assert closure_ids(nerve, closed) == closed
+            for smaller in itertools.combinations(clique, len(clique) - 1):
+                if smaller:
+                    assert set(closure_ids(nerve, smaller)) <= set(closed)
 
 
 def test_closure_equals_the_all_vertex_scan():

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_complex.graph import adjacency_by_conjugate
-from partition_complex.oracles import partition_count, transfers_by_scan
+from partition_complex.oracles import (
+    adjacency_by_conjugate,
+    partition_count,
+    transfers_by_scan,
+)
 from partition_complex.partitions import (
     ADDABLE,
     REMOVABLE,

@@ -40,7 +40,7 @@ print()
 print("nerve and complex agree on chi:")
 for n in (2, 4, 8, 10):
     g_n = build_graph(n)
-    chi_nerve = nerve_fvector(build_nerve(g_n)).euler_characteristic
+    chi_nerve = nerve_fvector(build_poset(build_nerve(g_n))).euler_characteristic
     chi_complex = enumerate_simplices(g_n).euler_characteristic
     print(f"  n={n:2}: chi(nerve)={chi_nerve:2}  chi(complex)={chi_complex:2}")
 print()

@@ -63,26 +63,26 @@ def _positive_int(text: str) -> int:
 def _write_files(texts: dict[str, str]) -> None:
     """Write each text to its path atomically: into a temp file beside it,
     then os.replace, so a failed write leaves no partial file and any
-    existing file at that path unchanged.  A directory at any of the paths
-    is refused before any file is written, and an error opening a temp file
-    names its path, not the temp file."""
+    existing file at that path unchanged.  An empty path or a directory at
+    any of the paths is refused before any file is written, and an error
+    opening or replacing a temp file names its path, not the temp file."""
     for path in texts:
+        if not path:
+            raise FileNotFoundError(f"No such file or directory: {path!r}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"Is a directory: {path!r}")
     for path, text in texts.items():
         temp = f"{path}.{os.getpid()}.tmp"
         try:
-            handle = open(temp, "w", newline="\n")
-        except OSError as exc:
-            # Name the path asked for, not the temp file beside it.
-            raise type(exc)(exc.errno, exc.strerror, path) from None
-        try:
-            with handle:
+            with open(temp, "w", newline="\n") as handle:
                 handle.write(text)
             os.replace(temp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
+        except BaseException as exc:
+            with contextlib.suppress(OSError):
                 os.remove(temp)
+            if isinstance(exc, OSError) and exc.filename == temp:
+                # Name the path asked for, not the temp file beside it.
+                raise type(exc)(exc.errno, exc.strerror, path) from None
             raise
 
 

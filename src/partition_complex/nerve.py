@@ -3,18 +3,22 @@
 The nerve has one vertex per cover member, and a set of members spans a
 simplex exactly when their vertex sets share a partition.  That makes the
 anchor of a partition (the members containing it) the organizing device:
-every nerve simplex is a subset of some anchor, so the nerve f-vector is
-computable by enumerating subsets anchor by anchor and deduplicating,
-without touching the full power set of the cover.
+every nerve simplex is a subset of some anchor.
 
 Intersecting the anchors over a set of partitions S yields the members
 containing all of S; collecting those intersections over all cliques, with
 equal sets identified, gives a poset under inclusion whose order complex is
-a combinatorial stand-in for the original clique complex.
+a combinatorial stand-in for the original clique complex.  Each nerve
+simplex closes to one poset element, and the nonempty subsets of an element
+P are the simplices that close at or below P, so the nerve f-vector comes
+from inverting (1 + x)^|P| - 1 = sum over Q <= P of g_Q(x) along the poset,
+without listing a simplex.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -68,31 +72,6 @@ def closure_ids(nerve: NerveComplex, vertex_ids: Sequence[int]) -> tuple[int, ..
     # The vertices whose anchors hold every member of common are the vertices
     # that every such member holds.
     return tuple(sorted(frozenset.intersection(*(nerve.member_sets[m] for m in common))))
-
-
-def nerve_fvector(nerve: NerveComplex) -> FVector:
-    """Face counts of the nerve, grouped by anchor and deduplicated.
-
-    Every intersecting subfamily has a common partition, so it appears as a
-    subset of that partition's anchor.  Subsets are keyed by member-id
-    bitmask; an anchor's keys are built by doubling, each member adding its
-    bit to every key so far, and the empty key is dropped at the end.
-    """
-    seen: set[int] = set()
-    for anchor_set in nerve.anchor_sets:
-        keys = [0]
-        for member in anchor_set:
-            bit = 1 << member
-            keys += [key | bit for key in keys]
-        seen.update(keys)
-    seen.discard(0)
-    counts: list[int] = []
-    for key in seen:
-        dim = key.bit_count() - 1
-        while len(counts) <= dim:
-            counts.append(0)
-        counts[dim] += 1
-    return FVector(tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -171,6 +150,26 @@ def build_poset(nerve: NerveComplex) -> IntersectionPoset:
                 if common:
                     found.add(tuple(sorted(common)))
     return IntersectionPoset(tuple(sorted(found, key=lambda t: (len(t), t))))
+
+
+def nerve_fvector(poset: IntersectionPoset) -> FVector:
+    """Face counts of the nerve, by Moebius inversion over the poset (Rota 1964).
+
+    A nerve simplex F closes to the members common to every vertex that F's
+    members share, a poset element.  g_P(x) counts by size the simplices
+    closing to exactly P, so (1 + x)^|P| - 1 = sum over Q <= P of g_Q(x).
+    The (size, ids) element order is topological: one pass takes each g_P
+    as the binomial coefficients of |P|, k >= 1, minus the g_Q of its strict
+    lower set, and the f-vector is their columnwise sum.
+    """
+    exact: list[list[int]] = []
+    for element, lower in zip(poset.elements, poset.below):
+        g = [math.comb(len(element), k) for k in range(1, len(element) + 1)]
+        for q in lower:
+            for k, count in enumerate(exact[q]):
+                g[k] -= count
+        exact.append(g)
+    return FVector(tuple(sum(column) for column in itertools.zip_longest(*exact, fillvalue=0)))
 
 
 def max_chain_length(poset: IntersectionPoset) -> int:

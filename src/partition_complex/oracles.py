@@ -2,21 +2,23 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 clique enumeration is generic graph search over the neighbour sets (the
-keys of g.moves) with no corner calculus (maximal cliques by Bron-Kerbosch
-with Tomita's pivot), the edge oracle uses only conjugate arithmetic
-(two partitions are adjacent exactly when their conjugates differ by one
-unit move: one column count lowered, another raised, by one), partition
-counting uses the recurrence with generalized pentagonal numbers,
-and a vertex's transfers come from scanning all its corner pairs through the
-sorting transfer route (reading only the public corner lists), not from the
-one transfer pass that builds the graph.  Edge decompositions and full
+keys of g.moves) with no corner calculus, and the maximal cliques are the
+listed cliques whose members' neighbour sets share no vertex.  The edge
+oracle uses only conjugate arithmetic (two partitions are adjacent exactly
+when their conjugates differ by one unit move: one column count lowered,
+another raised, by one), partition counting uses the recurrence with
+generalized pentagonal numbers, and a vertex's transfers come from
+scanning all its corner pairs through the sorting transfer route (reading
+only the public corner lists), not from the one transfer pass that builds
+the graph.  Edge decompositions and full
 star- and top-simplices are checked by filtering that one scan per vertex.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .graph import PartitionGraph
@@ -31,46 +33,6 @@ from .partitions import (
     conjugate,
     removable_corners,
 )
-
-
-def maximal_cliques_reference(g: PartitionGraph) -> list[tuple[int, ...]]:
-    """Facets by generic maximal-clique enumeration over the neighbour sets.
-
-    Reads nothing of the graph but its adjacency, the keys of g.moves; see
-    bron_kerbosch_pivot.
-    """
-    return bron_kerbosch_pivot([targets.keys() for targets in g.moves])
-
-
-def bron_kerbosch_pivot(adjacency: Sequence[AbstractSet[int]]) -> list[tuple[int, ...]]:
-    """Maximal cliques of the graph on vertices 0..len(adjacency)-1, sorted.
-
-    Bron-Kerbosch (CACM 16(9), 1973) with Tomita's pivot (TCS 363, 2006):
-    candidates are the vertices that extend the clique so far, and excluded
-    those that extend it but were already tried.  The clique is maximal when
-    both are empty.  Only candidates outside the pivot's neighbourhood are
-    branched on, the pivot being the vertex of either set with the most
-    neighbours among the candidates.  A graph with no vertices has no
-    maximal clique.
-    """
-    out: list[tuple[int, ...]] = []
-
-    def expand(clique: list[int], candidates: set[int], excluded: set[int]) -> None:
-        if not candidates and not excluded:
-            out.append(tuple(sorted(clique)))
-            return
-        pivot = max(candidates | excluded, key=lambda u: len(candidates & adjacency[u]))
-        for v in candidates - adjacency[pivot]:
-            clique.append(v)
-            expand(clique, candidates & adjacency[v], excluded & adjacency[v])
-            clique.pop()
-            candidates.remove(v)
-            excluded.add(v)
-
-    if adjacency:
-        expand([], set(range(len(adjacency))), set())
-    out.sort()
-    return out
 
 
 def all_cliques_reference(g: PartitionGraph) -> list[tuple[int, ...]]:
@@ -88,6 +50,17 @@ def all_cliques_reference(g: PartitionGraph) -> list[tuple[int, ...]]:
         extend((start,), g.moves[start].keys())
     out.sort(key=lambda clique: (len(clique), clique))
     return out
+
+
+def maximal_cliques_reference(g: PartitionGraph,
+                              cliques: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The maximal cliques of g, sorted, from a list holding every clique of g.
+
+    A clique is maximal when its members' neighbour sets, the keys of
+    g.moves, share no vertex: nothing outside it neighbours all of it.
+    """
+    return sorted(tuple(clique) for clique in cliques
+                  if not reduce(operator.and_, (g.moves[v].keys() for v in clique)))
 
 
 def adjacency_by_conjugate(lam: Iterable[int], mu: Iterable[int]) -> Optional[tuple[int, int]]:

@@ -111,7 +111,7 @@ class NContext:
 
     @cached_property
     def nerve_fvector(self):
-        return nerve_fvector(self.nerve)
+        return nerve_fvector(self.poset)
 
     @cached_property
     def all_cliques(self):
@@ -234,9 +234,10 @@ def _suite_cliques(ctx: NContext) -> str:
 
 
 def _suite_facets(ctx: NContext) -> str:
-    """Classification-derived facets against generic maximal-clique search."""
+    """Classification-derived facets against the cliques that no vertex
+    extends, filtered from the list of every clique."""
     ours = set(ctx.facets)
-    oracle = set(maximal_cliques_reference(ctx.graph))
+    oracle = set(maximal_cliques_reference(ctx.graph, ctx.all_cliques))
     if ours != oracle:
         extra = sorted(ours - oracle)[:3]
         missing = sorted(oracle - ours)[:3]
@@ -317,8 +318,8 @@ def _count_intersecting_subfamilies(member_sets) -> tuple[int, ...]:
 
 def _suite_nerve(ctx: NContext) -> str:
     """Nerve simplices match cliques (nonempty intersections exactly over
-    cliques), and the anchored f-vector agrees with brute subfamily search
-    and with the clique complex's Euler characteristic.
+    cliques), and the f-vector inverted over the poset agrees with brute
+    subfamily search and with the clique complex's Euler characteristic.
 
     Non-edges are checked through the pairs that do share a member, found
     by inverting the anchors: every such pair must be an edge, and the
@@ -343,15 +344,15 @@ def _suite_nerve(ctx: NContext) -> str:
         raise _Counterexample({
             "pair": _literals(g, min(strays)),
             "claim": "non-edges must have empty member intersection"})
-    anchored = ctx.nerve_fvector
+    inverted = ctx.nerve_fvector
     brute = _count_intersecting_subfamilies(nerve.member_sets)
-    if anchored.counts != brute:
+    if inverted.counts != brute:
         raise _Counterexample({
-            "anchored": list(anchored.counts), "brute": list(brute)})
+            "inverted": list(inverted.counts), "brute": list(brute)})
     chi_complex = ctx.fvector.euler_characteristic
-    if anchored.euler_characteristic != chi_complex:
+    if inverted.euler_characteristic != chi_complex:
         raise _Counterexample({
-            "nerve_chi": anchored.euler_characteristic, "complex_chi": chi_complex})
+            "nerve_chi": inverted.euler_characteristic, "complex_chi": chi_complex})
     return f"{checked} intersections, {sum(brute)} nerve simplices"
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: formats, files, exit codes, determinism."""
 
 import csv
+import errno
 import json
 import subprocess
 import sys
@@ -256,6 +257,31 @@ def test_out_write_failure_exits_1():
     assert result.returncode == 1
     assert "error" in result.stderr
     assert "/nonexistent/dir/t.txt" in result.stderr and ".tmp" not in result.stderr
+
+
+def test_empty_out_exits_1_before_making_a_temp_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    opened = []
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: opened.append(args),
+                        raising=False)
+    assert main(["table", "--max-n", "2", "--out", ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ".tmp" not in err
+    assert opened == []
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_replace_names_the_out_path(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "table.txt"
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src, None, dst)
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(["table", "--max-n", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_out_directory_exits_1_without_temp_file(tmp_path, capsys):

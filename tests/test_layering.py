@@ -2,10 +2,11 @@
 
 oracles.py recomputes what the fast path builds, so it must not reach into
 the modules it checks: it imports no underscore-prefixed name from any
-partition_complex module, and from .graph nothing but the PartitionGraph
-type it reads.  The demos show the public API, so none of them imports an
-underscore-prefixed name from the package.  Both rules are read off the
-import statements, without importing anything.
+partition_complex module, from .graph nothing but the PartitionGraph type
+it reads, and from no other package module but .partitions.  The demos
+show the public API, so none of them imports an underscore-prefixed name
+from the package.  Both rules are read off the import statements, without
+importing anything.
 """
 
 import ast
@@ -50,6 +51,12 @@ def test_oracles_import_no_private_name_and_only_the_graph_type():
     from_graph = [name for module, name in imports if module == "graph"]
     assert from_graph == ["PartitionGraph"], (
         f"oracles.py imports {from_graph} from .graph")
+
+
+def test_oracles_import_from_no_module_but_graph_and_partitions():
+    modules = {module for module, _ in package_imports(ORACLES)}
+    assert modules <= {"graph", "partitions"}, (
+        f"oracles.py imports from {sorted(modules - {'graph', 'partitions'})}")
 
 
 def test_demos_import_no_private_name():

@@ -8,6 +8,7 @@ from partition_complex.cliques import (
     NotACliqueError,
     canonical_cover,
     enumerate_simplices,
+    fvector_table,
 )
 from partition_complex.graph import build_graph
 from partition_complex.nerve import (
@@ -23,6 +24,7 @@ from partition_complex.nerve import (
 )
 from partition_complex.oracles import all_cliques_reference
 from partition_complex.partitions import REMOVABLE, Corner
+from partition_complex.verification import _count_intersecting_subfamilies
 
 
 def star_simplex(g, lam, row, col):
@@ -41,23 +43,39 @@ def anchor_of(nerve, partitions):
     return tuple(sorted(anchor_intersection_ids(nerve, ids)))
 
 
+def nerve_fvector_at(n):
+    return nerve_fvector(build_poset(nerve_at(n)))
+
+
 def test_nerve_small():
-    n2 = nerve_at(2)
-    assert n2.vertex_count == 1
-    assert nerve_fvector(n2).counts == (1,)
+    assert nerve_at(2).vertex_count == 1
+    assert nerve_fvector_at(2).counts == (1,)
 
-    n4 = nerve_at(4)
-    assert nerve_fvector(n4).counts == (6, 12, 9, 2)
-    assert nerve_fvector(n4).euler_characteristic == 1
+    n4 = nerve_fvector_at(4)
+    assert n4.counts == (6, 12, 9, 2)
+    assert n4.euler_characteristic == 1
 
-    assert nerve_fvector(nerve_at(8)).euler_characteristic == 2
+    assert nerve_fvector_at(8).euler_characteristic == 2
 
 
 def test_empty_nerve_at_1():
     n1 = nerve_at(1)
     assert n1.vertex_count == 0
-    assert nerve_fvector(n1).counts == ()
+    assert nerve_fvector_at(1).counts == ()
     assert anchor_of(n1, [(1,)]) == ()
+
+
+def test_inverted_nerve_fvector_matches_brute_subfamily_search():
+    for n in range(1, 17):
+        nerve = nerve_at(n)
+        assert (nerve_fvector(build_poset(nerve)).counts
+                == _count_intersecting_subfamilies(nerve.member_sets)), n
+
+
+def test_inverted_nerve_chi_matches_the_part_value_sweep():
+    table = fvector_table(24)
+    for n in (20, 24):
+        assert nerve_fvector_at(n).euler_characteristic == table[n - 1].euler_characteristic
 
 
 def test_nerve_simplices_match_anchor_intersections():

@@ -1,22 +1,20 @@
-"""The generic maximal-clique oracle, checked against plainer enumerations.
+"""The generic clique oracles, checked against plainer enumerations.
 
-`maximal_cliques_reference` is the second route for the facets of the
-clique complex, so it is itself checked here by routes that share nothing
-with it: the maximal members of `all_cliques_reference` on transfer graphs,
-and brute enumeration of vertex subsets on random graphs.
+`all_cliques_reference` and `maximal_cliques_reference` are the second
+routes for the cliques and the facets of the clique complex, so they are
+themselves checked here by routes that share nothing with them: inclusion
+among the listed cliques on transfer graphs, and brute enumeration of vertex
+subsets on random graphs.
 """
 
 import itertools
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_complex.graph import build_graph
-from partition_complex.oracles import (
-    all_cliques_reference,
-    bron_kerbosch_pivot,
-    maximal_cliques_reference,
-)
+from partition_complex.oracles import all_cliques_reference, maximal_cliques_reference
 
 
 def maximal_by_inclusion(cliques):
@@ -28,7 +26,8 @@ def maximal_by_inclusion(cliques):
 def test_reference_facets_are_the_maximal_cliques():
     for n in range(1, 11):
         g = build_graph(n)
-        assert maximal_cliques_reference(g) == maximal_by_inclusion(all_cliques_reference(g))
+        cliques = all_cliques_reference(g)
+        assert maximal_cliques_reference(g, cliques) == maximal_by_inclusion(cliques)
 
 
 @st.composite
@@ -47,12 +46,16 @@ def random_graphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(random_graphs())
-def test_bron_kerbosch_matches_subset_enumeration(adjacency):
+def test_clique_oracles_match_subset_enumeration(adjacency):
+    """The oracles read only the vertex count and the neighbour sets, so a
+    stand-in with `vertices` and `moves` keyed by neighbour is a graph to them."""
     k = len(adjacency)
+    g = SimpleNamespace(vertices=range(k), moves=[dict.fromkeys(nbrs) for nbrs in adjacency])
     cliques = [
         subset
         for size in range(1, k + 1)
         for subset in itertools.combinations(range(k), size)
         if all(v in adjacency[u] for u, v in itertools.combinations(subset, 2))
     ]
-    assert bron_kerbosch_pivot(adjacency) == maximal_by_inclusion(cliques)
+    assert all_cliques_reference(g) == cliques
+    assert maximal_cliques_reference(g, cliques) == maximal_by_inclusion(cliques)

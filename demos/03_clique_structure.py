@@ -57,14 +57,15 @@ print()
 
 print("face counts two ways (subset enumeration vs corner-fiber binomials):")
 for n in (4, 6, 8):
-    enumerated = enumerate_simplices(build_graph(n))
-    counted = fvector_by_fiber_counting(build_graph(n))
+    g_n = build_graph(n)
+    enumerated = enumerate_simplices(maximal_simplices(g_n))
+    counted = fvector_by_fiber_counting(g_n)
     assert enumerated.counts == counted.counts
     print(f"  n={n}: f={enumerated.counts}  chi={enumerated.euler_characteristic}")
 print()
 
 print("euler characteristic and its shift, small n:")
 for n in range(1, 13):
-    chi = enumerate_simplices(build_graph(n)).euler_characteristic
+    chi = enumerate_simplices(maximal_simplices(build_graph(n))).euler_characteristic
     b = chi - 1
     print(f"  n={n:2}  chi={chi:3}  b={b:3}")

@@ -14,6 +14,7 @@ from partition_complex import (
     enumerate_simplices,
     format_partition,
     max_chain_length,
+    maximal_simplices,
     nerve_fvector,
     order_complex,
 )
@@ -41,7 +42,7 @@ print("nerve and complex agree on chi:")
 for n in (2, 4, 8, 10):
     g_n = build_graph(n)
     chi_nerve = nerve_fvector(build_poset(build_nerve(g_n))).euler_characteristic
-    chi_complex = enumerate_simplices(g_n).euler_characteristic
+    chi_complex = enumerate_simplices(maximal_simplices(g_n)).euler_characteristic
     print(f"  n={n:2}: chi(nerve)={chi_nerve:2}  chi(complex)={chi_complex:2}")
 print()
 

@@ -14,6 +14,10 @@ off the f-vectors for every table format and for `export bfile`;
 looks its --format up in one format -> formatter table (`_TABLE_FORMATS`,
 `_VERIFY_FORMATS`, `_HOMOLOGY_FORMATS`, `_EXPORT_FORMATS`), whose keys are
 the formats it accepts.
+
+Each per-n stage is chained in one place, `verification.NContext`: `verify`
+runs its suites on one, and `homology` and `export` read the graph, facets
+and poset on n off one.  This module calls no stage builder itself.
 """
 
 from __future__ import annotations
@@ -30,14 +34,10 @@ import sys
 from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
-from .cliques import (
-    format_facet_lines,
-    fvector_table,
-    maximal_simplices,
-)
-from .graph import build_graph, format_dimacs, format_edge_list, format_legend
+from .cliques import format_facet_lines, fvector_table
+from .graph import format_dimacs, format_edge_list, format_legend
 from .homology import build_chain_complex, reduced_homology
-from .nerve import build_nerve, build_poset, order_complex, poset_json_dict
+from .nerve import order_complex, poset_json_dict
 from .verification import (
     BUDGETS,
     FAIL,
@@ -45,6 +45,7 @@ from .verification import (
     SKIP,
     SUITE_ORDER,
     VACUOUS,
+    NContext,
     homology_concentrated,
     verify_single_n,
 )
@@ -258,10 +259,11 @@ def cmd_homology(args: argparse.Namespace) -> int:
             return 3
         print(f"warning: n={args.n} is past the default homology budget"
               f" n <= {budget}; this may take a long time", file=sys.stderr)
-    facets = maximal_simplices(build_graph(args.n))
-    report = reduced_homology(build_chain_complex(facets))
+    # No local keeps the context, so its graph is freed before the chain
+    # complex is built.
+    report = reduced_homology(build_chain_complex(NContext(args.n).facets))
     _emit(_HOMOLOGY_FORMATS[args.format](report), args.out)
-    if not homology_concentrated(report, report.euler_characteristic):
+    if not homology_concentrated(report):
         print("error: homology deviates from the degree-2 concentration"
               " pattern; see the report above", file=sys.stderr)
         return 1
@@ -276,17 +278,14 @@ def _format_bfile(rows, sequence: str) -> str:
     return "".join(f"{row.n} {getattr(row, sequence)}\n" for row in rows)
 
 
-def _poset(g):
-    return build_poset(build_nerve(g))
-
-
 # Target -> {format: formatter}; the first format is the target's default.
-# bfile formats table rows; the other targets format the graph on n.
+# bfile formats table rows; the other targets format the NContext on n.
 _EXPORT_FORMATS = {
-    "graph": {"dimacs": format_dimacs, "edges": format_edge_list},
-    "facets": {"text": lambda g: format_facet_lines(maximal_simplices(g))},
-    "poset": {"json": lambda g: _json_text(poset_json_dict(_poset(g))),
-              "text": lambda g: format_facet_lines(order_complex(_poset(g)).facets)},
+    "graph": {"dimacs": lambda ctx: format_dimacs(ctx.graph),
+              "edges": lambda ctx: format_edge_list(ctx.graph)},
+    "facets": {"text": lambda ctx: format_facet_lines(ctx.facets)},
+    "poset": {"json": lambda ctx: _json_text(poset_json_dict(ctx.poset)),
+              "text": lambda ctx: format_facet_lines(order_complex(ctx.poset).facets)},
     "bfile": {"text": _format_bfile},
 }
 
@@ -298,7 +297,7 @@ def _usage_error(message: str) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     formats = _EXPORT_FORMATS[args.what]
-    fmt = args.format or next(iter(formats))
+    fmt = next(iter(formats)) if args.format is None else args.format
     if fmt not in formats:
         return _usage_error(
             f"format {fmt!r} is not valid for {args.what}"
@@ -319,11 +318,11 @@ def cmd_export(args: argparse.Namespace) -> int:
         return _usage_error(f"export {args.what} takes no --max-n; use --n")
     if args.n is None:
         return _usage_error(f"export {args.what} needs --n")
-    g = build_graph(args.n)
-    text = formats[fmt](g)
+    ctx = NContext(args.n)
+    text = formats[fmt](ctx)
     if args.what == "graph" and args.out is not None:
         # Vertex legend rides along as a sibling file, never on stdout.
-        _write_files({args.out: text, args.out + ".legend": format_legend(g)})
+        _write_files({args.out: text, args.out + ".legend": format_legend(ctx.graph)})
     else:
         _emit(text, args.out)
     return 0

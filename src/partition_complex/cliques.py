@@ -188,32 +188,17 @@ def maximal_simplices(g: PartitionGraph) -> list[tuple[int, ...]]:
     return sorted(facets)
 
 
-def enumerate_simplices(
-    g: PartitionGraph,
-    facets: Optional[list[tuple[int, ...]]] = None,
-) -> FVector:
+def enumerate_simplices(facets: Sequence[tuple[int, ...]]) -> FVector:
     """Count every clique exactly once by enumerating subsets of facets.
 
-    Subsets are deduplicated one dimension at a time through integer keys
-    packing the sorted ids.
+    Each facet is sorted first, so a face shared by several facets gives
+    the same tuple in each; one set of tuples per size deduplicates them.
     """
-    if facets is None:
-        facets = maximal_simplices(g)
-    width = max(1, (len(g.vertices) - 1).bit_length())
-    max_size = max((len(facet) for facet in facets), default=0)
-    counts = []
-    for size in range(1, max_size + 1):
-        seen: set[int] = set()
-        for facet in facets:
-            if len(facet) < size:
-                continue
-            for combo in itertools.combinations(facet, size):
-                key = 1
-                for vid in combo:
-                    key = (key << width) | vid
-                seen.add(key)
-        counts.append(len(seen))
-    return FVector(tuple(counts))
+    facets = [tuple(sorted(facet)) for facet in facets]
+    max_size = max(map(len, facets), default=0)
+    return FVector(tuple(
+        len({combo for facet in facets for combo in itertools.combinations(facet, size)})
+        for size in range(1, max_size + 1)))
 
 
 def fvector_by_fiber_counting(g: PartitionGraph) -> FVector:

@@ -71,7 +71,7 @@ def test_homology_concentration(announce):
     for n in range(1, 26):
         cplx = build_chain_complex(maximal_simplices(build_graph(n)))
         report_n = reduced_homology(cplx)
-        if not homology_concentrated(report_n, cplx.euler_characteristic):
+        if not homology_concentrated(report_n):
             deviations.append(n)
         elif cplx.euler_characteristic != EULER_CHARACTERISTIC[n]:
             deviations.append(n)

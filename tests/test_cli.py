@@ -5,11 +5,13 @@ import errno
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from partition_complex import cli
+from partition_complex import cli, verification
 from partition_complex.cli import _worker_count, main
+from partition_complex.homology import HomologyReport
 from partition_complex.reference import EULER_CHARACTERISTIC
 from partition_complex.verification import BUDGETS, SUITE_ORDER, verify_single_n
 
@@ -139,6 +141,36 @@ def test_homology_json(capsys):
     assert payload["reduced_betti"] == [0, 0, 2, 0]
 
 
+def test_homology_deviation_prints_the_report_and_exits_1(monkeypatch, capsys):
+    deviant = HomologyReport((11, 17, 7), (1, 1, 2), ((), (), ()))
+    monkeypatch.setattr(cli, "reduced_homology", lambda cplx: deviant)
+    assert main(["homology", "--n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == deviant.summary() + "\n"
+    assert captured.err == ("error: homology deviates from the degree-2"
+                            " concentration pattern; see the report above\n")
+
+
+def test_homology_frees_the_graph_before_the_chain_complex(monkeypatch, capsys):
+    # The graph is the largest per-n object; homology needs only the facets.
+    graphs = []
+    real_facets = verification.maximal_simplices
+    real_complex = cli.build_chain_complex
+
+    def facets(g):
+        graphs.append(weakref.ref(g))
+        return real_facets(g)
+
+    def chain_complex(facet_list):
+        assert [ref() for ref in graphs] == [None]
+        return real_complex(facet_list)
+
+    monkeypatch.setattr(verification, "maximal_simplices", facets)
+    monkeypatch.setattr(cli, "build_chain_complex", chain_complex)
+    assert main(["homology", "--n", "8"]) == 0
+    assert capsys.readouterr().out == "reduced homology: H~2=Z; euler characteristic 2\n"
+
+
 def test_homology_budget_exit_code():
     result = run_cli("homology", "--n", str(BUDGETS["homology"] + 1))
     assert result.returncode == 3
@@ -233,6 +265,16 @@ def test_export_usage_error_messages(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: {EXPORT_USAGE_ERRORS[command]}\n"
+
+
+def test_export_empty_format_is_a_usage_error(capsys):
+    # An empty --format is a format like any other, not a request for the
+    # default; the table above splits on spaces, so it cannot hold this one.
+    assert main(["export", "graph", "--n", "3", "--format", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: format '' is not valid for graph"
+                            " (choose from dimacs, edges)\n")
 
 
 def test_main_calls_share_no_parsed_state(capsys):

@@ -34,6 +34,7 @@ from partition_complex.cliques import (
     maximal_simplices,
 )
 from partition_complex.graph import build_graph
+from partition_complex.homology import build_chain_complex
 from partition_complex.oracles import (
     all_cliques_reference,
     maximal_cliques_reference,
@@ -269,21 +270,29 @@ def test_maximal_simplices_match_generic_enumeration():
 
 
 def test_enumerate_simplices():
-    fvector = enumerate_simplices(build_graph(4))
+    fvector = enumerate_simplices(maximal_simplices(build_graph(4)))
     assert fvector.counts == (5, 5, 1)
     assert fvector.euler_characteristic == 1
-    assert enumerate_simplices(build_graph(8)).euler_characteristic == 2
+    assert enumerate_simplices(maximal_simplices(build_graph(8))).euler_characteristic == 2
+
+
+def test_enumerate_simplices_counts_a_facet_once_in_any_vertex_order():
+    facets = [(2, 1, 0), (0, 1, 2)]
+    assert enumerate_simplices(facets).counts == (3, 3, 1)
+    assert build_chain_complex(facets).fvector == (3, 3, 1)
 
 
 def test_fiber_counting_agrees():
     for n in range(1, 9):
         g = build_graph(n)
-        assert fvector_by_fiber_counting(g).counts == enumerate_simplices(g).counts
+        assert (fvector_by_fiber_counting(g).counts
+                == enumerate_simplices(maximal_simplices(g)).counts)
 
 
 def test_corner_counting_matches_subset_enumeration():
     for n in range(1, 31):
-        assert fvector_by_corner_counting(n).counts == enumerate_simplices(build_graph(n)).counts
+        assert (fvector_by_corner_counting(n).counts
+                == enumerate_simplices(maximal_simplices(build_graph(n))).counts)
 
 
 @st.composite

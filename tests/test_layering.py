@@ -5,8 +5,9 @@ the modules it checks: it imports no underscore-prefixed name from any
 partition_complex module, from .graph nothing but the PartitionGraph type
 it reads, and from no other package module but .partitions.  The demos
 show the public API, so none of them imports an underscore-prefixed name
-from the package.  Both rules are read off the import statements, without
-importing anything.
+from the package.  cli.py reads every per-n stage off
+verification.NContext, so it imports none of the builders NContext chains.
+These rules are read off the import statements, without importing anything.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLES = ROOT / "src" / "partition_complex" / "oracles.py"
+CLI = ROOT / "src" / "partition_complex" / "cli.py"
 DEMOS = ROOT / "demos"
 
 
@@ -66,3 +68,12 @@ def test_demos_import_no_private_name():
         private = [(module, name) for module, name in package_imports(path)
                    if name.startswith("_")]
         assert not private, f"{path.name} imports private names {private}"
+
+
+def test_cli_imports_no_stage_builder_that_ncontext_owns():
+    builders = {"build_graph", "canonical_cover", "maximal_simplices",
+                "enumerate_simplices", "build_nerve", "build_poset"}
+    imported = {name for _, name in package_imports(CLI)}
+    assert "NContext" in imported
+    assert not imported & builders, (
+        f"cli.py imports stage builders {sorted(imported & builders)}")

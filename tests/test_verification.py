@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from partition_complex import verification
 from partition_complex.cliques import STAR, TOP, CliqueClass, FVector
+from partition_complex.homology import HomologyReport
 from partition_complex.nerve import closure_ids
 from partition_complex.partitions import ADDABLE, REMOVABLE, Corner, format_partition
 from partition_complex.verification import (
@@ -19,6 +20,7 @@ from partition_complex.verification import (
     VACUOUS,
     NContext,
     VerificationOutcome,
+    homology_concentrated,
     run_suite,
     run_verification,
     verify_single_n,
@@ -240,3 +242,36 @@ def test_anchors_fail_names_the_first_vertex_and_member_that_disagree():
     assert outcome.counterexample == {
         "vertex": format_partition(ctx.graph.vertices[vertex]), "member": member,
         "claim": "anchor membership must mirror containment"}
+
+
+# Hand-built reports: (f-vector, unreduced Betti numbers, torsion by degree).
+# Only the Betti numbers and torsion decide concentration.
+CONCENTRATED = {
+    "point": HomologyReport((1,), (1,), ((),)),
+    "wedge of two 2-spheres": HomologyReport((11, 17, 9), (1, 0, 2), ((), (), ())),
+}
+DEVIANT = {
+    "two components": HomologyReport((6, 6, 2), (2, 0, 1), ((), (), ())),
+    "a loop": HomologyReport((11, 17, 7), (1, 1, 2), ((), (), ())),
+    "a 3-sphere": HomologyReport((5, 10, 10, 5), (1, 0, 1, 1), ((), (), (), ())),
+    "torsion in degree 1": HomologyReport((9, 20, 13), (1, 0, 2), ((), (2,), ())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONCENTRATED))
+def test_concentrated_reports_are_accepted(name):
+    assert homology_concentrated(CONCENTRATED[name])
+
+
+@pytest.mark.parametrize("name", sorted(DEVIANT))
+def test_deviant_reports_are_refused(name):
+    assert not homology_concentrated(DEVIANT[name])
+
+
+@pytest.mark.parametrize("name", sorted(DEVIANT))
+def test_homology_fail_carries_the_deviant_report(monkeypatch, name):
+    assert run_suite("homology", NContext(6)).status == PASS
+    monkeypatch.setattr(verification, "reduced_homology", lambda cplx: DEVIANT[name])
+    outcome = run_suite("homology", NContext(6))
+    assert outcome.status == FAIL
+    assert outcome.counterexample == DEVIANT[name].to_json_dict()

@@ -16,12 +16,21 @@ either was an edge of the previous state, or was checked at the rewrite
 site, and cutting a spur x y x to x only joins x to the id that already
 followed the second x.  Nor do random walks, whose every step is drawn
 from the graph's adjacency.
+
+Random walks take their bits straight from the generator's getrandbits:
+an index below d costs getrandbits(d.bit_length()) draws until one is
+below d, which is what random.Random's randrange(d) and choice(seq) do for
+d = len(seq).  So a seeded walk, and the generator's state after it, are
+those the two methods give, with two fewer Python calls per draw.  The
+reduction binds the graph's heights and moves once per loop and tests the
+rewrite-site edges inline, but every step still makes each check above,
+and each raises TheoremViolationError with asserts stripped too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .graph import PartitionGraph
 from .partitions import TheoremViolationError, format_partition, parse_partition
@@ -47,12 +56,14 @@ class EdgeLoop:
         ids = tuple(vertex_ids)
         if not ids:
             raise InvalidLoopError("a loop needs at least one vertex")
-        if len(ids) >= 2 and ids[0] == ids[-1]:
-            ids = ids[:-1]
         count = len(graph.vertices)
         for vertex_id in ids:
+            if not isinstance(vertex_id, int) or isinstance(vertex_id, bool):
+                raise InvalidLoopError(f"vertex id {vertex_id!r} is not an int")
             if not 0 <= vertex_id < count:
                 raise InvalidLoopError(f"unknown vertex id {vertex_id}")
+        if len(ids) >= 2 and ids[0] == ids[-1]:
+            ids = ids[:-1]
         if len(ids) > 1:
             for i, vertex_id in enumerate(ids):
                 successor = ids[(i + 1) % len(ids)]
@@ -94,18 +105,6 @@ class EdgeLoop:
 
     def __repr__(self) -> str:
         return f"EdgeLoop(n={self.graph.n}, {format_loop(self)!r})"
-
-
-class LoopComplexity(NamedTuple):
-    """Orders loops by (max height, number of indices attaining it)."""
-
-    max_height: int
-    peak_count: int
-
-
-def _complexity(heights: Sequence[int]) -> LoopComplexity:
-    top = max(heights)
-    return LoopComplexity(top, heights.count(top))
 
 
 def parse_loop(graph: PartitionGraph, text: str) -> EdgeLoop:
@@ -167,17 +166,18 @@ def _replace_peak(graph: PartitionGraph, ids: list[int], peak: int) -> str:
     Checks the triangles the rewrite crosses, except for the loop edges it
     creates, which the caller checks at the rewrite site.
     """
+    heights = graph.heights
     size = len(ids)
     peak_id = ids[peak]
-    top = graph.heights[peak_id]
-    before_id = ids[(peak - 1) % size]
+    top = heights[peak_id]
+    before_id = ids[peak - 1]
     after_id = ids[(peak + 1) % size]
-    if graph.heights[before_id] >= top or graph.heights[after_id] >= top:
+    if heights[before_id] >= top or heights[after_id] >= top:
         raise TheoremViolationError(
             f"peak {graph.vertices[peak_id]} has a neighbour of height >= {top}")
-    peak_partition = graph.vertices[peak_id]
-    corner_before, add_before = graph.moves[peak_id][before_id]
-    corner_after, add_after = graph.moves[peak_id][after_id]
+    peak_moves = graph.moves[peak_id]
+    corner_before, add_before = peak_moves[before_id]
+    corner_after, add_after = peak_moves[after_id]
     if corner_before == corner_after or add_before == add_after:
         # triangle shortcut: the fragment collapses to the edge between the
         # neighbours; they coincide only in a two-vertex loop, which leaves
@@ -196,16 +196,19 @@ def _replace_peak(graph: PartitionGraph, ids: list[int], peak: int) -> str:
     # the transfer source -> target, if admissible, is the one vertex in both
     # the star fiber at source and the top fiber at target
     received = graph.top[peak_id][target]
-    detour_id = next((v for v in graph.star[peak_id][source] if v in received), None)
-    if detour_id is None:
+    for detour_id in graph.star[peak_id][source]:
+        if detour_id in received:
+            break
+    else:
         raise TheoremViolationError(
-            f"detour transfer {source}->{target} from {peak_partition} "
+            f"detour transfer {source}->{target} from {graph.vertices[peak_id]} "
             f"is inadmissible")
-    detour = graph.vertices[detour_id]
-    if graph.heights[detour_id] >= top:
+    if heights[detour_id] >= top:
         raise TheoremViolationError(
-            f"detour vertex {detour} is not lower than the peak {peak_partition}")
-    _require_adjacent(graph, detour_id, peak_id, "detour triangle")
+            f"detour vertex {graph.vertices[detour_id]} is not lower than the peak "
+            f"{graph.vertices[peak_id]}")
+    if peak_id not in graph.moves[detour_id]:
+        _require_adjacent(graph, detour_id, peak_id, "detour triangle")
     ids[peak] = detour_id
     return "detour"
 
@@ -251,20 +254,28 @@ def reduce_loop(loop: EdgeLoop) -> ReductionTrace:
     x only joins x to the id that already followed the second x.  So every
     state is a closed walk without a second validation pass, and is
     recorded unchecked.  The heights of the ids are kept in step with every
-    edit, and each state's complexity is measured from them in full: a
+    edit, and each state's complexity, the pair (max height, number of ids
+    at it) ordered lexicographically, is measured from them in full: a
     normalize step must not raise it, and a peak step must strictly lower
     it.
     """
     graph = loop.graph
     heights = graph.heights
-    before, length = _complexity(loop.heights()), len(loop)
+    moves = graph.moves
+    hs = [heights[v] for v in loop.ids]
+    length = len(hs)
+    top = max(hs)
+    before = (top, hs.count(top))
     steps = []
     ids = normalize_ids(loop.ids)
-    hs = [heights[v] for v in ids]
-    rule = "normalize" if len(ids) < length else None
+    rule = None
+    if len(ids) < length:
+        rule = "normalize"
+        hs = [heights[v] for v in ids]
     while True:
         if rule is not None:
-            after = _complexity(hs)
+            top = max(hs)
+            after = (top, hs.count(top))
             if not (after <= before if rule == "normalize" else after < before):
                 raise TheoremViolationError(
                     f"{rule} step did not decrease complexity: "
@@ -273,41 +284,58 @@ def reduce_loop(loop: EdgeLoop) -> ReductionTrace:
             before, length = after, len(ids)
         if length == 1:
             return ReductionTrace(loop, tuple(steps))
-        peak = hs.index(before.max_height)
+        peak = hs.index(before[0])
         rule = _replace_peak(graph, ids, peak)
-        if len(ids) < len(hs):
+        size = len(ids)
+        if size < len(hs):
             del hs[peak]
         else:
             hs[peak] = heights[ids[peak]]
-        size = len(ids)
         if size == 1:
             continue
         site = peak % size
-        _require_adjacent(graph, ids[site - 1], ids[site], rule)
-        _require_adjacent(graph, ids[site], ids[(site + 1) % size], rule)
+        left, middle, right = ids[site - 1], ids[site], ids[(site + 1) % size]
+        if middle not in moves[left]:
+            _require_adjacent(graph, left, middle, rule)
+        if right not in moves[middle]:
+            _require_adjacent(graph, middle, right, rule)
         # spur centres at site - 1, site and site + 1
-        if size >= 3 and (ids[site - 2] == ids[site]
-                          or ids[site - 1] == ids[(site + 1) % size]
-                          or ids[site] == ids[(site + 2) % size]):
+        if size >= 3 and (ids[site - 2] == middle or left == right
+                          or middle == ids[(site + 2) % size]):
             ids = normalize_ids(ids)
             hs = [heights[v] for v in ids]
 
 
 def random_closed_walk(graph: PartitionGraph, rng) -> EdgeLoop:
     """Random walk from a random start until it returns; a walk still out
-    after WALK_MAX_LEN steps is dropped and a new one started."""
-    if not any(graph.adjacency):
+    after WALK_MAX_LEN steps is dropped and a new one started.  The start
+    and each step take from rng.getrandbits exactly the bits that
+    rng.randrange and rng.choice take for a random.Random.
+    """
+    adjacency = graph.adjacency
+    if not any(adjacency):
         raise ValueError("the graph has no edges, so it has no nonconstant loops")
+    getrandbits = rng.getrandbits
+    count = len(graph.vertices)
+    count_bits = count.bit_length()
     for _ in range(10000):
-        start = rng.randrange(len(graph.vertices))
-        if not graph.adjacency[start]:
+        start = getrandbits(count_bits)
+        while start >= count:
+            start = getrandbits(count_bits)
+        neighbours = adjacency[start]
+        if not neighbours:
             continue
         walk = [start]
-        position = start
         for _ in range(WALK_MAX_LEN):
-            position = rng.choice(graph.adjacency[position])
+            degree = len(neighbours)
+            bits = degree.bit_length()
+            draw = getrandbits(bits)
+            while draw >= degree:
+                draw = getrandbits(bits)
+            position = neighbours[draw]
             if position == start:
                 return EdgeLoop._unchecked(graph, tuple(walk))
             walk.append(position)
+            neighbours = adjacency[position]
     raise RuntimeError("no random walk returned to its start within"
                        f" WALK_MAX_LEN = {WALK_MAX_LEN} steps")

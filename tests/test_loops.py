@@ -1,5 +1,6 @@
 """Edge loops, (H, M) complexity, and peak reduction to constant loops."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -18,14 +19,14 @@ from partition_complex.graph import build_graph
 from partition_complex.loops import (
     EdgeLoop,
     InvalidLoopError,
-    LoopComplexity,
-    _complexity,
+    _replace_peak,
     format_loop,
     normalize_ids,
     parse_loop,
     random_closed_walk,
     reduce_loop,
 )
+from partition_complex.partitions import Corner
 from partition_complex.verification import verify_single_n
 
 G4 = build_graph(4)
@@ -36,7 +37,9 @@ def loop4(text):
 
 
 def complexity(loop):
-    return _complexity(loop.heights())
+    """(max height, number of ids at it), the order reduce_loop descends in."""
+    heights = loop.heights()
+    return max(heights), heights.count(max(heights))
 
 
 def test_parse_strips_the_closing_vertex():
@@ -72,21 +75,49 @@ def test_loop_ids_validated():
         EdgeLoop(G4, [])
 
 
+@pytest.mark.parametrize("ids, bad", [
+    ([0.0, 1], "0.0"),
+    ([0, 1.5], "1.5"),
+    (["0", 1], "'0'"),
+    ([True, False], "True"),
+    # the closing repeat is checked too: True == 1 must not strip it
+    ([1, True], "True"),
+])
+def test_loop_ids_must_be_ints(ids, bad):
+    with pytest.raises(InvalidLoopError, match=f"vertex id {bad} is not an int"):
+        EdgeLoop(G4, ids)
+
+
 def test_complexity():
-    assert complexity(loop4("[4]")) == LoopComplexity(4, 1)
-    assert complexity(loop4("[4] [3,1] [4]")) == LoopComplexity(5, 1)
+    assert complexity(loop4("[4]")) == (4, 1)
+    assert complexity(loop4("[4] [3,1] [4]")) == (5, 1)
     # Heights along the triangle are 5, 6, 7: a single peak at height 7.
-    assert complexity(loop4("[3,1] [2,2] [2,1,1] [3,1]")) == LoopComplexity(7, 1)
+    assert complexity(loop4("[3,1] [2,2] [2,1,1] [3,1]")) == (7, 1)
 
 
 def test_complexity_of_constant_counts_length():
     constant = EdgeLoop(G4, [G4.vertex_id((2, 2))])
-    assert complexity(constant) == LoopComplexity(6, 1)
+    assert complexity(constant) == (6, 1)
 
 
 def test_complexity_orders_lexicographically():
-    assert LoopComplexity(5, 9) < LoopComplexity(6, 1)
-    assert LoopComplexity(6, 1) < LoopComplexity(6, 2)
+    # reduce_loop accepts a peak step that lowers the max height while
+    # raising the peak count, and one that keeps the height and lowers the
+    # count: only the lexicographic order descends through both.
+    g = build_graph(8)
+    rng = random.Random(11)
+    lower_top_more_peaks = same_top_fewer_peaks = 0
+    for _ in range(200):
+        trace = reduce_loop(random_closed_walk(g, rng))
+        previous = complexity(trace.initial)
+        for rule, loop in trace.steps:
+            current = complexity(loop)
+            if rule != "normalize":
+                lower_top_more_peaks += current[0] < previous[0] and current[1] > previous[1]
+                same_top_fewer_peaks += current[0] == previous[0] and current[1] < previous[1]
+            previous = current
+    assert lower_top_more_peaks > 0
+    assert same_top_fewer_peaks > 0
 
 
 def test_normalize_removes_spurs():
@@ -200,11 +231,11 @@ def test_normalize_matches_the_whole_list_rescan(ids):
     assert normalize_ids(ids) == normalize_ids_whole_list(ids)
 
 
-def test_seeded_traces_are_unchanged():
-    # sha256 of every walk and every (rule, ids) state of its trace, recorded
-    # from the reducer that re-validated and re-normalized each whole state.
+def seeded_trace_digest(ns):
+    """sha256 of every walk and every (rule, ids) state of its trace, for
+    200 walks of seed 11 at each n."""
     digest = hashlib.sha256()
-    for n in range(2, 11):
+    for n in ns:
         g = build_graph(n)
         rng = random.Random(11)
         for _ in range(200):
@@ -213,8 +244,48 @@ def test_seeded_traces_are_unchanged():
             for rule, loop in reduce_loop(walk).steps:
                 digest.update(f"{rule}:{loop.ids!r};".encode())
             digest.update(b"|")
-    assert digest.hexdigest() == (
+    return digest.hexdigest()
+
+
+def test_seeded_traces_are_unchanged():
+    # Recorded from the reducer that re-validated and re-normalized each
+    # whole state.
+    assert seeded_trace_digest(range(2, 11)) == (
         "11e182c4307def04e42bd47e341f60c130198504414886ad61eb1dd7dada7191")
+
+
+def test_seeded_traces_are_unchanged_up_to_the_verify_reach():
+    # n = 11..14, the rest of what `verify --max-n 14` reduces; recorded
+    # from walks drawn with randrange and choice.
+    assert seeded_trace_digest(range(11, 15)) == (
+        "c4ba830b1b86fe2798b0d3706853bb164fadb88602ec081f21573825251ba7d7")
+
+
+def reference_walk(graph, rng):
+    """random_closed_walk written with rng.randrange and rng.choice only."""
+    for _ in range(10000):
+        start = rng.randrange(len(graph.vertices))
+        if not graph.adjacency[start]:
+            continue
+        walk = [start]
+        position = start
+        for _ in range(loops.WALK_MAX_LEN):
+            position = rng.choice(graph.adjacency[position])
+            if position == start:
+                return tuple(walk)
+            walk.append(position)
+    raise RuntimeError("no walk returned")
+
+
+def test_walks_draw_what_randrange_and_choice_draw():
+    # Equal generator states after every walk: no later draw can drift.
+    for n in range(2, 15):
+        g = build_graph(n)
+        for seed in (0, 1, 11, 31):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                assert random_closed_walk(g, rng).ids == reference_walk(g, reference_rng)
+                assert rng.getstate() == reference_rng.getstate()
 
 
 # Its first peak [3,2,1] sits between [4,1,1] and [3,3], which are not adjacent.
@@ -274,20 +345,109 @@ def test_mutant_rewrites_are_caught_where_they_happen():
     assert _mutant_outcomes() == {name: "TheoremViolationError" for name in MUTANTS}
 
 
-def test_mutant_rewrites_are_caught_without_asserts():
-    # Under -O every assert is stripped, so the local checks must raise on
-    # their own.
+def _outcomes_without_asserts(function_name):
+    """Run this module's function of that name under python -O and return
+    what it returns."""
     script = ("import json, runpy, sys; ns = runpy.run_path(sys.argv[1]); "
-              "print(json.dumps([sys.flags.optimize, ns['_mutant_outcomes']()]))")
+              "print(json.dumps([sys.flags.optimize, ns[sys.argv[2]]()]))")
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(partition_complex.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-O", "-c", script, __file__],
+    result = subprocess.run([sys.executable, "-O", "-c", script, __file__, function_name],
                             env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     optimize, outcomes = json.loads(result.stdout)
     assert optimize == 1
+    return outcomes
+
+
+def test_mutant_rewrites_are_caught_without_asserts():
+    # Under -O every assert is stripped, so the local checks must raise on
+    # their own.
+    outcomes = _outcomes_without_asserts("_mutant_outcomes")
     assert outcomes == {name: "TheoremViolationError" for name in MUTANTS}
+
+
+# A detour fragment of MUTATION_LOOP: the peak [3,2,1] (height 10) sits
+# between [4,1,1] and [3,3] (height 9); its moves to them share no corner,
+# and the detour vertex is [4,2].
+DETOUR_FRAGMENT = ((4, 1, 1), (3, 2, 1), (3, 3))
+
+
+def _replaced(items, index, value):
+    """A tuple of items with items[index] replaced by value."""
+    return tuple(value if i == index else item for i, item in enumerate(items))
+
+
+def _doctored_graphs():
+    """For each check of _replace_peak, a copy of build_graph(6) doctored so
+    that the DETOUR_FRAGMENT rewrite fails exactly that check, and the
+    message it must raise."""
+    g = build_graph(6)
+    before, peak, after = (g.vertex_id(lam) for lam in DETOUR_FRAGMENT)
+    detour = g.vertex_id((4, 2))
+    top = g.heights[peak]
+    corner_before = g.moves[peak][before][0]
+    _, add_after = g.moves[peak][after]
+    same_row = Corner(corner_before.row, corner_before.col - 1, corner_before.kind)
+    changes = {
+        "neighbour_not_lower": (
+            {"heights": _replaced(g.heights, after, top)},
+            "peak (3, 2, 1) has a neighbour of height >= 10"),
+        "corners_share_a_row": (
+            {"moves": _replaced(g.moves, peak, {**g.moves[peak], after: (same_row, add_after)})},
+            "distinct removable corners Corner(2, 2, removable) and "
+            "Corner(2, 1, removable) share a row"),
+        "no_detour_vertex": (
+            {"top": _replaced(g.top, peak, {corner: () for corner in g.top[peak]})},
+            "detour transfer Corner(3, 1, removable)->Corner(1, 4, addable) from "
+            "(3, 2, 1) is inadmissible"),
+        "detour_not_lower": (
+            {"heights": _replaced(g.heights, detour, top)},
+            "detour vertex (4, 2) is not lower than the peak (3, 2, 1)"),
+        "detour_not_adjacent": (
+            {"moves": _replaced(g.moves, detour, {
+                v: move for v, move in g.moves[detour].items() if v != peak})},
+            "detour triangle: (4, 2) and (3, 2, 1) are not adjacent"),
+    }
+    for name, (attributes, message) in changes.items():
+        doctored = copy.copy(g)
+        for attribute, value in attributes.items():
+            setattr(doctored, attribute, value)
+        yield name, doctored, [before, peak, after], message
+
+
+def _doctored_outcomes():
+    """For each doctored graph, the exception _replace_peak raised on the
+    DETOUR_FRAGMENT peak, as [type name, whether the message is the one
+    its check raises], or None."""
+    outcomes = {}
+    for name, graph, ids, message in _doctored_graphs():
+        try:
+            _replace_peak(graph, ids, 1)
+        except Exception as exc:
+            outcomes[name] = [type(exc).__name__, str(exc) == message]
+        else:
+            outcomes[name] = None
+    return outcomes
+
+
+def test_detour_fragment_rewrites_on_the_real_graph():
+    g = build_graph(6)
+    ids = [g.vertex_id(lam) for lam in DETOUR_FRAGMENT]
+    assert _replace_peak(g, ids, 1) == "detour"
+    assert g.vertices[ids[1]] == (4, 2)
+
+
+def test_replace_peak_checks_raise_on_doctored_graphs():
+    expected = {name: ["TheoremViolationError", True] for name, *_ in _doctored_graphs()}
+    assert len(expected) == 5
+    assert _doctored_outcomes() == expected
+
+
+def test_replace_peak_checks_raise_without_asserts():
+    expected = {name: ["TheoremViolationError", True] for name, *_ in _doctored_graphs()}
+    assert _outcomes_without_asserts("_doctored_outcomes") == expected
 
 
 def test_seeded_loop_suite_step_counts():
@@ -296,6 +456,13 @@ def test_seeded_loop_suite_step_counts():
     steps = [verify_single_n(n, {"loops"}, seed=11)[0].detail for n in range(2, 9)]
     assert steps == [f"1000 walks, {count} steps"
                      for count in (1000, 1321, 1786, 2278, 2785, 3376, 4128)]
+
+
+def test_seeded_loop_suite_step_counts_up_to_the_verify_reach():
+    # n = 9..14, recorded from walks drawn with randrange and choice.
+    steps = [verify_single_n(n, {"loops"}, seed=11)[0].detail for n in range(9, 15)]
+    assert steps == [f"1000 walks, {count} steps"
+                     for count in (4598, 5035, 5378, 5480, 5478, 5700)]
 
 
 def test_trace_json():

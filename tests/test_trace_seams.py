@@ -11,6 +11,8 @@ import ast
 import importlib
 from pathlib import Path
 
+from partition_complex import verification
+
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
 
@@ -33,3 +35,20 @@ def test_every_traced_function_resolves():
         module = importlib.import_module(module_name)
         assert callable(getattr(module, func_name, None)), (
             f"{module_name}.{func_name} is traced by perfbench but not defined")
+
+
+def test_every_loop_suite_reduction_goes_through_the_traced_name(monkeypatch):
+    # The worker replaces reduce_loop in each module that holds it, so its
+    # loops.reduce span and loops.steps counter see a reduction only when the
+    # suite calls it by the name verification.reduce_loop.
+    calls = []
+    reduce_loop = verification.reduce_loop
+
+    def counting(loop):
+        calls.append(loop)
+        return reduce_loop(loop)
+
+    monkeypatch.setattr(verification, "reduce_loop", counting)
+    [outcome] = verification.verify_single_n(5, {"loops"}, seed=11)
+    assert outcome.status == "pass"
+    assert len(calls) == verification.WALKS_PER_N == 1000

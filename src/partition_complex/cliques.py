@@ -101,13 +101,15 @@ def _triangle_class(arm1: tuple[Corner, Corner], arm2: tuple[Corner, Corner]) ->
 
 
 def _check_clique(g: PartitionGraph, ids: Sequence[int]) -> tuple[int, ...]:
+    """The distinct ids, sorted, once each is checked to be a vertex id (an
+    int, not a bool, in range) and every two distinct ones to be adjacent."""
     vertex_count = len(g.vertices)
     for vid in ids:
+        if type(vid) is not int:
+            raise NotACliqueError(f"vertex id {vid!r} is not an int")
         if not 0 <= vid < vertex_count:
             raise NotACliqueError(f"unknown vertex id {vid}")
     sorted_ids = tuple(sorted(set(ids)))
-    if len(sorted_ids) != len(ids):
-        raise NotACliqueError(f"repeated vertices in {tuple(ids)}")
     for i, j in itertools.combinations(sorted_ids, 2):
         if j not in g.moves[i]:
             raise NotACliqueError(f"{g.vertices[i]} and {g.vertices[j]} are not adjacent")
@@ -122,6 +124,8 @@ def classify_clique(g: PartitionGraph, ids: Sequence[int]) -> CliqueClass:
     of size <= 2 carry no forced type and come back as SMALL.
     """
     sorted_ids = _check_clique(g, ids)
+    if len(sorted_ids) != len(ids):
+        raise NotACliqueError(f"repeated vertices in {tuple(ids)}")
     if len(sorted_ids) <= 2:
         return CliqueClass(SMALL)
     base_id = min(sorted_ids, key=lambda vid: g.heights[vid])
@@ -338,6 +342,7 @@ def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]
     - ways[adj][m][d] counts those with d distinct parts, split by
       whether v - 1 is a part; the empty partition counts 0 as a part,
       which gives adj(1) = 1;
+    - counts[adj][m], a plain int, counts them over all d;
     - star[m][s] counts their (partition, part) pairs with a star fiber of
       size s, which no larger part changes;
     - top[m][s] counts their (partition, part u) pairs with d_>=(u) -
@@ -345,14 +350,28 @@ def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]
       part added later raises s by one.
 
     Adding one or more parts v to a partition with d distinct parts gives v
-    the star size d + 1 - adj and the top size 1 - adj so far.
+    the star size d + 1 - adj and the top size 1 - adj so far, so the top
+    update needs only counts, not ways.
 
-    Each row, a vector over d or s of length width = isqrt(2 max_n) + 1, is
-    one int with slot i in bits [W i, W (i + 1)): adding rows is +, the
-    shift from d to d + 1 is << W, and a digit sum is one product with
-    sum_i 2^(W i), read off slot width - 1.  The work is O(max_n^2)
-    big-integer operations on width * W-bit rows, after an O(max_n^2)
-    pre-pass for p(0..max_n), which sets W = _slot_bits(p(max_n), width).
+    The pass for v walks each residue class r = 0, ..., min(v, max_n + 1 -
+    v) - 1 along m = r + v, r + 2v, ... <= max_n.  A partition of m with
+    one or more parts v is one of m - jv, j >= 1, into parts < v with j
+    parts v added, so along a class every sum over j of the rows at m - jv
+    is a running sum held in a local.  Those sums must read the rows as they
+    stood before v, and the pass writes star[m] and top[m] once it has read
+    them: reading star[m - v] back from the list would add this v's own
+    update again, so each step carries the old values to the next in
+    locals.  When 2v > max_n every class takes one step, from a sum m - v
+    < v that the pass never writes, so that pass reads the lists directly.
+    counts advances as ways does: counts[0] gains counts[1], and counts[1]
+    at m becomes the two running count sums.
+
+    Each ways, star and top row, a vector over d or s of length width =
+    isqrt(2 max_n) + 1, is one int with slot i in bits [W i, W (i + 1)):
+    adding rows is + and the shift from d to d + 1 is << W.  The work is
+    O(max_n^2) big-integer additions and shifts on width * W-bit rows, and
+    one product per n for its vertex count, after an O(max_n^2) pre-pass for
+    p(0..max_n), which sets W = _slot_bits(p(max_n), width).
 
     Lemma (no carry crosses a slot): a partition of m <= max_n with d
     distinct parts has m >= d (d + 1) / 2, so d <= width - 1; it counts at
@@ -360,11 +379,13 @@ def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]
     over all s.  So every slot value, and every digit sum and partial
     digit sum, is at most p(m) * width < p(max_n) * (width + 2) < 2^W, and
     nothing is ever shifted past slot width - 1.  The sweep still checks
-    that it holds, since a carry out of a slot changes a digit sum: a bit
-    left above the top slot at unpacking, a vertex count that differs from
-    the pre-pass p(n), or fiber counts where top does not exceed star by
-    p(n) (one star and one top fiber per distinct part, and the first-row
-    top fiber) raise TheoremViolationError.
+    that it holds, since a carry out of a slot changes a digit sum.  A bit
+    left above the top slot, a vertex count that differs from counts[0][n]
+    + counts[1][n] or from the pre-pass p(n), or fiber counts where top
+    does not exceed star by p(n) (one star and one top fiber per distinct
+    part, and the first-row top fiber) raise TheoremViolationError.  The
+    vertex count is the digit sum of ways[0][n] + ways[1][n], one product
+    with sum_i 2^(W i) read off slot width - 1.
     """
     if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 1:
         raise InvalidPartitionError(f"max_n must be a positive integer, got {max_n!r}")
@@ -375,38 +396,61 @@ def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]
     ones = sum(1 << (bits * i) for i in range(width))
     last = bits * (width - 1)
 
-    def digit_sum(row: int) -> int:
-        return ((row * ones) >> last) & mask
-
-    def copies(rows: list[int], v: int) -> list[int]:
-        # out[m] = rows[m - v] + rows[m - 2v] + ...: whatever rows[m']
-        # counts, with one or more parts v added to reach sum m.
-        out = [0] * (max_n + 1)
-        for m in range(v, max_n + 1):
-            out[m] = rows[m - v] + out[m - v]
-        return out
-
-    ways = [[0] * (max_n + 1), [1] + [0] * max_n]
+    ways0, ways1 = [0] * (max_n + 1), [1] + [0] * max_n
+    counts0, counts1 = [0] * (max_n + 1), [1] + [0] * max_n
     star = [0] * (max_n + 1)
     top = [0] * (max_n + 1)
     for v in range(1, max_n + 1):
-        # Partitions with one or more parts v, without and with the part v - 1.
-        absent, present, star_kept, top_kept = (copies(rows, v) for rows in (*ways, star, top))
-        for m in range(v, max_n + 1):
-            a, b = absent[m], present[m]
-            # v's star fiber has size d + 1 without v - 1 and d with it.
-            # v raises every smaller part's top size by one, and its own top
-            # fiber has size 1 without v - 1 and 0 with it so far.
-            star[m] += star_kept[m] + (a << bits) + b
-            top[m] += (top_kept[m] << bits) + digit_sum(b) + (digit_sum(a) << bits)
-        ways = [
-            [x + y for x, y in zip(*ways)],
-            [(a + b) << bits for a, b in zip(absent, present)],
-        ]
+        next1, next_counts1 = [0] * (max_n + 1), [0] * (max_n + 1)
+        # Partitions with one or more parts v, without (absent) and with
+        # (present) the part v - 1.  v's star fiber has size d + 1 without
+        # v - 1 and d with it.  v raises every smaller part's top size by
+        # one, and its own top fiber has size 1 without v - 1 and 0 with it
+        # so far.
+        if 2 * v > max_n:
+            # Each class takes one step, from a sum below v that this pass
+            # does not write.
+            for m in range(v, max_n + 1):
+                rest = m - v
+                absent, present = ways0[rest], ways1[rest]
+                absent_count, present_count = counts0[rest], counts1[rest]
+                star[m] += star[rest] + (absent << bits) + present
+                top[m] += ((top[rest] + absent_count) << bits) + present_count
+                next1[m] = (absent + present) << bits
+                next_counts1[m] = absent_count + present_count
+        else:
+            for r in range(v):
+                absent = present = absent_count = present_count = star_kept = top_kept = 0
+                # The pass overwrites star[m] and top[m] after reading them,
+                # so the next step adds the rows as they stood before v.
+                star_old, top_old = star[r], top[r]
+                for m in range(r + v, max_n + 1, v):
+                    rest = m - v
+                    absent += ways0[rest]
+                    present += ways1[rest]
+                    absent_count += counts0[rest]
+                    present_count += counts1[rest]
+                    star_kept += star_old
+                    top_kept += top_old
+                    star_old, top_old = star[m], top[m]
+                    star[m] = star_old + star_kept + (absent << bits) + present
+                    top[m] = top_old + ((top_kept + absent_count) << bits) + present_count
+                    next1[m] = (absent + present) << bits
+                    next_counts1[m] = absent_count + present_count
+        ways0 = [x + y for x, y in zip(ways0, ways1)]
+        counts0 = [x + y for x, y in zip(counts0, counts1)]
+        ways1, counts1 = next1, next_counts1
 
     out = []
     for n in range(1, max_n + 1):
-        vertices = sum(_unpack(ways[0][n], bits, width)) + sum(_unpack(ways[1][n], bits, width))
+        row = ways0[n] + ways1[n]
+        if row >> (bits * width):
+            raise TheoremViolationError(f"a packed row overflows its {width} slots of {bits} bits")
+        vertices = ((row * ones) >> last) & mask
+        if vertices != counts0[n] + counts1[n]:
+            raise TheoremViolationError(
+                f"n={n}: the packed rows count {vertices} partitions,"
+                f" the scalar rows {counts0[n] + counts1[n]}")
         if vertices != partitions[n]:
             raise TheoremViolationError(
                 f"n={n}: the sweep counts {vertices} partitions, not p(n) = {partitions[n]}")

@@ -65,7 +65,7 @@ def anchor_intersection_ids(nerve: NerveComplex, vertex_ids: Sequence[int]) -> f
 def closure_ids(nerve: NerveComplex, vertex_ids: Sequence[int]) -> tuple[int, ...]:
     if not vertex_ids:
         raise NotACliqueError("closure needs a nonempty clique")
-    distinct = _check_clique(nerve.graph, sorted(set(vertex_ids)))
+    distinct = _check_clique(nerve.graph, vertex_ids)
     common = anchor_intersection_ids(nerve, distinct)
     if not common:
         return tuple(range(len(nerve.anchor_sets)))

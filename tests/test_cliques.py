@@ -1,5 +1,6 @@
 """Fibers, triangle and clique classification, covers, facets, f-vectors."""
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -157,6 +158,13 @@ def test_classify_clique_rejects_non_cliques():
         classify_clique(g, [0, 0])
     with pytest.raises(NotACliqueError):
         classify_clique(g, [0, 99])
+
+
+def test_classify_clique_rejects_ids_that_are_not_ints():
+    g = build_graph(4)
+    for ids in ([True, 2], [1, True], [1.0], [0, 1.5], ["1"], [1, "1"]):
+        with pytest.raises(NotACliqueError, match="is not an int"):
+            classify_clique(g, ids)
 
 
 def test_every_clique_classifies_at_n9():
@@ -325,6 +333,14 @@ def test_fvector_table_matches_corner_counting():
         assert fvector == fvector_by_corner_counting(n), n
 
 
+def test_fvector_table_is_unchanged_up_to_300():
+    # Every f-vector, not only chi: the CLI digests pin chi alone, to n = 200.
+    counts = [fvector.counts for fvector in fvector_table(300)]
+    assert counts[-1][:2] == (9253082936723602, 830775014299725532)
+    digest = hashlib.sha256(repr(counts).encode()).hexdigest()
+    assert digest == "2cf3290142f842f0f04cf6b27e510aae056cadb9045705ea25fe14930eca9600"
+
+
 def test_fvector_table_rejects_nonpositive():
     for bad in (0, -3, True, 2.0):
         with pytest.raises(InvalidPartitionError):
@@ -374,25 +390,28 @@ def _raises(function, *args) -> bool:
     return False
 
 
-def _narrow_slots_raise(max_n: int = 25) -> bool:
-    """Whether the sweep, and so fvector_table, raise at max_n for every slot
-    width W with 2^W at most the largest count of the histograms, where
-    carries must occur."""
-    largest = max(max(p, *star, *top) for p, star, top in _fiber_size_histograms(max_n))
+def _narrow_slots_raise(max_n_values=(25, 100)) -> bool:
+    """Whether the sweep, and so fvector_table, raise at each max_n for
+    every slot width W with 2^W at most the largest count of the
+    histograms, where carries must occur."""
+    largest = {max_n: max(max(p, *star, *top) for p, star, top in _fiber_size_histograms(max_n))
+               for max_n in max_n_values}
     real_slot_bits = cliques._slot_bits
     try:
-        for bits in range(1, largest.bit_length()):
-            cliques._slot_bits = lambda largest, width: bits
-            if not (_raises(cliques._fiber_size_histograms, max_n)
-                    and _raises(cliques.fvector_table, max_n)):
-                return False
+        for max_n, count in largest.items():
+            for bits in range(1, count.bit_length()):
+                cliques._slot_bits = lambda largest, width: bits
+                if not (_raises(cliques._fiber_size_histograms, max_n)
+                        and _raises(cliques.fvector_table, max_n)):
+                    return False
     finally:
         cliques._slot_bits = real_slot_bits
     return True
 
 
 def test_narrow_slots_raise_with_and_without_optimize():
-    # At max_n = 25 the largest count is 2436, so W = 1..11 all carry.
+    # At max_n = 25 the largest count is 2436, so W = 1..11 all carry; at
+    # max_n = 100 it needs 28 bits, so W = 1..27 do.
     assert _narrow_slots_raise()
     assert fvector_table(25) == [fvector_by_corner_counting(n) for n in range(1, 26)]
     # Under -O every assert is stripped, so the checks must raise on their own.

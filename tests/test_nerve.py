@@ -199,6 +199,10 @@ def test_closure_rejects_unknown_ids_and_accepts_repeats():
             closure_ids(nerve, [bad])
     with pytest.raises(NotACliqueError, match="closure needs a nonempty clique"):
         closure_ids(nerve, [])
+    # An id must be an int and not a bool, repeated or not.
+    for ids in ([True, 2], [1, True], [1.0], [0, 1.5], ["1"], [1, "1"]):
+        with pytest.raises(NotACliqueError, match="is not an int"):
+            closure_ids(nerve, ids)
     g = nerve.graph
     edge = (g.vertex_id((6,)), g.vertex_id((5, 1)))
     assert closure_ids(nerve, edge + edge[::-1]) == closure_ids(nerve, edge)

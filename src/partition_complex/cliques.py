@@ -324,6 +324,22 @@ def _unpack(row: int, bits: int, width: int) -> list[int]:
     return [(row >> (bits * i)) & mask for i in range(width)]
 
 
+def _packed_vertex_count(n: int, ways: int, count: int, bits: int, width: int) -> int:
+    """The partitions of n counted by the packed row ways, width slots of
+    bits bits over the number of distinct parts: its digit sum, one product
+    with sum_i 2^(bits i) read off slot width - 1.  A bit above the top
+    slot, or a digit sum other than count, the scalar rows' count, raises
+    TheoremViolationError."""
+    if ways >> (bits * width):
+        raise TheoremViolationError(f"a packed row overflows its {width} slots of {bits} bits")
+    ones = ((1 << (bits * width)) - 1) // ((1 << bits) - 1)
+    vertices = ((ways * ones) >> (bits * (width - 1))) & ((1 << bits) - 1)
+    if vertices != count:
+        raise TheoremViolationError(
+            f"n={n}: the packed rows count {vertices} partitions, the scalar rows {count}")
+    return vertices
+
+
 def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]:
     """(p(n), star, top) for n = 1..max_n, with star[s] and top[s] the number
     of raising star and top fibers of size s over all partitions of n.
@@ -384,17 +400,14 @@ def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]
     + counts[1][n] or from the pre-pass p(n), or fiber counts where top
     does not exceed star by p(n) (one star and one top fiber per distinct
     part, and the first-row top fiber) raise TheoremViolationError.  The
-    vertex count is the digit sum of ways[0][n] + ways[1][n], one product
-    with sum_i 2^(W i) read off slot width - 1.
+    vertex count is the digit sum of ways[0][n] + ways[1][n], read by
+    _packed_vertex_count.
     """
     if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 1:
         raise InvalidPartitionError(f"max_n must be a positive integer, got {max_n!r}")
     width = math.isqrt(2 * max_n) + 1
     partitions = _partition_counts(max_n)
     bits = _slot_bits(partitions[max_n], width)
-    mask = (1 << bits) - 1
-    ones = sum(1 << (bits * i) for i in range(width))
-    last = bits * (width - 1)
 
     ways0, ways1 = [0] * (max_n + 1), [1] + [0] * max_n
     counts0, counts1 = [0] * (max_n + 1), [1] + [0] * max_n
@@ -443,14 +456,7 @@ def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]
 
     out = []
     for n in range(1, max_n + 1):
-        row = ways0[n] + ways1[n]
-        if row >> (bits * width):
-            raise TheoremViolationError(f"a packed row overflows its {width} slots of {bits} bits")
-        vertices = ((row * ones) >> last) & mask
-        if vertices != counts0[n] + counts1[n]:
-            raise TheoremViolationError(
-                f"n={n}: the packed rows count {vertices} partitions,"
-                f" the scalar rows {counts0[n] + counts1[n]}")
+        vertices = _packed_vertex_count(n, ways0[n] + ways1[n], counts0[n] + counts1[n], bits, width)
         if vertices != partitions[n]:
             raise TheoremViolationError(
                 f"n={n}: the sweep counts {vertices} partitions, not p(n) = {partitions[n]}")

@@ -1,26 +1,30 @@
 """Exact integer simplicial homology of a complex given by its facets.
 
-Each boundary column of a p-simplex s is a tuple of p + 1 face indices in
-drop order: entry k is the face s[:k] + s[k+1:], whose sign (-1)^k over
-sorted vertex order is implied, not stored.  Every build checks the face
-identities d_a d_b = d_{b-1} d_a (a < b) on these indices, in bulk stride
-slices; with the signs (-1)^k they force d d = 0, so a build that passes
-is a chain complex.  The maps are reduced with exact arbitrary-precision
-integer arithmetic.  No floating point, no fixed-width integers.
+The boundary map out of dimension p is stored as p + 1 rows of face
+indices, one entry per p-simplex: entry j of row k is the face of simplex
+j without its vertex k, whose sign (-1)^k over sorted vertex order is
+implied, not stored.  Each row is one stride slice of the build's lookup
+list, and no column is ever held as a tuple.  Every build checks the face
+identities d_a d_b = d_{b-1} d_a (a < b) on these rows, each as two
+whole-row gathers compared; with the signs (-1)^k they force d d = 0, so
+a build that passes is a chain complex.  The maps are reduced with exact
+arbitrary-precision integer arithmetic.  No floating point, no
+fixed-width integers.
 
 The map out of dimension 1 is a graph incidence matrix: a union-find
 spanning forest, built in column order, gives its rank, f_0 minus the
-number of components, and it has no torsion.  Every other map gets one left-to-right reduction over
-sparse lines, on whichever side has fewer of them: its columns, or its rows
-in descending order (Bauer, "Ripser: efficient computation of Vietoris-Rips
-persistence barcodes", J. Appl. Comput. Topol. 5, 2021, on apparent pairs
-and on reducing the coboundary side).  A line's pivot is its leading index;
-it is combined only with earlier pivot lines, and only +-1 pivots are kept.
-The apparent lines, whose +-1 leading entry no earlier such line shares,
-are read in bulk and taken first, as they are; only the other lines are
-built as sparse lines and reduced, in their original order.  On K_n every
-line is apparent (all 100,013 lines of the six sparse maps at n = 30), so
-no combination runs at all.  Lines whose leading entry is not a unit form
+number of components, and it has no torsion.  Every other map gets one
+left-to-right reduction over sparse lines, on whichever side has fewer of
+them: its columns, or its rows in descending order (Bauer, "Ripser:
+efficient computation of Vietoris-Rips persistence barcodes", J. Appl.
+Comput. Topol. 5, 2021, on apparent pairs and on reducing the coboundary
+side).  A line's pivot is its leading index; it is combined only with
+earlier pivot lines, and only +-1 pivots are kept.  The apparent lines,
+whose +-1 leading entry no earlier such line shares, are read in bulk off
+the rows and taken first, as they are; only the other lines are built as
+sparse lines and reduced, in their original order.  On K_n every line is
+apparent (all 100,013 lines of the six sparse maps at n = 30), so no
+combination runs at all.  Lines whose leading entry is not a unit form
 the residue; once the pivot indices are cleared from it, it goes to a
 dense Smith normal form, the only place torsion can come from.
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, filterfalse, repeat
 from math import gcd
-from operator import getitem, indexOf, ne, neg
+from operator import indexOf, ne, neg
 from typing import Collection, Iterable, Sequence
 
 from .partitions import TheoremViolationError
@@ -60,15 +64,16 @@ class ChainComplex:
     """Per-dimension simplex bases and sparse boundary matrices.
 
     basis[p] lists the p-simplices as sorted vertex-id tuples, sorted.
-    boundaries[p] (p >= 1) holds one column per p-simplex s, a tuple of
-    p + 1 row indices into the (p-1)-basis in drop order: entry k is the
-    face s[:k] + s[k+1:], with sign (-1)^k, which is not stored.
-    boundaries[0] is the empty tuple standing for the zero map out of
-    dimension 0.
+    boundaries[p] (p >= 1) holds p + 1 rows, lists of f_p indices into the
+    (p-1)-basis: boundaries[p][k][j] is the index of the face s[:k] +
+    s[k+1:] of s = basis[p][j], with sign (-1)^k, which is not stored.
+    Column j of the map is entry j of every row.  boundaries[0] is the
+    empty tuple standing for the zero map out of dimension 0.  The rows
+    are lists, so a ChainComplex is unhashable.
     """
 
     basis: tuple[tuple[tuple[int, ...], ...], ...]
-    boundaries: tuple[tuple[tuple[int, ...], ...], ...]
+    boundaries: tuple[tuple[list[int], ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -132,14 +137,14 @@ class HomologyReport:
 
 
 def build_chain_complex(facets: Iterable[Sequence[int]]) -> ChainComplex:
-    """All faces of the given facets, with boundary columns, checked by the face identities.
+    """All faces of the given facets, with boundary rows, checked by the face identities.
 
     Each dimension's faces are gathered from the lex-sorted facets in
     first-seen order, so the sort that makes the basis meets near-sorted
     runs.  A dimension's face ids come from one lookup pass over the
-    combinations of its simplices in lex order, which lists every column's
-    faces with the last vertex dropped first; reversed and grouped, they
-    are the drop-order columns.
+    combinations of its simplices in lex order, which lists each simplex's
+    p + 1 faces with the last vertex dropped first; the faces that drop
+    vertex k are every (p + 1)-th id from offset p - k, one stride slice.
     """
     facet_tuples = sorted(tuple(sorted(facet)) for facet in facets)
     if not facet_tuples:
@@ -154,30 +159,26 @@ def build_chain_complex(facets: Iterable[Sequence[int]]) -> ChainComplex:
         tuple(sorted(dict.fromkeys(chain.from_iterable(
             map(combinations, facet_tuples, repeat(p + 1))))))
         for p in range(max_dim + 1))
-    boundaries: list[tuple[tuple[int, ...], ...]] = [()]
+    boundaries: list[tuple[list[int], ...]] = [()]
     for p in range(1, max_dim + 1):
         index = dict(zip(basis[p - 1], range(len(basis[p - 1]))))
         ids = list(map(index.__getitem__, chain.from_iterable(
             map(combinations, basis[p], repeat(p)))))
         del index
-        ids.reverse()
-        columns = list(zip(*[iter(ids)] * (p + 1)))
-        columns.reverse()
-        boundaries.append(tuple(columns))
+        boundaries.append(tuple(ids[p - k::p + 1] for k in range(p + 1)))
     cplx = ChainComplex(basis, tuple(boundaries))
     _check_face_identities(cplx)
     return cplx
 
 
 def _check_face_identities(cplx: ChainComplex) -> None:
-    """Raise TheoremViolationError unless the columns satisfy the face identities.
+    """Raise TheoremViolationError unless the rows satisfy the face identities.
 
-    Every column out of dimension p must hold p + 1 faces.  Write d_b s
-    for entry b of the column of s, and d_a d_b s for entry a of the
-    column of d_b s; for all a < b the face identity d_a d_b s =
-    d_{b-1} d_a s must hold.  The second faces of dimension p are
-    flattened column by column, face by face, so each identity is one
-    comparison of two stride slices over all its columns at once.
+    The map out of dimension p must hold p + 1 rows of f_p faces each.
+    Write d_k s for entry k of the column of s, the face in row k; then
+    d_a d_b s is row a of the map below at index d_b s.  For all a < b the
+    face identity d_a d_b s = d_{b-1} d_a s must hold, and each identity
+    is one comparison of two whole-row gathers over all the simplices.
 
     Lemma: with signs (-1)^k these identities force d d = 0.  The signed
     d_{p-1} d_p of a simplex is the sum over b <= p and a < p of
@@ -186,18 +187,18 @@ def _check_face_identities(cplx: ChainComplex) -> None:
     terms the same face with opposite signs, so they cancel.
     """
     for p in range(1, cplx.dimension + 1):
-        columns = cplx.boundaries[p]
-        if set(map(len, columns)) - {p + 1}:
+        rows, size = cplx.boundaries[p], len(cplx.basis[p])
+        if len(rows) != p + 1 or any(len(row) != size for row in rows):
             raise TheoremViolationError(
-                f"a boundary column out of dimension {p} does not hold {p + 1} faces")
+                f"the boundary map out of dimension {p} does not hold {p + 1} rows"
+                f" of {size} faces")
         if p < 2:
             continue
-        second = list(chain.from_iterable(
-            map(cplx.boundaries[p - 1].__getitem__, chain.from_iterable(columns))))
-        step = (p + 1) * p
+        lower = cplx.boundaries[p - 1]
         for b in range(1, p + 1):
             for a in range(b):
-                if second[b * p + a::step] != second[a * p + b - 1::step]:
+                if (list(map(lower[a].__getitem__, rows[b]))
+                        != list(map(lower[b - 1].__getitem__, rows[a]))):
                     raise TheoremViolationError(
                         f"face identity d_{a} d_{b} = d_{b - 1} d_{a} fails in dimension {p},"
                         " so boundary of boundary need not vanish")
@@ -295,24 +296,27 @@ def _eliminate(line: dict[int, int], pivot_line: dict[int, int], top: int) -> No
 
 
 def _sparse_rank_and_factors(
-    columns: Sequence[Sequence[int]], values: Sequence[Sequence[int]], nrows: int, ncols: int,
+    rows: Sequence[Sequence[int]], values: Sequence[int], nrows: int, ncols: int,
     skip_rows: Collection[int], skip_cols: Collection[int],
 ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
     """Rank, invariant factors and unit pivots of a sparse integer matrix.
 
-    The matrix is nrows by ncols and is given by its columns: entry k of
-    column j has row columns[j][k] and value values[j][k], with distinct
-    rows and no zero values in a column; the rows in skip_rows and the
-    columns in skip_cols (distinct valid indices) are left out.  The input
-    is read, never mutated.  One left-to-right pass runs over whichever
-    side has fewer lines: the columns, pivot the largest row, or else the
-    rows in descending order, pivot the smallest column (the columns of
-    the anti-transpose).  A line is combined only with earlier pivot
-    lines, until its leading entry is new; a +-1 there makes it a pivot
-    line, anything else puts it in the residue.  After the pass every
-    pivot index is cleared from each residue line, largest first, and what
-    is left goes to the dense Smith reduction.  The (row, column) of every
-    unit pivot is returned.
+    The matrix is nrows by ncols and is given by K >= 1 index rows of
+    length ncols, one nonzero value each: it is the sum over k of values[k]
+    times the 0/1 matrix with a 1 at (rows[k][j], j) for every column j.
+    An index -1 stands for no entry, and the indices of one column are
+    otherwise distinct.  A boundary map is its p + 1 face rows with the
+    signs (-1)^k.  The rows in skip_rows and the columns in skip_cols
+    (distinct valid indices) are left out.  The input is read, never
+    mutated, and no column is held as a tuple.  One left-to-right pass runs
+    over whichever side has fewer lines: the columns, pivot the largest
+    row, or else the rows in descending order, pivot the smallest column
+    (the columns of the anti-transpose).  A line is combined only with
+    earlier pivot lines, until its leading entry is new; a +-1 there makes
+    it a pivot line, anything else puts it in the residue.  After the pass
+    every pivot index is cleared from each residue line, largest first, and
+    what is left goes to the dense Smith reduction.  The (row, column) of
+    every unit pivot is returned.
 
     The pass takes the apparent lines first.  A line is apparent when its
     leading entry is +-1 and no earlier line with a +-1 leading entry has
@@ -351,27 +355,26 @@ def _sparse_rank_and_factors(
     invertible submatrix of the input.
     """
     by_columns = ncols - len(skip_cols) <= nrows - len(skip_rows)
-    line_ids, tops, leads = _leading_entries(
-        columns, values, nrows, ncols, skip_rows, skip_cols, by_columns)
+    line_ids, tops, units = _leading_entries(
+        rows, values, nrows, ncols, skip_rows, skip_cols, by_columns)
     # Read backwards, the dict keeps the first +-1-led line at each index:
     # the apparent lines.  Every other line is in rest.
-    units = list(map((1).__eq__, map(abs, leads)))
     pivot_of = dict(zip(reversed(list(compress(tops, units))),
                         reversed(list(compress(line_ids, units)))))
     rest = list(compress(line_ids, map(ne, map(pivot_of.get, tops), line_ids)))
     residue: list[dict[int, int]] = []
     if rest:
+        skip = {-1, *skip_rows}
         if by_columns:
             def line_of(j: int) -> dict[int, int]:
-                return {i: v for i, v in zip(columns[j], values[j]) if i not in skip_rows}
+                return {i: v for i, v in zip([row[j] for row in rows], values) if i not in skip}
         else:
-            rows: dict[int, dict[int, int]] = {}
-            for j, column in enumerate(columns):
-                if j not in skip_cols:
-                    for i, v in zip(column, values[j]):
-                        if i not in skip_rows:
-                            rows.setdefault(i, {})[-j] = v
-            line_of = rows.__getitem__
+            transposed: dict[int, dict[int, int]] = {}
+            for row, v in zip(rows, values):
+                for j, i in enumerate(row):
+                    if i not in skip and j not in skip_cols:
+                        transposed.setdefault(i, {})[-j] = v
+            line_of = transposed.__getitem__
         built: dict[int, dict[int, int]] = {}
 
         def pivot_line(top: int) -> dict[int, int]:
@@ -404,56 +407,67 @@ def _sparse_rank_and_factors(
 
 
 def _leading_entries(
-    columns: Sequence[Sequence[int]], values: Sequence[Sequence[int]], nrows: int, ncols: int,
+    rows: Sequence[Sequence[int]], values: Sequence[int], nrows: int, ncols: int,
     skip_rows: Collection[int], skip_cols: Collection[int], by_columns: bool,
-) -> tuple[list[int], list[int], list[int]]:
-    """Each line's id, leading index and leading value, in pass order.
+) -> tuple[list[int], list[int], list[bool]]:
+    """Each line's id, leading index and whether its leading value is +-1, in pass order.
 
     The lines are the kept columns in order, or else the kept rows in
     descending order; lines with no kept entry are left out.  A column
-    leads at its largest kept row.  A row leads at its smallest kept
-    column j, at index -j so that a row's pivot is its largest key too; it
-    is read from one dict over the entries of the kept columns in
-    descending column order, where the last entry of each row wins.
+    leads at its largest kept row.  A row leads at its smallest kept column
+    j, at index -j so that a row's pivot is its largest key too; it is read
+    from one dict over the entries of the kept columns laid out in
+    descending column order, where the last entry of each row wins.  When
+    every value is +-1, as in a boundary map, so is every leading value;
+    otherwise a line's leading value is that of the index row that holds
+    its leading entry.
     """
-    kept_ids = list(filterfalse(skip_cols.__contains__, compress(range(ncols), columns)))
-    kept = list(map(columns.__getitem__, kept_ids))
+    kept_ids = list(filterfalse(skip_cols.__contains__, range(ncols)))
     if by_columns:
+        kept = [list(map(row.__getitem__, kept_ids)) for row in rows]
         if skip_rows:
-            row_key = list(range(nrows))
+            # Index -1, no entry, reads the appended -1.
+            row_key = list(range(nrows)) + [-1]
             for i in skip_rows:
                 row_key[i] = -1
-            tops = list(map(max, map(map, repeat(row_key.__getitem__), kept)))
-            nonzero = list(map((-1).__ne__, tops))
-            kept_ids, kept, tops = (list(compress(seq, nonzero)) for seq in (kept_ids, kept, tops))
-        else:
-            tops = list(map(max, kept))
-        leads = list(map(getitem, map(values.__getitem__, kept_ids), map(indexOf, kept, tops)))
-        return kept_ids, tops, leads
-    first = dict(zip(chain.from_iterable(reversed(kept)),
-                     chain.from_iterable(map(repeat, reversed(kept_ids), map(len, reversed(kept))))))
-    for i in skip_rows:
-        first.pop(i, None)
-    line_ids = sorted(first, reverse=True)
-    lead_cols = list(map(first.__getitem__, line_ids))
-    leads = list(map(getitem, map(values.__getitem__, lead_cols),
-                     map(indexOf, map(columns.__getitem__, lead_cols), line_ids)))
-    return line_ids, list(map(neg, lead_cols)), leads
+            kept = [list(map(row_key.__getitem__, row)) for row in kept]
+        tops = list(map(max, zip(*kept)))
+        nonzero = list(map((-1).__ne__, tops))
+        line_ids, tops = list(compress(kept_ids, nonzero)), list(compress(tops, nonzero))
+        lead_rows, lead_cols = tops, line_ids
+    else:
+        kept_ids.reverse()
+        stride = len(rows)
+        entries, columns = [-1] * (stride * len(kept_ids)), [0] * (stride * len(kept_ids))
+        for k, row in enumerate(rows):
+            entries[k::stride] = map(row.__getitem__, kept_ids)
+            columns[k::stride] = kept_ids
+        first = dict(zip(entries, columns))
+        del entries, columns
+        for i in {-1, *skip_rows}:
+            first.pop(i, None)
+        line_ids = lead_rows = sorted(first, reverse=True)
+        lead_cols = list(map(first.__getitem__, line_ids))
+        tops = list(map(neg, lead_cols))
+    if all(abs(v) == 1 for v in values):
+        return line_ids, tops, [True] * len(line_ids)
+    slots = map(indexOf, zip(*[map(row.__getitem__, lead_cols) for row in rows]), lead_rows)
+    return line_ids, tops, [abs(values[k]) == 1 for k in slots]
 
 
 def _spanning_forest(
-    edges: Sequence[tuple[int, int]], nvertices: int
+    rows: Sequence[Sequence[int]], nvertices: int
 ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
     """Rank, invariant factors and unit pivots of the map out of dimension 1.
 
-    That map is a graph incidence matrix: each column holds an edge's two
-    vertices.  Union-find keeps, in column order, the edges that join two
-    components; they form a spanning forest, so the rank is f_0 minus the
-    number of components, and there is no torsion.  They are also the
-    pivot columns of a left-to-right reduction of the columns, and the rows
-    they clear from d_2 leave its pass on boundary complexes apparent;
-    another spanning forest would give the same ranks with far more
-    elimination.  Each tree is rooted at its smallest vertex and every
+    That map is a graph incidence matrix: its two rows hold each edge's two
+    vertices, read here edge by edge.  Union-find keeps, in column order,
+    the edges that join two components; they form a spanning forest, so
+    the rank is f_0 minus the number of components, and there is no
+    torsion.  They are also the pivot columns of a left-to-right reduction
+    of the columns, and the rows they clear from d_2 leave its pass on
+    boundary complexes apparent; another spanning forest would give the
+    same ranks with far more elimination.  Each tree is rooted at its smallest vertex and every
     forest edge is paired with its child vertex, the (row, column) pivots
     returned.  Taken in discovery order, an edge's other vertex is the root
     or an earlier child, so the pairs index a triangular submatrix with a
@@ -469,7 +483,7 @@ def _spanning_forest(
         return v
 
     tree: list[list[tuple[int, int]]] = [[] for _ in range(nvertices)]
-    for e, (u, v) in enumerate(edges):
+    for e, (u, v) in enumerate(zip(*rows)):
         root_u, root_v = find(u), find(v)
         if root_u != root_v:
             parent[root_u] = root_v
@@ -514,7 +528,7 @@ def reduced_homology(cplx: ChainComplex) -> HomologyReport:
     for p in range(top, 1, -1):
         signs = tuple(-1 if k % 2 else 1 for k in range(p + 1))
         ranks[p], torsion[p - 1], pivots[p] = _sparse_rank_and_factors(
-            cplx.boundaries[p], (signs,) * fvector[p], fvector[p - 1], fvector[p],
+            cplx.boundaries[p], signs, fvector[p - 1], fvector[p],
             skip_rows={col for _, col in pivots.get(p - 1, ())},
             skip_cols={row for row, _ in pivots.pop(p + 1, ())})
     for p in range(1, top + 1):

@@ -425,6 +425,20 @@ def test_narrow_slots_raise_with_and_without_optimize():
     assert result.returncode == 0, result.stderr
 
 
+def test_packed_vertex_count_checks_its_row():
+    # A too-narrow slot overflows a star or top row before any ways row, so
+    # the sweep never reaches these two checks; crafted rows do.  Three
+    # 4-bit slots: 2 partitions with one distinct part, 3 with two.
+    bits, width = 4, 3
+    row = (2 << bits) + (3 << 2 * bits)
+    assert cliques._packed_vertex_count(5, row, 5, bits, width) == 5
+    # The bit above the top slot falls out of the digit sum, which still reads 5.
+    with pytest.raises(TheoremViolationError, match="overflows its 3 slots of 4 bits"):
+        cliques._packed_vertex_count(5, row + (1 << bits * width), 5, bits, width)
+    with pytest.raises(TheoremViolationError, match="the scalar rows 6"):
+        cliques._packed_vertex_count(5, row, 6, bits, width)
+
+
 def test_format_facet_lines():
     facets = [(0, 1), (1, 2, 3)]
     assert format_facet_lines(facets) == "1 2\n2 3 4\n"

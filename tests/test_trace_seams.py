@@ -9,9 +9,11 @@ first.
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 from partition_complex import verification
+from partition_complex.homology import build_chain_complex
 
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
@@ -52,3 +54,16 @@ def test_every_loop_suite_reduction_goes_through_the_traced_name(monkeypatch):
     [outcome] = verification.verify_single_n(5, {"loops"}, seed=11)
     assert outcome.status == "pass"
     assert len(calls) == verification.WALKS_PER_N == 1000
+
+
+def test_boundary_nnz_counter_counts_the_boundary_entries():
+    # The worker's homology.boundary_nnz counter sums len over every entry
+    # of cplx.boundaries.  With p + 1 rows of f_p faces per map, that is
+    # still sum (p + 1) f_p, the number of nonzeros of the boundary maps.
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    [counter] = [entry[3] for entry in worker.LAYER_CALLS if entry[2] == "homology.chain_complex"]
+    cplx = build_chain_complex(worker.read_facets(str(WORKER.parent / "data" / "facets_n12.txt")))
+    nonzeros = sum((p + 1) * f for p, f in enumerate(cplx.fvector) if p)
+    assert counter(cplx)["homology.boundary_nnz"] == nonzeros

@@ -1,15 +1,19 @@
 """Exact integer simplicial homology of a complex given by its facets.
 
-The boundary map out of dimension p is stored as p + 1 rows of face
-indices, one entry per p-simplex: entry j of row k is the face of simplex
-j without its vertex k, whose sign (-1)^k over sorted vertex order is
-implied, not stored.  Each row is one stride slice of the build's lookup
-list, and no column is ever held as a tuple.  Every build checks the face
-identities d_a d_b = d_{b-1} d_a (a < b) on these rows, each as two
-whole-row gathers compared; with the signs (-1)^k they force d d = 0, so
-a build that passes is a chain complex.  The maps are reduced with exact
-arbitrary-precision integer arithmetic.  No floating point, no
-fixed-width integers.
+A complex is stored as its f-vector and its boundary maps, and its
+simplices are never kept: the basis of dimension p is the lex order of the
+sorted vertex tuples of its p-simplices, fixed by the facets.  The
+boundary map out of dimension p is p + 1 rows of face indices, one entry
+per p-simplex: entry j of row k is the face of simplex j without its
+vertex k, whose sign (-1)^k over sorted vertex order is implied, not
+stored.  The build goes one dimension at a time and holds the simplex
+tuples of at most two dimensions at once.  Each row is one stride slice of
+the build's lookup list, and no column is ever held as a tuple.  Every
+build checks the face identities d_a d_b = d_{b-1} d_a (a < b) on these
+rows, each as two whole-row gathers compared; with the signs (-1)^k they
+force d d = 0, so a build that passes is a chain complex.  The maps are
+reduced with exact arbitrary-precision integer arithmetic.  No floating
+point, no fixed-width integers.
 
 The map out of dimension 1 is a graph incidence matrix: a union-find
 spanning forest, built in column order, gives its rank, f_0 minus the
@@ -61,27 +65,24 @@ def _alternating_sum(values: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Per-dimension simplex bases and sparse boundary matrices.
+    """Per-dimension simplex counts and sparse boundary matrices.
 
-    basis[p] lists the p-simplices as sorted vertex-id tuples, sorted.
+    fvector[p] counts the p-simplices.  The basis of dimension p is their
+    sorted vertex-id tuples in lex order; it is implied, never stored.
     boundaries[p] (p >= 1) holds p + 1 rows, lists of f_p indices into the
     (p-1)-basis: boundaries[p][k][j] is the index of the face s[:k] +
-    s[k+1:] of s = basis[p][j], with sign (-1)^k, which is not stored.
-    Column j of the map is entry j of every row.  boundaries[0] is the
-    empty tuple standing for the zero map out of dimension 0.  The rows
-    are lists, so a ChainComplex is unhashable.
+    s[k+1:] of s, the j-th p-simplex, with sign (-1)^k, which is not
+    stored.  Column j of the map is entry j of every row.  boundaries[0]
+    is the empty tuple standing for the zero map out of dimension 0.  The
+    rows are lists, so a ChainComplex is unhashable.
     """
 
-    basis: tuple[tuple[tuple[int, ...], ...], ...]
+    fvector: tuple[int, ...]
     boundaries: tuple[tuple[list[int], ...], ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis) - 1
-
-    @property
-    def fvector(self) -> tuple[int, ...]:
-        return tuple(len(simplices) for simplices in self.basis)
+        return len(self.fvector) - 1
 
     @property
     def euler_characteristic(self) -> int:
@@ -139,12 +140,15 @@ class HomologyReport:
 def build_chain_complex(facets: Iterable[Sequence[int]]) -> ChainComplex:
     """All faces of the given facets, with boundary rows, checked by the face identities.
 
-    Each dimension's faces are gathered from the lex-sorted facets in
-    first-seen order, so the sort that makes the basis meets near-sorted
-    runs.  A dimension's face ids come from one lookup pass over the
-    combinations of its simplices in lex order, which lists each simplex's
-    p + 1 faces with the last vertex dropped first; the faces that drop
-    vertex k are every (p + 1)-th id from offset p - k, one stride slice.
+    The dimensions are built in turn, p = 0 up.  Each dimension's faces
+    are gathered from the lex-sorted facets in first-seen order, so the sort
+    that makes the basis meets near-sorted runs.  Its face ids come from one
+    lookup pass, in the index of dimension p - 1, over the combinations of
+    its simplices in lex order, which lists each simplex's p + 1 faces with
+    the last vertex dropped first; the faces that drop vertex k are every
+    (p + 1)-th id from offset p - k, one stride slice.  That index is then
+    dropped and dimension p's is built, so the simplex tuples of at most
+    two dimensions are alive at once.
     """
     facet_tuples = sorted(tuple(sorted(facet)) for facet in facets)
     if not facet_tuples:
@@ -155,18 +159,23 @@ def build_chain_complex(facets: Iterable[Sequence[int]]) -> ChainComplex:
     max_dim = max(map(len, facet_tuples)) - 1
     if max_dim < 0:
         raise EmptyComplexError("no facet has a vertex")
-    basis = tuple(
-        tuple(sorted(dict.fromkeys(chain.from_iterable(
-            map(combinations, facet_tuples, repeat(p + 1))))))
-        for p in range(max_dim + 1))
+    fvector: list[int] = []
     boundaries: list[tuple[list[int], ...]] = [()]
-    for p in range(1, max_dim + 1):
-        index = dict(zip(basis[p - 1], range(len(basis[p - 1]))))
-        ids = list(map(index.__getitem__, chain.from_iterable(
-            map(combinations, basis[p], repeat(p)))))
-        del index
-        boundaries.append(tuple(ids[p - k::p + 1] for k in range(p + 1)))
-    cplx = ChainComplex(basis, tuple(boundaries))
+    index: dict[tuple[int, ...], int] = {}
+    for p in range(max_dim + 1):
+        simplices = sorted(dict.fromkeys(chain.from_iterable(
+            map(combinations, facet_tuples, repeat(p + 1)))))
+        fvector.append(len(simplices))
+        if p:
+            ids = list(map(index.__getitem__, chain.from_iterable(
+                map(combinations, simplices, repeat(p)))))
+            del index
+            boundaries.append(tuple(ids[p - k::p + 1] for k in range(p + 1)))
+            del ids
+        if p < max_dim:
+            index = dict(zip(simplices, range(len(simplices))))
+        del simplices
+    cplx = ChainComplex(tuple(fvector), tuple(boundaries))
     _check_face_identities(cplx)
     return cplx
 
@@ -174,7 +183,8 @@ def build_chain_complex(facets: Iterable[Sequence[int]]) -> ChainComplex:
 def _check_face_identities(cplx: ChainComplex) -> None:
     """Raise TheoremViolationError unless the rows satisfy the face identities.
 
-    The map out of dimension p must hold p + 1 rows of f_p faces each.
+    There must be one map per entry of the f-vector, and the map out of
+    dimension p must hold p + 1 rows of f_p faces each.
     Write d_k s for entry k of the column of s, the face in row k; then
     d_a d_b s is row a of the map below at index d_b s.  For all a < b the
     face identity d_a d_b s = d_{b-1} d_a s must hold, and each identity
@@ -186,8 +196,12 @@ def _check_face_identities(cplx: ChainComplex) -> None:
     a < b to one with a >= b, bijectively, and the identity makes the two
     terms the same face with opposite signs, so they cancel.
     """
+    if len(cplx.boundaries) != len(cplx.fvector):
+        raise TheoremViolationError(
+            f"{len(cplx.boundaries)} boundary maps for an f-vector of"
+            f" {len(cplx.fvector)} dimensions")
     for p in range(1, cplx.dimension + 1):
-        rows, size = cplx.boundaries[p], len(cplx.basis[p])
+        rows, size = cplx.boundaries[p], cplx.fvector[p]
         if len(rows) != p + 1 or any(len(row) != size for row in rows):
             raise TheoremViolationError(
                 f"the boundary map out of dimension {p} does not hold {p + 1} rows"

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graph import PartitionGraph
+from .graph import PartitionGraph, _check_vertex_ids
 from .homology import _alternating_sum
 from .partitions import (
     Corner,
@@ -101,14 +101,9 @@ def _triangle_class(arm1: tuple[Corner, Corner], arm2: tuple[Corner, Corner]) ->
 
 
 def _check_clique(g: PartitionGraph, ids: Sequence[int]) -> tuple[int, ...]:
-    """The distinct ids, sorted, once each is checked to be a vertex id (an
-    int, not a bool, in range) and every two distinct ones to be adjacent."""
-    vertex_count = len(g.vertices)
-    for vid in ids:
-        if type(vid) is not int:
-            raise NotACliqueError(f"vertex id {vid!r} is not an int")
-        if not 0 <= vid < vertex_count:
-            raise NotACliqueError(f"unknown vertex id {vid}")
+    """The distinct ids, sorted, once each is checked to be a vertex id and
+    every two distinct ones to be adjacent."""
+    _check_vertex_ids(g, ids, NotACliqueError)
     sorted_ids = tuple(sorted(set(ids)))
     for i, j in itertools.combinations(sorted_ids, 2):
         if j not in g.moves[i]:

@@ -12,7 +12,7 @@ vertex's neighbours in id order for walks and edge lists.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .partitions import (
     Corner,
@@ -93,6 +93,16 @@ class PartitionGraph:
                         nxt.append(other)
             frontier = nxt
         return len(seen) == len(self.vertices)
+
+
+def _check_vertex_ids(g: PartitionGraph, ids: Sequence[int], error: type[Exception]) -> None:
+    """Raise error unless every id is a vertex id of g: of type int itself,
+    so no bool or other int subclass, and in range."""
+    for vid in ids:
+        if type(vid) is not int:
+            raise error(f"vertex id {vid!r} is not an int")
+        if not 0 <= vid < len(g.vertices):
+            raise error(f"unknown vertex id {vid}")
 
 
 def build_graph(n: int) -> PartitionGraph:

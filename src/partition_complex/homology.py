@@ -9,38 +9,40 @@ vertex k, whose sign (-1)^k over sorted vertex order is implied, not
 stored.  The build goes one dimension at a time and holds the simplex
 tuples of at most two dimensions at once.  Each row is one stride slice of
 the build's lookup list, and no column is ever held as a tuple.  Every
-build checks the face identities d_a d_b = d_{b-1} d_a (a < b) on these
-rows, each as two whole-row gathers compared; with the signs (-1)^k they
-force d d = 0, so a build that passes is a chain complex.  The maps are
-reduced with exact arbitrary-precision integer arithmetic.  No floating
-point, no fixed-width integers.
+ChainComplex, built or written by hand, is checked once, on construction:
+each row entry must be a face index in range, and the rows must satisfy
+the face identities d_a d_b = d_{b-1} d_a (a < b), each as two whole-row
+gathers compared; with the signs (-1)^k they force d d = 0, so a complex
+that passes is a chain complex.  The maps are reduced with exact
+arbitrary-precision integer arithmetic.  No floating point, no
+fixed-width integers.
 
 The map out of dimension 1 is a graph incidence matrix: a union-find
-spanning forest, built in column order, gives its rank, f_0 minus the
-number of components, and it has no torsion.  Every other map gets one
-left-to-right reduction over sparse lines, on whichever side has fewer of
-them: its columns, or its rows in descending order (Bauer, "Ripser:
-efficient computation of Vietoris-Rips persistence barcodes", J. Appl.
-Comput. Topol. 5, 2021, on apparent pairs and on reducing the coboundary
-side).  A line's pivot is its leading index; it is combined only with
-earlier pivot lines, and only +-1 pivots are kept.  The apparent lines,
-whose +-1 leading entry no earlier such line shares, are read in bulk off
-the rows and taken first, as they are; only the other lines are built as
-sparse lines and reduced, in their original order.  On K_n every line is
-apparent (all 100,013 lines of the six sparse maps at n = 30), so no
-combination runs at all.  Lines whose leading entry is not a unit form
-the residue; once the pivot indices are cleared from it, it goes to a
-dense Smith normal form, the only place torsion can come from.
+spanning forest, built in column order, is kept as its edge ids; their
+number is the rank, f_0 minus the number of components, and there is no
+torsion.  Every other map gets one left-to-right reduction over sparse
+lines, on whichever side has fewer of them: its columns, or its rows in
+descending order (Bauer, "Ripser: efficient computation of Vietoris-Rips
+persistence barcodes", J. Appl. Comput. Topol. 5, 2021, on apparent pairs
+and on reducing the coboundary side).  A line's pivot is its leading
+index; it is combined only with earlier pivot lines, and only +-1 pivots
+are kept.  The apparent lines, whose +-1 leading entry no earlier such
+line shares, are read in bulk off the rows and taken first, as they are;
+only the other lines are built as sparse lines and reduced, in their
+original order.  On K_n every line is apparent (all 100,013 lines of the
+six sparse maps at n = 30), so no combination runs at all.  Lines whose
+leading entry is not a unit form the residue; once the pivot indices are
+cleared from it, it goes to a dense Smith normal form, the only place
+torsion can come from.
 
 The maps are reduced with clearing (Chen & Kerber, "Persistent homology
 computation with a twist", EuroCG 2011): first the map out of dimension 1,
 then from the top dimension down to dimension 2.  Each map leaves out the
 columns that the unit pivots of the map above used as rows, and the map out
-of dimension 2 also leaves out the rows that the forest of the map out of
-dimension 1 used as edges.  Every such pivot is an elementary reduction of
-the whole complex (Kaczynski, Mrozek & Slusarek, "Homology computation by
-reduction of chain complexes", 1998), so ranks and invariant factors are
-exactly those of the full maps.
+of dimension 2 also leaves out the forest's edges as rows.  Every such
+pivot is an elementary reduction of the whole complex (Kaczynski, Mrozek &
+Slusarek, "Homology computation by reduction of chain complexes", 1998),
+so ranks and invariant factors are exactly those of the full maps.
 """
 
 from __future__ import annotations
@@ -74,11 +76,16 @@ class ChainComplex:
     s[k+1:] of s, the j-th p-simplex, with sign (-1)^k, which is not
     stored.  Column j of the map is entry j of every row.  boundaries[0]
     is the empty tuple standing for the zero map out of dimension 0.  The
-    rows are lists, so a ChainComplex is unhashable.
+    rows are lists, so a ChainComplex is unhashable.  Every ChainComplex,
+    built or written by hand, is checked on construction by
+    _check_face_identities, which raises TheoremViolationError.
     """
 
     fvector: tuple[int, ...]
     boundaries: tuple[tuple[list[int], ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_face_identities(self)
 
     @property
     def dimension(self) -> int:
@@ -138,7 +145,7 @@ class HomologyReport:
 
 
 def build_chain_complex(facets: Iterable[Sequence[int]]) -> ChainComplex:
-    """All faces of the given facets, with boundary rows, checked by the face identities.
+    """All faces of the given facets, with boundary rows.
 
     The dimensions are built in turn, p = 0 up.  Each dimension's faces
     are gathered from the lex-sorted facets in first-seen order, so the sort
@@ -175,16 +182,15 @@ def build_chain_complex(facets: Iterable[Sequence[int]]) -> ChainComplex:
         if p < max_dim:
             index = dict(zip(simplices, range(len(simplices))))
         del simplices
-    cplx = ChainComplex(tuple(fvector), tuple(boundaries))
-    _check_face_identities(cplx)
-    return cplx
+    return ChainComplex(tuple(fvector), tuple(boundaries))
 
 
 def _check_face_identities(cplx: ChainComplex) -> None:
     """Raise TheoremViolationError unless the rows satisfy the face identities.
 
     There must be one map per entry of the f-vector, and the map out of
-    dimension p must hold p + 1 rows of f_p faces each.
+    dimension p must hold p + 1 rows of f_p faces each, every one an index
+    in [0, f_{p-1}).
     Write d_k s for entry k of the column of s, the face in row k; then
     d_a d_b s is row a of the map below at index d_b s.  For all a < b the
     face identity d_a d_b s = d_{b-1} d_a s must hold, and each identity
@@ -206,6 +212,10 @@ def _check_face_identities(cplx: ChainComplex) -> None:
             raise TheoremViolationError(
                 f"the boundary map out of dimension {p} does not hold {p + 1} rows"
                 f" of {size} faces")
+        if size and not (0 <= min(map(min, rows)) and max(map(max, rows)) < cplx.fvector[p - 1]):
+            raise TheoremViolationError(
+                f"the boundary map out of dimension {p} holds a face index outside"
+                f" [0, {cplx.fvector[p - 1]})")
         if p < 2:
             continue
         lower = cplx.boundaries[p - 1]
@@ -321,16 +331,17 @@ def _sparse_rank_and_factors(
     An index -1 stands for no entry, and the indices of one column are
     otherwise distinct.  A boundary map is its p + 1 face rows with the
     signs (-1)^k.  The rows in skip_rows and the columns in skip_cols
-    (distinct valid indices) are left out.  The input is read, never
-    mutated, and no column is held as a tuple.  One left-to-right pass runs
-    over whichever side has fewer lines: the columns, pivot the largest
-    row, or else the rows in descending order, pivot the smallest column
-    (the columns of the anti-transpose).  A line is combined only with
-    earlier pivot lines, until its leading entry is new; a +-1 there makes
-    it a pivot line, anything else puts it in the residue.  After the pass
-    every pivot index is cleared from each residue line, largest first, and
-    what is left goes to the dense Smith reduction.  The (row, column) of
-    every unit pivot is returned.
+    (distinct valid indices) are left out; skip_rows is only iterated, so
+    a list will do, and skip_cols is probed, so it should be a set.  The
+    input is read, never mutated, and no column is held as a tuple.  One
+    left-to-right pass runs over whichever side has fewer lines: the
+    columns, pivot the largest row, or else the rows in descending order,
+    pivot the smallest column (the columns of the anti-transpose).  A line
+    is combined only with earlier pivot lines, until its leading entry is
+    new; a +-1 there makes it a pivot line, anything else puts it in the
+    residue.  After the pass every pivot index is cleared from each residue
+    line, largest first, and what is left goes to the dense Smith
+    reduction.  The (row, column) of every unit pivot is returned.
 
     The pass takes the apparent lines first.  A line is apparent when its
     leading entry is +-1 and no earlier line with a +-1 leading entry has
@@ -469,24 +480,19 @@ def _leading_entries(
     return line_ids, tops, [abs(values[k]) == 1 for k in slots]
 
 
-def _spanning_forest(
-    rows: Sequence[Sequence[int]], nvertices: int
-) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
-    """Rank, invariant factors and unit pivots of the map out of dimension 1.
+def _spanning_forest(rows: Sequence[Sequence[int]], nvertices: int) -> list[int]:
+    """The edge ids, in column order, of a spanning forest of the map out of dimension 1.
 
     That map is a graph incidence matrix: its two rows hold each edge's two
-    vertices, read here edge by edge.  Union-find keeps, in column order,
-    the edges that join two components; they form a spanning forest, so
-    the rank is f_0 minus the number of components, and there is no
-    torsion.  They are also the pivot columns of a left-to-right reduction
-    of the columns, and the rows they clear from d_2 leave its pass on
-    boundary complexes apparent; another spanning forest would give the
-    same ranks with far more elimination.  Each tree is rooted at its smallest vertex and every
-    forest edge is paired with its child vertex, the (row, column) pivots
-    returned.  Taken in discovery order, an edge's other vertex is the root
-    or an earlier child, so the pairs index a triangular submatrix with a
-    +-1 diagonal, invertible over Z, and the clearing lemma applies to
-    them as to any unit pivots.
+    vertices, read here edge by edge.  Union-find keeps the edges that join
+    two components.  They form a spanning forest, so the rank is their
+    number, f_0 minus the number of components, and there is no torsion.
+    With the smallest vertex of each component left out, the forest's
+    columns index a square block invertible over Z, so the clearing lemma
+    lets d_2 leave out these rows.  They are the pivot columns of a
+    left-to-right reduction of the columns, and leaving them out keeps
+    d_2's pass on boundary complexes apparent; another spanning forest
+    would give the same ranks with far more elimination.
     """
     parent = list(range(nvertices))
 
@@ -496,27 +502,13 @@ def _spanning_forest(
             v = parent[v]
         return v
 
-    tree: list[list[tuple[int, int]]] = [[] for _ in range(nvertices)]
+    forest = []
     for e, (u, v) in enumerate(zip(*rows)):
         root_u, root_v = find(u), find(v)
         if root_u != root_v:
             parent[root_u] = root_v
-            tree[u].append((v, e))
-            tree[v].append((u, e))
-    pivots: list[tuple[int, int]] = []
-    seen = [False] * nvertices
-    for root in range(nvertices):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            for v, e in tree[stack.pop()]:
-                if not seen[v]:
-                    seen[v] = True
-                    pivots.append((v, e))
-                    stack.append(v)
-    return len(pivots), (), pivots
+            forest.append(e)
+    return forest
 
 
 def reduced_homology(cplx: ChainComplex) -> HomologyReport:
@@ -534,17 +526,19 @@ def reduced_homology(cplx: ChainComplex) -> HomologyReport:
     top = cplx.dimension
     ranks = [0] * (top + 2)
     torsion: list[tuple[int, ...]] = [()] * (top + 1)
-    # d_1 first, so that d_2 can leave out the rows its forest paired, then
-    # top down, so that each map can leave out the columns paired above it.
-    pivots: dict[int, list[tuple[int, int]]] = {}
-    if top:
-        ranks[1], torsion[0], pivots[1] = _spanning_forest(cplx.boundaries[1], fvector[0])
+    # d_1 first, so that d_2 can leave out the forest's edges, then top
+    # down, so that each map can leave out the columns paired above it.
+    forest = _spanning_forest(cplx.boundaries[1], fvector[0]) if top else []
+    ranks[1] = len(forest)
+    paired: Collection[int] = ()
     for p in range(top, 1, -1):
         signs = tuple(-1 if k % 2 else 1 for k in range(p + 1))
-        ranks[p], torsion[p - 1], pivots[p] = _sparse_rank_and_factors(
+        ranks[p], torsion[p - 1], pivots = _sparse_rank_and_factors(
             cplx.boundaries[p], signs, fvector[p - 1], fvector[p],
-            skip_rows={col for _, col in pivots.get(p - 1, ())},
-            skip_cols={row for row, _ in pivots.pop(p + 1, ())})
+            skip_rows=forest if p == 2 else (), skip_cols=paired)
+        paired = {row for row, _ in pivots} if p > 2 else ()
+        # Not held through the next map's pass, which sets the peak.
+        del pivots
     for p in range(1, top + 1):
         if not 0 <= ranks[p] <= min(fvector[p - 1], fvector[p]):
             raise TheoremViolationError(

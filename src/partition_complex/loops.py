@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import PartitionGraph
+from .graph import PartitionGraph, _check_vertex_ids
 from .partitions import TheoremViolationError, format_partition, parse_partition
 
 # Steps a random walk may take to return to its start before it is dropped.
@@ -56,12 +56,7 @@ class EdgeLoop:
         ids = tuple(vertex_ids)
         if not ids:
             raise InvalidLoopError("a loop needs at least one vertex")
-        count = len(graph.vertices)
-        for vertex_id in ids:
-            if not isinstance(vertex_id, int) or isinstance(vertex_id, bool):
-                raise InvalidLoopError(f"vertex id {vertex_id!r} is not an int")
-            if not 0 <= vertex_id < count:
-                raise InvalidLoopError(f"unknown vertex id {vertex_id}")
+        _check_vertex_ids(graph, ids, InvalidLoopError)
         if len(ids) >= 2 and ids[0] == ids[-1]:
             ids = ids[:-1]
         if len(ids) > 1:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -22,7 +23,6 @@ from partition_complex.homology import (
     ChainComplex,
     EmptyComplexError,
     _alternating_sum,
-    _check_face_identities,
     build_chain_complex,
     reduced_homology,
     smith_normal_form,
@@ -97,9 +97,9 @@ def test_facets_without_vertices_are_empty():
 def test_chain_complex_from_partition_facets():
     cplx = build_chain_complex(maximal_simplices(build_graph(4)))
     assert cplx.fvector == (5, 5, 1)
-    # The builder checks the face identities; n <= 10 complexes building
-    # cleanly is itself that check, and test_boundary_of_boundary_vanishes
-    # multiplies the maps out independently.
+    # Every ChainComplex checks the face identities on construction; n <= 10
+    # complexes building cleanly is itself that check, and
+    # test_boundary_of_boundary_vanishes multiplies the maps out independently.
     for n in range(1, 11):
         build_chain_complex(maximal_simplices(build_graph(n)))
 
@@ -470,13 +470,15 @@ def test_homology_memory_peak_at_20():
 
 
 def test_partition_complexes_need_no_elimination(monkeypatch):
-    # Every line of every sparse map of K_n is apparent (checked up to
-    # n = 30), which is what keeps the reduction fast.
+    # Every line of every sparse map of K_n is apparent (counted for n = 1-28,
+    # 30 and 32), which is what keeps the reduction fast.  It also pins the
+    # forest: the rows d_2 leaves out are exactly the edges the union-find
+    # keeps, and any other spanning forest would need elimination here.
     def refuse(*args):
         raise AssertionError("a line needed elimination")
 
     monkeypatch.setattr(homology, "_eliminate", refuse)
-    for n in range(1, 17):
+    for n in range(1, 21):
         report = partition_homology(n)
         assert report.reduced_betti == tuple(
             SPHERE_COUNT[n] if p == 2 else 0 for p in range(len(report.betti)))
@@ -497,33 +499,44 @@ def test_spanning_forest_matches_dense_snf(graph):
     nvertices, edges = graph
     dense = [[(v == b) - (v == a) for a, b in edges] for v in range(nvertices)]
     rows = ([b for _, b in edges], [a for a, _ in edges])
-    rank, factors, pivots = homology._spanning_forest(rows, nvertices)
-    assert (rank, factors) == smith_normal_form(dense)
-    _assert_pivots_invertible(dense, pivots)
+    forest = homology._spanning_forest(rows, nvertices)
+    assert (len(forest), ()) == smith_normal_form(dense)
+    # With the smallest vertex of each component deleted, the forest's
+    # columns are a square block with Smith form the identity, invertible
+    # over Z: what lets d_2 leave out the forest's edges as rows.
+    smallest = list(range(nvertices))
+    for _ in range(nvertices):
+        for a, b in edges:
+            smallest[a] = smallest[b] = min(smallest[a], smallest[b])
+    kept = [v for v in range(nvertices) if smallest[v] != v]
+    assert len(kept) == len(forest)
+    assert smith_normal_form([[dense[v][e] for e in forest] for v in kept]) == (len(forest), ())
     # The forest is the one a left-to-right column reduction pairs: the edges
-    # that raise the rank of the columns before them.  Its rows are the ones
-    # whose clearing keeps d_2's pass apparent.
+    # that raise the rank of the columns before them, in column order.  Its
+    # rows are the ones whose clearing keeps d_2's pass apparent.
     prefix_ranks = [smith_normal_form([row[:k] for row in dense])[0]
                     for k in range(len(edges) + 1)]
-    assert sorted(e for _, e in pivots) == [
-        k for k in range(len(edges)) if prefix_ranks[k + 1] > prefix_ranks[k]]
+    assert forest == [k for k in range(len(edges)) if prefix_ranks[k + 1] > prefix_ranks[k]]
 
 
 def _with_rows(cplx, p, rows):
-    """cplx with the map out of dimension p replaced by the given rows."""
-    return ChainComplex(cplx.fvector, cplx.boundaries[:p] + (tuple(rows),) + cplx.boundaries[p + 1:])
+    """The (fvector, boundaries) of cplx with the map out of dimension p
+    replaced by the given rows."""
+    return cplx.fvector, cplx.boundaries[:p] + (tuple(rows),) + cplx.boundaries[p + 1:]
 
 
 def _swapped(cplx, p, j, a, b):
-    """cplx with entries a and b of column j of the map out of dimension p swapped."""
+    """The (fvector, boundaries) of cplx with entries a and b of column j of
+    the map out of dimension p swapped."""
     rows = [list(row) for row in cplx.boundaries[p]]
     rows[a][j], rows[b][j] = rows[b][j], rows[a][j]
     return _with_rows(cplx, p, rows)
 
 
 def _broken_boundaries():
-    """Complexes whose rows break the face identities or the row layout, or
-    hold a different number of maps than the f-vector has dimensions."""
+    """(fvector, boundaries) pairs whose rows break the face identities or
+    the row layout, hold a face index out of range, or hold a different
+    number of maps than the f-vector has dimensions."""
     triangle = build_chain_complex([(0, 1, 2)])
     k8 = build_chain_complex(maximal_simplices(build_graph(8)))
     short = [list(row) for row in k8.boundaries[2]]
@@ -533,25 +546,35 @@ def _broken_boundaries():
         "swapped tetrahedron": _swapped(k8, 3, k8.fvector[3] - 1, 1, 2),
         "short row": _with_rows(k8, 2, short),
         "missing row": _with_rows(k8, 3, k8.boundaries[3][:-1]),
-        "missing map": ChainComplex(k8.fvector, k8.boundaries[:-1]),
-        "extra map": ChainComplex(k8.fvector[:-1], k8.boundaries),
+        "missing map": (k8.fvector, k8.boundaries[:-1]),
+        "extra map": (k8.fvector[:-1], k8.boundaries),
+        # Unchecked, -1 wraps around to vertex 1 and reads as a loop there.
+        "negative face index": ((2, 1), ((), ([1], [-1]))),
+        "face index past the end": ((2, 1), ((), ([2], [0]))),
     }
 
 
 def _broken_boundaries_raise() -> bool:
-    """Whether the face-identity check rejects every broken complex."""
-    for cplx in _broken_boundaries().values():
+    """Whether constructing a ChainComplex refuses every broken pair."""
+    for fvector, boundaries in _broken_boundaries().values():
         try:
-            _check_face_identities(cplx)
+            ChainComplex(fvector, boundaries)
         except TheoremViolationError:
             continue
         return False
     return True
 
 
-def _overcounting(true_ranks):
+def _overcounting(seam):
+    """homology.<seam> with the rank it yields raised by one: the forest with
+    its first edge listed twice, or the sparse reduction's rank plus one."""
+    true_seam = getattr(homology, seam)
+
     def overcount(*args, **kwargs):
-        rank, factors, pivots = true_ranks(*args, **kwargs)
+        result = true_seam(*args, **kwargs)
+        if seam == "_spanning_forest":
+            return result + result[:1]
+        rank, factors, pivots = result
         return rank + 1, factors, pivots
     return overcount
 
@@ -563,12 +586,12 @@ def test_rank_overcount_raises(monkeypatch):
     f = cplx.fvector
     for seam in ("_spanning_forest", "_sparse_rank_and_factors"):
         with monkeypatch.context() as patch:
-            patch.setattr(homology, seam, _overcounting(getattr(homology, seam)))
+            patch.setattr(homology, seam, _overcounting(seam))
             with pytest.raises(TheoremViolationError):
                 reduced_homology(cplx)
             # The Betti numbers of these ranks still sum to chi, so an
             # alternating Betti sum check would have let them through.
-            ranks = [0, homology._spanning_forest(cplx.boundaries[1], f[0])[0]]
+            ranks = [0, len(homology._spanning_forest(cplx.boundaries[1], f[0]))]
             ranks += [homology._sparse_rank_and_factors(
                 *_rows_and_values(map(signed_column, columns_of(cplx, p))),
                 f[p - 1], f[p], (), ())[0] for p in range(2, len(f))] + [0]
@@ -580,11 +603,11 @@ def test_broken_boundary_raises_with_and_without_optimize():
     # Signs are implied by position, so a misordered column is the fault to
     # plant; the independent product sees that it breaks d d = 0.
     broken = _broken_boundaries()
-    assert boundary_of_boundary(broken["swapped triangle"], 2) != {}
-    assert boundary_of_boundary(broken["swapped tetrahedron"], 3) != {}
-    for cplx in broken.values():
+    for name, p in (("swapped triangle", 2), ("swapped tetrahedron", 3)):
+        assert boundary_of_boundary(SimpleNamespace(boundaries=broken[name][1]), p) != {}
+    for fvector, boundaries in broken.values():
         with pytest.raises(TheoremViolationError):
-            _check_face_identities(cplx)
+            ChainComplex(fvector, boundaries)
     # Under -O every assert is stripped, so the check must raise on its own.
     script = ("import runpy, sys; ns = runpy.run_path(sys.argv[1]); "
               "sys.exit(0 if sys.flags.optimize and ns['_broken_boundaries_raise']() else 1)")
@@ -610,7 +633,8 @@ def test_reduction_does_not_rely_on_the_basis_order():
     # In a built complex row 0 holds each column's largest face, its pivot on
     # the column side.  Listed in random orders, a column's largest face sits
     # in any row, with either sign, and every complex must still pass the
-    # check and reduce to the same groups: no step may take row 0 as the pivot.
+    # check on construction and reduce to the same groups: no step may take
+    # row 0 as the pivot.
     rng = random.Random(20261019)
     complexes = [PROJECTIVE_PLANE, TORUS, klein_bottle_facets(), suspension(PROJECTIVE_PLANE),
                  maximal_simplices(build_graph(8)), maximal_simplices(build_graph(10))]
@@ -621,6 +645,5 @@ def test_reduction_does_not_rely_on_the_basis_order():
         expected = reduced_homology(cplx)
         for _ in range(3):
             shuffled = _relabelled(cplx, rng)
-            _check_face_identities(shuffled)
             assert any(max(column) != column[0] for column in columns_of(shuffled, 2))
             assert reduced_homology(shuffled) == expected

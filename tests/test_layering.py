@@ -7,6 +7,8 @@ it reads, and from no other package module but .partitions.  The demos
 show the public API, so none of them imports an underscore-prefixed name
 from the package.  cli.py reads every per-n stage off
 verification.NContext, so it imports none of the builders NContext chains.
+homology.py reduces any chain complex, not only the partition complexes,
+so it imports nothing from the package but TheoremViolationError.
 These rules are read off the import statements, without importing anything.
 """
 
@@ -16,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORACLES = ROOT / "src" / "partition_complex" / "oracles.py"
 CLI = ROOT / "src" / "partition_complex" / "cli.py"
+HOMOLOGY = ROOT / "src" / "partition_complex" / "homology.py"
 DEMOS = ROOT / "demos"
 
 
@@ -77,3 +80,9 @@ def test_cli_imports_no_stage_builder_that_ncontext_owns():
     assert "NContext" in imported
     assert not imported & builders, (
         f"cli.py imports stage builders {sorted(imported & builders)}")
+
+
+def test_homology_imports_only_the_theorem_error():
+    imports = package_imports(HOMOLOGY)
+    assert imports == [("partitions", "TheoremViolationError")], (
+        f"homology.py imports {imports} from the package")

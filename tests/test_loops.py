@@ -1,6 +1,7 @@
 """Edge loops, (H, M) complexity, and peak reduction to constant loops."""
 
 import copy
+import enum
 import hashlib
 import itertools
 import json
@@ -75,6 +76,10 @@ def test_loop_ids_validated():
         EdgeLoop(G4, [])
 
 
+class Vertex(enum.IntEnum):
+    A = 0
+
+
 @pytest.mark.parametrize("ids, bad", [
     ([0.0, 1], "0.0"),
     ([0, 1.5], "1.5"),
@@ -82,6 +87,8 @@ def test_loop_ids_validated():
     ([True, False], "True"),
     # the closing repeat is checked too: True == 1 must not strip it
     ([1, True], "True"),
+    # an int subclass equal to 0 is no vertex id, as in classify_clique
+    ([Vertex.A, 1], "<Vertex.A: 0>"),
 ])
 def test_loop_ids_must_be_ints(ids, bad):
     with pytest.raises(InvalidLoopError, match=f"vertex id {bad} is not an int"):

@@ -18,6 +18,12 @@ the formats it accepts.
 Each per-n stage is chained in one place, `verification.NContext`: `verify`
 runs its suites on one, and `homology` and `export` read the graph, facets
 and poset on n off one.  This module calls no stage builder itself.
+
+Each command loads only the layers it runs.  At import this module loads
+nothing from the package but `suite_names`, which the parser lists for
+--suite; each subcommand imports its layers when it runs.  So `table` and
+`export bfile` load `cliques`, `graph` and `partitions` only, and never the
+verification, loop, nerve, oracle or homology layers.
 """
 
 from __future__ import annotations
@@ -34,21 +40,7 @@ import sys
 from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
-from .cliques import format_facet_lines, fvector_table
-from .graph import format_dimacs, format_edge_list, format_legend
-from .homology import build_chain_complex, reduced_homology
-from .nerve import order_complex, poset_json_dict
-from .verification import (
-    BUDGETS,
-    FAIL,
-    PASS,
-    SKIP,
-    SUITE_ORDER,
-    VACUOUS,
-    NContext,
-    homology_concentrated,
-    verify_single_n,
-)
+from .suite_names import BUDGETS, SUITE_ORDER
 
 
 def _positive_int(text: str) -> int:
@@ -136,11 +128,14 @@ class TableRow(NamedTuple):
     b: int
 
 
-def _table_rows(fvectors) -> list[TableRow]:
-    """One row per n.  This is the only place chi and b = chi - 1 are read
-    off an f-vector, for every table format and for `export bfile`."""
+def _table_rows(max_n: int) -> list[TableRow]:
+    """One row per n up to max_n, off one cliques.fvector_table sweep.  This
+    is the only place chi and b = chi - 1 are read off an f-vector, for
+    every table format and for `export bfile`."""
+    from .cliques import fvector_table
+
     rows = []
-    for n, fvector in enumerate(fvectors, start=1):
+    for n, fvector in enumerate(fvector_table(max_n), start=1):
         chi = fvector.euler_characteristic
         rows.append(TableRow(n, fvector.counts, chi, chi - 1))
     return rows
@@ -183,7 +178,7 @@ _TABLE_FORMATS = {
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = _table_rows(fvector_table(args.max_n))
+    rows = _table_rows(args.max_n)
     _emit(_TABLE_FORMATS[args.format](rows), args.out)
     return 0
 
@@ -198,6 +193,8 @@ def _selected_suites(requested: Optional[list]) -> frozenset:
 
 
 def _format_verify_text(outcomes) -> str:
+    from .verification import FAIL, PASS, SKIP, VACUOUS
+
     lines = [outcome.line() for outcome in outcomes]
     tally = Counter(outcome.status for outcome in outcomes)
     lines.append(f"{tally[PASS]} pass, {tally[FAIL]} fail,"
@@ -226,6 +223,8 @@ _VERIFY_FORMATS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import FAIL, verify_single_n
+
     suites = _selected_suites(args.suite)
     if args.ignore_budget:
         capped = sorted(name for name in suites if args.max_n > BUDGETS[name])
@@ -250,6 +249,9 @@ _HOMOLOGY_FORMATS = {
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
+    from .homology import build_chain_complex, reduced_homology
+    from .verification import NContext, homology_concentrated
+
     budget = BUDGETS["homology"]
     if args.n > budget:
         if not args.ignore_budget:
@@ -278,14 +280,43 @@ def _format_bfile(rows, sequence: str) -> str:
     return "".join(f"{row.n} {getattr(row, sequence)}\n" for row in rows)
 
 
+def _format_dimacs(ctx) -> str:
+    from .graph import format_dimacs
+
+    return format_dimacs(ctx.graph)
+
+
+def _format_edges(ctx) -> str:
+    from .graph import format_edge_list
+
+    return format_edge_list(ctx.graph)
+
+
+def _format_facets(ctx) -> str:
+    from .cliques import format_facet_lines
+
+    return format_facet_lines(ctx.facets)
+
+
+def _format_poset_json(ctx) -> str:
+    from .nerve import poset_json_dict
+
+    return _json_text(poset_json_dict(ctx.poset))
+
+
+def _format_poset_text(ctx) -> str:
+    from .cliques import format_facet_lines
+    from .nerve import order_complex
+
+    return format_facet_lines(order_complex(ctx.poset).facets)
+
+
 # Target -> {format: formatter}; the first format is the target's default.
 # bfile formats table rows; the other targets format the NContext on n.
 _EXPORT_FORMATS = {
-    "graph": {"dimacs": lambda ctx: format_dimacs(ctx.graph),
-              "edges": lambda ctx: format_edge_list(ctx.graph)},
-    "facets": {"text": lambda ctx: format_facet_lines(ctx.facets)},
-    "poset": {"json": lambda ctx: _json_text(poset_json_dict(ctx.poset)),
-              "text": lambda ctx: format_facet_lines(order_complex(ctx.poset).facets)},
+    "graph": {"dimacs": _format_dimacs, "edges": _format_edges},
+    "facets": {"text": _format_facets},
+    "poset": {"json": _format_poset_json, "text": _format_poset_text},
     "bfile": {"text": _format_bfile},
 }
 
@@ -309,7 +340,7 @@ def cmd_export(args: argparse.Namespace) -> int:
             return _usage_error("export bfile needs a sequence: chi or b")
         if args.max_n is None:
             return _usage_error("export bfile needs --max-n")
-        rows = _table_rows(fvector_table(args.max_n))
+        rows = _table_rows(args.max_n)
         _emit(formats[fmt](rows, args.sequence), args.out)
         return 0
     if args.sequence is not None:
@@ -318,6 +349,9 @@ def cmd_export(args: argparse.Namespace) -> int:
         return _usage_error(f"export {args.what} takes no --max-n; use --n")
     if args.n is None:
         return _usage_error(f"export {args.what} needs --n")
+    from .graph import format_legend
+    from .verification import NContext
+
     ctx = NContext(args.n)
     text = formats[fmt](ctx)
     if args.what == "graph" and args.out is not None:

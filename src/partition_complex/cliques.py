@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .graph import PartitionGraph, _check_vertex_ids
-from .homology import _alternating_sum
 from .partitions import (
     Corner,
     InvalidPartitionError,
     Partition,
     TheoremViolationError,
+    _alternating_sum,
     iter_partitions,
 )
 

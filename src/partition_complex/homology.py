@@ -53,16 +53,11 @@ from math import gcd
 from operator import indexOf, ne, neg
 from typing import Collection, Iterable, Sequence
 
-from .partitions import TheoremViolationError
+from .partitions import TheoremViolationError, _alternating_sum
 
 
 class EmptyComplexError(ValueError):
     """A chain complex cannot be built from an empty facet list."""
-
-
-def _alternating_sum(values: Iterable[int]) -> int:
-    """values[0] - values[1] + values[2] - ..., e.g. chi from an f-vector."""
-    return sum(-v if p % 2 else v for p, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -321,7 +316,7 @@ def _eliminate(line: dict[int, int], pivot_line: dict[int, int], top: int) -> No
 
 def _sparse_rank_and_factors(
     rows: Sequence[Sequence[int]], values: Sequence[int], nrows: int, ncols: int,
-    skip_rows: Collection[int], skip_cols: Collection[int],
+    skip_rows: Collection[int], skip_cols: bytes,
 ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
     """Rank, invariant factors and unit pivots of a sparse integer matrix.
 
@@ -330,9 +325,9 @@ def _sparse_rank_and_factors(
     times the 0/1 matrix with a 1 at (rows[k][j], j) for every column j.
     An index -1 stands for no entry, and the indices of one column are
     otherwise distinct.  A boundary map is its p + 1 face rows with the
-    signs (-1)^k.  The rows in skip_rows and the columns in skip_cols
-    (distinct valid indices) are left out; skip_rows is only iterated, so
-    a list will do, and skip_cols is probed, so it should be a set.  The
+    signs (-1)^k.  The rows in skip_rows (distinct valid indices, only
+    iterated, so a list will do) are left out, and so is every column j
+    with skip_cols[j] nonzero: skip_cols is a mask of ncols bytes.  The
     input is read, never mutated, and no column is held as a tuple.  One
     left-to-right pass runs over whichever side has fewer lines: the
     columns, pivot the largest row, or else the rows in descending order,
@@ -379,7 +374,7 @@ def _sparse_rank_and_factors(
     the projective plane), and its row and column swaps do not pick out an
     invertible submatrix of the input.
     """
-    by_columns = ncols - len(skip_cols) <= nrows - len(skip_rows)
+    by_columns = skip_cols.count(0) <= nrows - len(skip_rows)
     line_ids, tops, units = _leading_entries(
         rows, values, nrows, ncols, skip_rows, skip_cols, by_columns)
     # Read backwards, the dict keeps the first +-1-led line at each index:
@@ -397,7 +392,7 @@ def _sparse_rank_and_factors(
             transposed: dict[int, dict[int, int]] = {}
             for row, v in zip(rows, values):
                 for j, i in enumerate(row):
-                    if i not in skip and j not in skip_cols:
+                    if i not in skip and not skip_cols[j]:
                         transposed.setdefault(i, {})[-j] = v
             line_of = transposed.__getitem__
         built: dict[int, dict[int, int]] = {}
@@ -433,7 +428,7 @@ def _sparse_rank_and_factors(
 
 def _leading_entries(
     rows: Sequence[Sequence[int]], values: Sequence[int], nrows: int, ncols: int,
-    skip_rows: Collection[int], skip_cols: Collection[int], by_columns: bool,
+    skip_rows: Collection[int], skip_cols: bytes, by_columns: bool,
 ) -> tuple[list[int], list[int], list[bool]]:
     """Each line's id, leading index and whether its leading value is +-1, in pass order.
 
@@ -447,7 +442,7 @@ def _leading_entries(
     otherwise a line's leading value is that of the index row that holds
     its leading entry.
     """
-    kept_ids = list(filterfalse(skip_cols.__contains__, range(ncols)))
+    kept_ids = list(filterfalse(skip_cols.__getitem__, range(ncols)))
     if by_columns:
         kept = [list(map(row.__getitem__, kept_ids)) for row in rows]
         if skip_rows:
@@ -530,13 +525,17 @@ def reduced_homology(cplx: ChainComplex) -> HomologyReport:
     # down, so that each map can leave out the columns paired above it.
     forest = _spanning_forest(cplx.boundaries[1], fvector[0]) if top else []
     ranks[1] = len(forest)
-    paired: Collection[int] = ()
+    paired = bytes(fvector[top])
     for p in range(top, 1, -1):
         signs = tuple(-1 if k % 2 else 1 for k in range(p + 1))
         ranks[p], torsion[p - 1], pivots = _sparse_rank_and_factors(
             cplx.boundaries[p], signs, fvector[p - 1], fvector[p],
             skip_rows=forest if p == 2 else (), skip_cols=paired)
-        paired = {row for row, _ in pivots} if p > 2 else ()
+        if p > 2:
+            # The rows this map paired, as a mask over the next map's columns.
+            paired = bytearray(fvector[p - 1])
+            for row, _ in pivots:
+                paired[row] = 1
         # Not held through the next map's pass, which sets the peak.
         del pivots
     for p in range(1, top + 1):

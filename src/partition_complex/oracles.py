@@ -92,15 +92,33 @@ def _conjugate_unit_move(lam_conj: Partition, mu_conj: Partition) -> Optional[tu
     return (down, up) if down and up else None
 
 
-def edges_by_conjugate_scan(g: PartitionGraph) -> list[tuple[int, int]]:
-    """Edge set recomputed by testing every vertex pair with the conjugate rule.
+def _removal_keys(conj: Partition) -> list[tuple[int, ...]]:
+    """conj - e_u for every column u, a trailing 0 dropped.  Two conjugates
+    one unit move apart share one of these keys."""
+    keys = []
+    for u in range(len(conj)):
+        key = conj[:u] + (conj[u] - 1,) + conj[u + 1:]
+        keys.append(key[:-1] if key[-1] == 0 else key)
+    return keys
 
-    Each vertex is conjugated once; a pair is then an edge when the two
-    conjugates differ by one unit move, as in adjacency_by_conjugate.
+
+def edges_by_conjugate_scan(g: PartitionGraph) -> list[tuple[int, int]]:
+    """Edge set recomputed with the conjugate rule, in sorted order.
+
+    mu' = lam' - e_u + e_v exactly when lam' - e_u = mu' - e_v, so two
+    partitions are one unit move apart only if their conjugates share a key
+    of _removal_keys.  Each vertex is conjugated once and filed under its
+    keys; every pair filed under one key is decided as in
+    adjacency_by_conjugate.  A pair shares at most one key (the unit move
+    fixes u and v), so no pair is listed twice.
     """
     conjugates = [conjugate(lam) for lam in g.vertices]
-    return [(i, j) for i, j in itertools.combinations(range(len(conjugates)), 2)
-            if _conjugate_unit_move(conjugates[i], conjugates[j]) is not None]
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for i, conj in enumerate(conjugates):
+        for key in _removal_keys(conj):
+            buckets.setdefault(key, []).append(i)
+    return sorted((i, j) for ids in buckets.values() for i, j in itertools.combinations(ids, 2)
+                  if _conjugate_unit_move(conjugates[i], conjugates[j]) is not None)
 
 
 def transfers_by_scan(lam: Partition) -> list[tuple[Corner, Corner, Partition]]:

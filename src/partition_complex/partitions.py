@@ -30,6 +30,11 @@ class TheoremViolationError(AssertionError):
     """A machine-checked structural claim failed on concrete data."""
 
 
+def _alternating_sum(values: Iterable[int]) -> int:
+    """values[0] - values[1] + values[2] - ..., e.g. chi from an f-vector."""
+    return sum(-v if p % 2 else v for p, v in enumerate(values))
+
+
 Partition = tuple[int, ...]
 
 

@@ -55,6 +55,7 @@ from .oracles import (
     transfers_by_scan,
 )
 from .partitions import format_partition
+from .suite_names import BUDGETS, SUITE_ORDER
 
 PASS = "pass"
 FAIL = "fail"
@@ -485,22 +486,32 @@ def _suite_closure(ctx: NContext) -> str:
     g = ctx.graph
     nerve = ctx.nerve
     checked = 0
-    cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+    cache: dict[tuple[int, ...], tuple[tuple[int, ...], frozenset[int]]] = {}
+    # One (tuple, frozenset) pair per distinct closure, shared by every key
+    # that closes to it, so there is one frozenset per closed set, not one
+    # per clique.
+    shared: dict[tuple[int, ...], tuple[tuple[int, ...], frozenset[int]]] = {}
 
-    def close(ids) -> tuple[int, ...]:
+    def close(ids) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The closure of ids as a sorted tuple and as a frozenset, computed once."""
         key = tuple(sorted(ids))
-        if key not in cache:
-            cache[key] = closure_ids(nerve, key)
-        return cache[key]
+        found = cache.get(key)
+        if found is None:
+            closed = closure_ids(nerve, key)
+            found = shared.get(closed)
+            if found is None:
+                found = shared[closed] = (closed, frozenset(closed))
+            cache[key] = found
+        return found
 
     for clique in ctx.all_cliques:
-        closed = close(clique)
+        closed, closed_set = close(clique)
         checked += 1
-        if not set(clique) <= set(closed):
+        if not closed_set.issuperset(clique):
             raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "closure must contain its argument"})
-        if close(closed) != closed:
+        if close(closed)[0] != closed:
             raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "closure must be idempotent"})
@@ -512,12 +523,12 @@ def _suite_closure(ctx: NContext) -> str:
         for size in range(1, len(clique)):
             for sub in itertools.combinations(clique, size):
                 checked += 1
-                if not set(close(sub)) <= set(closed):
+                if not close(sub)[1] <= closed_set:
                     raise _Counterexample({
                         "clique": _literals(g, clique),
                         "subset": _literals(g, sub),
                         "claim": "closure must be monotone"})
-    fixed = sorted({close(clique) for clique in ctx.all_cliques})
+    fixed = sorted({close(clique)[0] for clique in ctx.all_cliques})
     anchors_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for closed in fixed:
         common = tuple(sorted(anchor_intersection_ids(nerve, closed)))
@@ -650,7 +661,7 @@ def _suite_euler(ctx: NContext) -> str:
     return f"chi={chi} (beyond the tabulated range)"
 
 
-# Canonical suite order: a run reports its suites at each n in this order.
+# One suite per name in SUITE_ORDER, listed in that order.
 _SUITE_FUNCS: dict[str, Callable[[NContext], str]] = {
     "triangles": _suite_triangles,
     "cliques": _suite_cliques,
@@ -665,16 +676,11 @@ _SUITE_FUNCS: dict[str, Callable[[NContext], str]] = {
     "homology": _suite_homology,
     "euler": _suite_euler,
 }
-SUITE_ORDER = tuple(_SUITE_FUNCS)
+if tuple(_SUITE_FUNCS) != SUITE_ORDER:
+    raise RuntimeError(f"suites {tuple(_SUITE_FUNCS)} differ from SUITE_ORDER {SUITE_ORDER}")
 
 # Suites about the cover, its nerve and poset: vacuous when the cover is empty.
 _COVER_SUITES = frozenset({"cover", "nerve", "anchors", "poset", "closure"})
-
-# default per-suite caps on n; beyond these a run records a skip unless told
-# to ignore budgets.  Each suite alone costs at most about 2 s at its cap on
-# one 2-vCPU machine.  The `homology` subcommand shares the homology cap:
-# the suite alone took 1.6-1.8 s at n = 32 and 2.2-2.4 s at n = 33.
-BUDGETS = {**dict.fromkeys(SUITE_ORDER, 20), "homology": 32, "euler": 25}
 
 
 def run_suite(name: str, ctx: NContext) -> VerificationOutcome:

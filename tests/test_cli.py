@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from partition_complex import cli, verification
+from partition_complex import cli, homology, verification
 from partition_complex.cli import _worker_count, main
 from partition_complex.homology import HomologyReport
 from partition_complex.reference import EULER_CHARACTERISTIC
@@ -143,7 +143,8 @@ def test_homology_json(capsys):
 
 def test_homology_deviation_prints_the_report_and_exits_1(monkeypatch, capsys):
     deviant = HomologyReport((11, 17, 7), (1, 1, 2), ((), (), ()))
-    monkeypatch.setattr(cli, "reduced_homology", lambda cplx: deviant)
+    # cmd_homology reads the homology layer's functions when it runs.
+    monkeypatch.setattr(homology, "reduced_homology", lambda cplx: deviant)
     assert main(["homology", "--n", "6"]) == 1
     captured = capsys.readouterr()
     assert captured.out == deviant.summary() + "\n"
@@ -155,7 +156,7 @@ def test_homology_frees_the_graph_before_the_chain_complex(monkeypatch, capsys):
     # The graph is the largest per-n object; homology needs only the facets.
     graphs = []
     real_facets = verification.maximal_simplices
-    real_complex = cli.build_chain_complex
+    real_complex = homology.build_chain_complex
 
     def facets(g):
         graphs.append(weakref.ref(g))
@@ -166,7 +167,7 @@ def test_homology_frees_the_graph_before_the_chain_complex(monkeypatch, capsys):
         return real_complex(facet_list)
 
     monkeypatch.setattr(verification, "maximal_simplices", facets)
-    monkeypatch.setattr(cli, "build_chain_complex", chain_complex)
+    monkeypatch.setattr(homology, "build_chain_complex", chain_complex)
     assert main(["homology", "--n", "8"]) == 0
     assert capsys.readouterr().out == "reduced homology: H~2=Z; euler characteristic 2\n"
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from partition_complex import oracles
 from partition_complex.graph import (
     UnknownVertexError,
     build_graph,
@@ -144,12 +145,28 @@ def test_symmetric_irreflexive_and_matches_conjugate_scan():
         assert edges_by_conjugate_scan(g) == g.edges()
 
 
-def test_conjugate_scan_matches_per_pair_conjugate_rule():
+def _first_conjugate_scan_mismatch():
+    """The first n <= 12 where the conjugate scan and a per-pair loop over
+    adjacency_by_conjugate list different edges, or None."""
     for n in range(1, 13):
         g = build_graph(n)
         per_pair = [(i, j) for i, j in itertools.combinations(range(len(g.vertices)), 2)
                     if adjacency_by_conjugate(g.vertices[i], g.vertices[j]) is not None]
-        assert edges_by_conjugate_scan(g) == per_pair
+        if edges_by_conjugate_scan(g) != per_pair:
+            return n
+    return None
+
+
+def test_conjugate_scan_matches_per_pair_conjugate_rule():
+    assert _first_conjugate_scan_mismatch() is None
+
+
+def test_conjugate_scan_keyed_by_the_last_column_alone_fails(monkeypatch):
+    # Keying each conjugate only by its removal from the last column misses
+    # every unit move out of another column.
+    real = oracles._removal_keys
+    monkeypatch.setattr(oracles, "_removal_keys", lambda conj: real(conj)[-1:])
+    assert _first_conjugate_scan_mismatch() is not None
 
 
 def test_heights_cached_on_graph():

@@ -8,7 +8,8 @@ show the public API, so none of them imports an underscore-prefixed name
 from the package.  cli.py reads every per-n stage off
 verification.NContext, so it imports none of the builders NContext chains.
 homology.py reduces any chain complex, not only the partition complexes,
-so it imports nothing from the package but TheoremViolationError.
+so it imports nothing from the package but TheoremViolationError and the
+alternating sum, both from the base module partitions.py.
 These rules are read off the import statements, without importing anything.
 """
 
@@ -84,5 +85,6 @@ def test_cli_imports_no_stage_builder_that_ncontext_owns():
 
 def test_homology_imports_only_the_theorem_error():
     imports = package_imports(HOMOLOGY)
-    assert imports == [("partitions", "TheoremViolationError")], (
+    assert imports == [("partitions", "TheoremViolationError"),
+                       ("partitions", "_alternating_sum")], (
         f"homology.py imports {imports} from the package")

@@ -3,11 +3,16 @@ run, and a failing suite names what disagreed."""
 
 import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partition_complex
 from partition_complex import verification
 from partition_complex.cliques import STAR, TOP, CliqueClass, FVector
 from partition_complex.homology import HomologyReport
@@ -220,6 +225,66 @@ def test_closure_fail_names_the_pair_the_ordered_scan_finds_first(monkeypatch):
     assert outcome.counterexample == {
         "first": list(first), "second": list(second),
         "claim": "inclusion of closed cliques reverses on intersections"}
+
+
+def _monotone_mutant_outcome():
+    """The closure suite's status and witness at n = 11 under a closure that
+    drops one vertex from one clique's closure, and the witness expected.
+
+    The clique is the first that is not closed, whose closure has one vertex
+    more, and which has a proper subset with the same closure.  Made to
+    look closed, it still contains itself, is idempotent and keeps its
+    member intersection, so only monotonicity can catch it: the first of its
+    subsets whose closure holds the dropped vertex.
+    """
+    ctx = NContext(11)
+    real = verification.closure_ids
+    for clique in ctx.all_cliques:
+        closed = real(ctx.nerve, clique)
+        subsets = [sub for size in range(1, len(clique))
+                   for sub in itertools.combinations(clique, size)]
+        if (len(closed) == len(clique) + 1
+                and any(real(ctx.nerve, sub) == closed for sub in subsets)):
+            break
+    else:
+        raise LookupError("no clique to mutate at n = 11")
+    (dropped,) = set(closed) - set(clique)
+    subset = next(sub for sub in subsets if dropped in real(ctx.nerve, sub))
+    expected = {"clique": [format_partition(ctx.graph.vertices[v]) for v in clique],
+                "subset": [format_partition(ctx.graph.vertices[v]) for v in subset],
+                "claim": "closure must be monotone"}
+
+    def mutant(nerve, vertex_ids):
+        closed = real(nerve, vertex_ids)
+        return tuple(v for v in closed if v != dropped) if tuple(vertex_ids) == clique else closed
+
+    verification.closure_ids = mutant
+    try:
+        outcome = run_suite("closure", ctx)
+    finally:
+        verification.closure_ids = real
+    return outcome.status, outcome.counterexample, expected
+
+
+def test_closure_that_drops_a_vertex_fails_monotonicity():
+    assert run_suite("closure", NContext(11)).status == PASS
+    status, witness, expected = _monotone_mutant_outcome()
+    assert (status, witness) == (FAIL, expected)
+
+
+def test_closure_that_drops_a_vertex_fails_monotonicity_without_asserts():
+    # Under -O every assert is stripped, so the suite must raise on its own.
+    script = ("import json, runpy, sys; ns = runpy.run_path(sys.argv[1]); "
+              "print(json.dumps([sys.flags.optimize, ns['_monotone_mutant_outcome']()]))")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(partition_complex.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-O", "-c", script, __file__],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    optimize, (status, witness, expected) = json.loads(result.stdout)
+    assert optimize == 1
+    assert (status, witness) == (FAIL, expected)
 
 
 def test_anchors_fail_names_the_first_vertex_and_member_that_disagree():

@@ -10,10 +10,13 @@ Only `verify` takes --jobs, to run its n values in parallel.  `table` and
 
 Each output rule is written once.  `_table_rows` reads chi and b = chi - 1
 off the f-vectors for every table format and for `export bfile`;
-`_json_text` fixes the bytes of every JSON document; and each subcommand
-looks its --format up in one format -> formatter table (`_TABLE_FORMATS`,
-`_VERIFY_FORMATS`, `_HOMOLOGY_FORMATS`, `_EXPORT_FORMATS`), whose keys are
-the formats it accepts.
+`_json_text` fixes the bytes of every JSON document; and each subcommand,
+each `export` target included, takes its --format choices from one
+format -> formatter table (`_TABLE_FORMATS`, `_VERIFY_FORMATS`,
+`_HOMOLOGY_FORMATS`, `_EXPORT_FORMATS[target]`), whose keys are the formats
+it accepts.  argparse alone validates arguments: `export` has one
+subcommand per target, each with its own size flag (`bfile` --max-n and a
+sequence, the others --n), so every usage error exits 2 through argparse.
 
 Each per-n stage is chained in one place, `verification.NContext`: `verify`
 runs its suites on one, and `homology` and `export` read the graph, facets
@@ -321,39 +324,16 @@ _EXPORT_FORMATS = {
 }
 
 
-def _usage_error(message: str) -> int:
-    print(f"usage error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_export(args: argparse.Namespace) -> int:
-    formats = _EXPORT_FORMATS[args.what]
-    fmt = next(iter(formats)) if args.format is None else args.format
-    if fmt not in formats:
-        return _usage_error(
-            f"format {fmt!r} is not valid for {args.what}"
-            f" (choose from {', '.join(formats)})")
+    formatter = _EXPORT_FORMATS[args.what][args.format]
     if args.what == "bfile":
-        if args.n is not None:
-            return _usage_error("export bfile takes no --n; use --max-n")
-        if args.sequence is None:
-            return _usage_error("export bfile needs a sequence: chi or b")
-        if args.max_n is None:
-            return _usage_error("export bfile needs --max-n")
-        rows = _table_rows(args.max_n)
-        _emit(formats[fmt](rows, args.sequence), args.out)
+        _emit(formatter(_table_rows(args.max_n), args.sequence), args.out)
         return 0
-    if args.sequence is not None:
-        return _usage_error(f"export {args.what} takes no sequence argument")
-    if args.max_n is not None:
-        return _usage_error(f"export {args.what} takes no --max-n; use --n")
-    if args.n is None:
-        return _usage_error(f"export {args.what} needs --n")
     from .graph import format_legend
     from .verification import NContext
 
     ctx = NContext(args.n)
-    text = formats[fmt](ctx)
+    text = formatter(ctx)
     if args.what == "graph" and args.out is not None:
         # Vertex legend rides along as a sibling file, never on stdout.
         _write_files({args.out: text, args.out + ".legend": format_legend(ctx.graph)})
@@ -418,16 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser(
         "export", help="write graphs, facets, posets, or integer sequences")
-    export.add_argument("what", choices=tuple(_EXPORT_FORMATS))
-    export.add_argument("sequence", nargs="?", choices=("chi", "b"),
-                        help="which sequence to export (bfile only)")
-    export.add_argument("--n", type=_positive_int,
-                        help="partition size (graph, facets, poset)")
-    export.add_argument("--max-n", type=_positive_int,
-                        help="largest n (bfile)")
-    export.add_argument("--format",
-                        help="graph: dimacs or edges; poset: json or text")
-    export.add_argument("--out", help="write here instead of stdout")
+    targets = export.add_subparsers(dest="what", required=True)
+    for what, formats in _EXPORT_FORMATS.items():
+        target = targets.add_parser(what)
+        if what == "bfile":
+            target.add_argument("sequence", choices=("chi", "b"),
+                                help="which sequence to export")
+            target.add_argument("--max-n", type=_positive_int, required=True,
+                                help="largest n")
+        else:
+            target.add_argument("--n", type=_positive_int, required=True,
+                                help="partition size")
+        _add_output_arguments(target, formats)
     export.set_defaults(func=cmd_export)
 
     return parser

@@ -228,9 +228,14 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[int, 
 
     Dense elimination with pivoting on a minimum-absolute-value entry;
     remainders swap into the pivot seat, so pivot magnitudes only shrink.
-    A final gcd/lcm sweep restores the divisibility chain.
+    A final gcd/lcm sweep restores the divisibility chain.  Every entry must
+    be an int (bools refused), as for partition parts; nothing is coerced.
     """
-    work = [[int(v) for v in row] for row in matrix]
+    work = [list(row) for row in matrix]
+    for row in work:
+        for value in row:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"entries must be integers, got {value!r}")
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     if nrows and any(len(row) != ncols for row in work):

@@ -225,57 +225,73 @@ def test_export_bfile(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "8 1"
 
 
-def test_export_usage_errors(capsys):
-    assert main(["export", "bfile", "--max-n", "3"]) == 2
-    assert main(["export", "graph", "chi", "--n", "3"]) == 2
-    assert main(["export", "graph"]) == 2
-    assert main(["export", "poset", "--n", "4", "--format", "dimacs"]) == 2
-    capsys.readouterr()
+def _usage_error_line(argv, tmp_path, capsys):
+    """Run an invalid command as given and again with --out: both must exit 2
+    through argparse with nothing on stdout, and the second must create no
+    file.  Returns the last stderr line, which must agree between the runs."""
+    out = tmp_path / "x"
+    lines = []
+    for extra in ([], ["--out", str(out)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines.append(captured.err.splitlines()[-1])
+    assert not list(tmp_path.iterdir())
+    assert lines[0] == lines[1]
+    return lines[0]
+
+
+def test_export_usage_errors(tmp_path, capsys):
     # Each target takes only its own size flag.
-    assert main(["export", "bfile", "chi", "--max-n", "3", "--n", "5"]) == 2
-    assert capsys.readouterr().err == "usage error: export bfile takes no --n; use --max-n\n"
+    line = _usage_error_line(["export", "bfile", "chi", "--max-n", "3", "--n", "5"],
+                             tmp_path, capsys)
+    assert line == "partition-complex: error: unrecognized arguments: --n 5"
     for what in ("graph", "facets", "poset"):
-        assert main(["export", what, "--n", "3", "--max-n", "9"]) == 2
-        assert capsys.readouterr().err == (
-            f"usage error: export {what} takes no --max-n; use --n\n")
+        line = _usage_error_line(["export", what, "--n", "3", "--max-n", "9"],
+                                 tmp_path, capsys)
+        assert line == "partition-complex: error: unrecognized arguments: --max-n 9"
 
 
-# One invalid export input each -> its exact stderr line (exit code 2).
+# One invalid export input each -> the last line argparse prints on stderr.
 EXPORT_USAGE_ERRORS = {
-    "export bfile --max-n 3": "export bfile needs a sequence: chi or b",
-    "export bfile chi": "export bfile needs --max-n",
-    "export graph": "export graph needs --n",
-    "export facets": "export facets needs --n",
-    "export poset": "export poset needs --n",
+    "export bfile --max-n 3": "partition-complex export bfile: error:"
+        " the following arguments are required: sequence",
+    "export bfile chi": "partition-complex export bfile: error:"
+        " the following arguments are required: --max-n",
+    "export graph": "partition-complex export graph: error:"
+        " the following arguments are required: --n",
+    "export facets": "partition-complex export facets: error:"
+        " the following arguments are required: --n",
+    "export poset": "partition-complex export poset: error:"
+        " the following arguments are required: --n",
     "export graph chi --n 3":
-        "export graph takes no sequence argument",
-    "export graph --n 3 --format text":
-        "format 'text' is not valid for graph (choose from dimacs, edges)",
-    "export poset --n 4 --format dimacs":
-        "format 'dimacs' is not valid for poset (choose from json, text)",
-    "export facets --n 3 --format json":
-        "format 'json' is not valid for facets (choose from text)",
-    "export bfile chi --max-n 3 --format json":
-        "format 'json' is not valid for bfile (choose from text)",
+        "partition-complex: error: unrecognized arguments: chi",
+    "export graph --n 3 --format text": "partition-complex export graph: error:"
+        " argument --format: invalid choice: 'text' (choose from 'dimacs', 'edges')",
+    "export poset --n 4 --format dimacs": "partition-complex export poset: error:"
+        " argument --format: invalid choice: 'dimacs' (choose from 'json', 'text')",
+    "export facets --n 3 --format json": "partition-complex export facets: error:"
+        " argument --format: invalid choice: 'json' (choose from 'text')",
+    "export bfile chi --max-n 3 --format json": "partition-complex export bfile: error:"
+        " argument --format: invalid choice: 'json' (choose from 'text')",
 }
 
 
 @pytest.mark.parametrize("command", sorted(EXPORT_USAGE_ERRORS))
-def test_export_usage_error_messages(command, capsys):
-    assert main(command.split()) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"usage error: {EXPORT_USAGE_ERRORS[command]}\n"
+def test_export_usage_error_messages(command, tmp_path, capsys):
+    line = _usage_error_line(command.split(), tmp_path, capsys)
+    assert line == EXPORT_USAGE_ERRORS[command]
 
 
-def test_export_empty_format_is_a_usage_error(capsys):
+def test_export_empty_format_is_a_usage_error(tmp_path, capsys):
     # An empty --format is a format like any other, not a request for the
     # default; the table above splits on spaces, so it cannot hold this one.
-    assert main(["export", "graph", "--n", "3", "--format", ""]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("usage error: format '' is not valid for graph"
-                            " (choose from dimacs, edges)\n")
+    line = _usage_error_line(["export", "graph", "--n", "3", "--format", ""],
+                             tmp_path, capsys)
+    assert line == ("partition-complex export graph: error: argument --format:"
+                    " invalid choice: '' (choose from 'dimacs', 'edges')")
 
 
 def test_main_calls_share_no_parsed_state(capsys):

@@ -70,13 +70,18 @@ def test_cli_stdout_is_unchanged(command):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == STDOUT_SHA256[command]
 
 
-# Subcommand ("" for the top-level parser) -> sha256 of its --help text.
+# Subcommand ("" for the top-level parser, "export <target>" for an export
+# target) -> sha256 of its --help text.
 HELP_SHA256 = {
     "": "fa2be51c6cdd89a1281d5e11ae1307857648888dbc3ea314bd7d406b2482d841",
     "table": "12578fcc4e288561ea038f0e959682e5da3a37dcb008097aae0eb685bbce294a",
     "verify": "c08487a34306378504cd20b81647f612484400c5e187af52967612ffbee97f5b",
     "homology": "6ea9fccb656cb1b5d9ce2dfea5e51b49eeefc3bab0d93bbf21a4306640d1cee5",
-    "export": "8c378184f852875b176ab93545f6c5af7add65e183383b2ce4f63f0f7e312623",
+    "export": "789addd9866344045a89e64d0f8ee9eb467534cfc4443eef05298a373adb8a78",
+    "export bfile": "ce21235172b34d562f0b43caec4c51f5c70ffdf6211ac362e18f017abe14f9b7",
+    "export facets": "796ee10cefa038f468018a3f34318c7bff849f190b0f73cd6729003bb63baf75",
+    "export graph": "d0a1c646a28ae58eea491c4b34eb1020698228615a58e8b58e508491b94118c2",
+    "export poset": "5f02770c6fc442486ca727081bc1ba5f1788c433bc10307f4fa4fdca8bb4d4f9",
 }
 
 

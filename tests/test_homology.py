@@ -37,6 +37,13 @@ def test_snf_edge_cases():
     assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (3, ())
 
 
+def test_snf_refuses_non_integer_entries():
+    # int() would truncate 2.5 and 0.5 and parse '3'; each must be refused.
+    for matrix in ([[2.5]], [["3"]], [[0.5, 1], [1, 0]], [[True]]):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            smith_normal_form(matrix)
+
+
 def test_snf_known_factors():
     # d1 = gcd of all entries = 2, d1*d2 = |det| = 8.
     assert smith_normal_form([[2, 4], [6, 8]]) == (2, (2, 4))

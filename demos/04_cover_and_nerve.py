@@ -41,14 +41,16 @@ print()
 print("nerve and complex agree on chi:")
 for n in (2, 4, 8, 10):
     g_n = build_graph(n)
-    chi_nerve = nerve_fvector(build_poset(build_nerve(g_n))).euler_characteristic
+    nerve_n = build_nerve(g_n, canonical_cover(g_n))
+    chi_nerve = nerve_fvector(build_poset(nerve_n)).euler_characteristic
     chi_complex = enumerate_simplices(maximal_simplices(g_n)).euler_characteristic
     print(f"  n={n:2}: chi(nerve)={chi_nerve:2}  chi(complex)={chi_complex:2}")
 print()
 
 print("anchor intersection posets stay shallow:")
 for n in (2, 4, 8, 12):
-    poset = build_poset(build_nerve(build_graph(n)))
+    g_n = build_graph(n)
+    poset = build_poset(build_nerve(g_n, canonical_cover(g_n)))
     chains = order_complex(poset)
     print(f"  n={n:2}: {len(poset.elements):4} elements, "
           f"longest chain {max_chain_length(poset)}, "

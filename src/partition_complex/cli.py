@@ -18,15 +18,16 @@ it accepts.  argparse alone validates arguments: `export` has one
 subcommand per target, each with its own size flag (`bfile` --max-n and a
 sequence, the others --n), so every usage error exits 2 through argparse.
 
-Each per-n stage is chained in one place, `verification.NContext`: `verify`
-runs its suites on one, and `homology` and `export` read the graph, facets
-and poset on n off one.  This module calls no stage builder itself.
+Each per-n stage is chained in one place, `stages.NContext`: `verify` runs
+its suites on one, and `homology` and `export` read the graph, facets and
+poset on n off one.  This module calls no stage builder itself.
 
 Each command loads only the layers it runs.  At import this module loads
 nothing from the package but `suite_names`, which the parser lists for
 --suite; each subcommand imports its layers when it runs.  So `table` and
-`export bfile` load `cliques`, `graph` and `partitions` only, and never the
-verification, loop, nerve, oracle or homology layers.
+`export bfile` load `cliques`, `graph` and `partitions` only; `homology`
+and the other `export` targets add `stages` and the builders they read;
+and only `verify` loads the verification, loop and oracle layers.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import os
+import stat
 import sys
 from collections import Counter
 from typing import NamedTuple, Optional, Sequence
@@ -59,23 +62,44 @@ def _positive_int(text: str) -> int:
 def _write_files(texts: dict[str, str]) -> None:
     """Write each text to its path atomically: into a temp file beside it,
     then os.replace, so a failed write leaves no partial file and any
-    existing file at that path unchanged.  An empty path or a directory at
-    any of the paths is refused before any file is written, and an error
-    opening or replacing a temp file names its path, not the temp file."""
+    existing file at that path unchanged.  A symlink is followed: its target
+    is replaced and the link kept.  Every path is checked before any file is
+    written, and an empty path or an existing one that is not a regular file
+    (a directory, FIFO, device or socket) is refused.  The temp file is made
+    exclusively, under the first free name, so no file this did not create is
+    written or removed; it gets the mode open(path, "w") would leave.  An
+    error opening or replacing a temp file names its path, not the temp
+    file."""
+    modes = {}
     for path in texts:
         if not path:
             raise FileNotFoundError(f"No such file or directory: {path!r}")
-        if os.path.isdir(path):
-            raise IsADirectoryError(f"Is a directory: {path!r}")
-    for path, text in texts.items():
-        temp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(temp, "w", newline="\n") as handle:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            continue
+        if not stat.S_ISREG(mode):
+            raise OSError(f"Not a regular file: {path!r}")
+        modes[path] = stat.S_IMODE(mode)
+    for path, text in texts.items():
+        target = os.path.realpath(path)
+        temp = created = None
+        try:
+            for attempt in itertools.count():
+                temp = f"{target}.{os.getpid()}.{attempt}.tmp"
+                with contextlib.suppress(FileExistsError):
+                    handle = open(temp, "x", newline="\n")
+                    break
+            created = temp
+            with handle:
                 handle.write(text)
-            os.replace(temp, path)
+            if path in modes:
+                os.chmod(temp, modes[path])
+            os.replace(temp, target)
         except BaseException as exc:
-            with contextlib.suppress(OSError):
-                os.remove(temp)
+            if created is not None:
+                with contextlib.suppress(OSError):
+                    os.remove(created)
             if isinstance(exc, OSError) and exc.filename == temp:
                 # Name the path asked for, not the temp file beside it.
                 raise type(exc)(exc.errno, exc.strerror, path) from None
@@ -252,8 +276,8 @@ _HOMOLOGY_FORMATS = {
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
-    from .homology import build_chain_complex, reduced_homology
-    from .verification import NContext, homology_concentrated
+    from .homology import build_chain_complex, homology_concentrated, reduced_homology
+    from .stages import NContext
 
     budget = BUDGETS["homology"]
     if args.n > budget:
@@ -330,7 +354,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         _emit(formatter(_table_rows(args.max_n), args.sequence), args.out)
         return 0
     from .graph import format_legend
-    from .verification import NContext
+    from .stages import NContext
 
     ctx = NContext(args.n)
     text = formatter(ctx)

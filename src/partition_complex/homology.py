@@ -555,3 +555,13 @@ def reduced_homology(cplx: ChainComplex) -> HomologyReport:
                 f" of dimension {p} exceed its {fvector[p]} simplices")
     betti = tuple(fvector[p] - ranks[p] - ranks[p + 1] for p in range(top + 1))
     return HomologyReport(fvector, betti, tuple(torsion))
+
+
+def homology_concentrated(report: HomologyReport) -> bool:
+    """True when reduced homology is free in degree 2 and trivial everywhere
+    else, torsion included: the pattern the paper proves for every K_n.  The
+    rank in degree 2 is then chi - 1 by Euler-Poincare: the report reads its
+    Betti numbers off boundary ranks, so their alternating sum is chi
+    whatever the ranks are."""
+    reduced = report.reduced_betti
+    return not (any(reduced[:2]) or any(reduced[3:]) or any(report.torsion))

@@ -21,9 +21,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .cliques import CoverMember, FVector, NotACliqueError, _check_clique, canonical_cover
+from .cliques import CoverMember, FVector, NotACliqueError, _check_clique
 from .graph import PartitionGraph
 
 
@@ -41,9 +41,7 @@ class NerveComplex:
         return len(self.cover)
 
 
-def build_nerve(graph: PartitionGraph, cover: Optional[Sequence[CoverMember]] = None) -> NerveComplex:
-    if cover is None:
-        cover = canonical_cover(graph)
+def build_nerve(graph: PartitionGraph, cover: Sequence[CoverMember]) -> NerveComplex:
     member_sets = tuple(frozenset(member.vertices) for member in cover)
     containing: list[set[int]] = [set() for _ in graph.vertices]
     for member_id, vertex_ids in enumerate(member_sets):

@@ -10,7 +10,8 @@ silently running long.
 The checks deliberately pit independent routes against each other: the
 classification-driven constructions on one side, and either brute-force
 enumeration (all cliques, all subfamilies, corner-pair scans) or
-independently tabulated values on the other.
+independently tabulated values on the other.  The per-n objects a suite
+checks are read off a stages.NContext, which builds each of them once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 from . import reference
@@ -27,34 +27,17 @@ from .cliques import (
     TheoremViolationError,
     _full_simplex,
     _triangle_class,
-    canonical_cover,
     classify_clique,
-    enumerate_simplices,
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
     fvector_table,
-    maximal_simplices,
 )
-from .graph import build_graph
-from .homology import HomologyReport, build_chain_complex, reduced_homology
+from .homology import build_chain_complex, homology_concentrated, reduced_homology
 from .loops import format_loop, random_closed_walk, reduce_loop
-from .nerve import (
-    anchor_intersection_ids,
-    build_nerve,
-    build_poset,
-    closure_ids,
-    max_chain_length,
-    nerve_fvector,
-    order_complex,
-)
-from .oracles import (
-    all_cliques_reference,
-    edges_by_conjugate_scan,
-    maximal_cliques_reference,
-    partition_count,
-    transfers_by_scan,
-)
+from .nerve import anchor_intersection_ids, closure_ids, max_chain_length, order_complex
+from .oracles import edges_by_conjugate_scan, maximal_cliques_reference, partition_count
 from .partitions import format_partition
+from .stages import NContext
 from .suite_names import BUDGETS, SUITE_ORDER
 
 PASS = "pass"
@@ -81,56 +64,6 @@ class VerificationOutcome:
             pairs = ", ".join(f"{k}={v}" for k, v in sorted(self.counterexample.items()))
             text += f" [{pairs}]"
         return text
-
-
-class NContext:
-    """Shared per-n objects, built lazily and reused across suites."""
-
-    def __init__(self, n: int, seed: Optional[int] = None):
-        self.n = n
-        self.seed = seed
-
-    @cached_property
-    def graph(self):
-        return build_graph(self.n)
-
-    @cached_property
-    def cover(self):
-        return canonical_cover(self.graph)
-
-    @cached_property
-    def nerve(self):
-        return build_nerve(self.graph, self.cover)
-
-    @cached_property
-    def facets(self):
-        return maximal_simplices(self.graph)
-
-    @cached_property
-    def fvector(self):
-        return enumerate_simplices(self.facets)
-
-    @cached_property
-    def nerve_fvector(self):
-        return nerve_fvector(self.poset)
-
-    @cached_property
-    def all_cliques(self):
-        return all_cliques_reference(self.graph)
-
-    @cached_property
-    def poset(self):
-        return build_poset(self.nerve)
-
-    @cached_property
-    def scans(self):
-        """Each vertex's transfers by the corner-pair scan oracle, by id."""
-        return [transfers_by_scan(lam) for lam in self.graph.vertices]
-
-    @property
-    def derived_seed(self) -> int:
-        base = 0 if self.seed is None else self.seed
-        return base * 1_000_003 + self.n
 
 
 def _literals(g, ids) -> list[str]:
@@ -595,7 +528,7 @@ def _suite_loops(ctx: NContext) -> str:
     g = ctx.graph
     if g.edge_count() == 0:
         raise _Vacuous("no edges, no loops")
-    rng = random.Random(ctx.derived_seed)
+    rng = random.Random((ctx.seed or 0) * 1_000_003 + ctx.n)
     total_steps = 0
     for _ in range(WALKS_PER_N):
         walk = random_closed_walk(g, rng)
@@ -609,15 +542,6 @@ def _suite_loops(ctx: NContext) -> str:
                 "loop": format_loop(walk), "claim": "reduction must end constant"})
         total_steps += len(trace.steps)
     return f"{WALKS_PER_N} walks, {total_steps} steps"
-
-
-def homology_concentrated(report: HomologyReport) -> bool:
-    """True when reduced homology is free in degree 2 and trivial everywhere
-    else, torsion included.  The rank in degree 2 is then chi - 1 by
-    Euler-Poincare: the report reads its Betti numbers off boundary ranks,
-    so their alternating sum is chi whatever the ranks are."""
-    reduced = report.reduced_betti
-    return not (any(reduced[:2]) or any(reduced[3:]) or any(report.torsion))
 
 
 def _suite_homology(ctx: NContext) -> str:

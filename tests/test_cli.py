@@ -3,13 +3,15 @@
 import csv
 import errno
 import json
+import os
+import stat
 import subprocess
 import sys
 import weakref
 
 import pytest
 
-from partition_complex import cli, homology, verification
+from partition_complex import cli, cliques, homology
 from partition_complex.cli import _worker_count, main
 from partition_complex.homology import HomologyReport
 from partition_complex.reference import EULER_CHARACTERISTIC
@@ -155,7 +157,8 @@ def test_homology_deviation_prints_the_report_and_exits_1(monkeypatch, capsys):
 def test_homology_frees_the_graph_before_the_chain_complex(monkeypatch, capsys):
     # The graph is the largest per-n object; homology needs only the facets.
     graphs = []
-    real_facets = verification.maximal_simplices
+    # NContext reads the facet builder off the cliques module when it runs.
+    real_facets = cliques.maximal_simplices
     real_complex = homology.build_chain_complex
 
     def facets(g):
@@ -166,7 +169,7 @@ def test_homology_frees_the_graph_before_the_chain_complex(monkeypatch, capsys):
         assert [ref() for ref in graphs] == [None]
         return real_complex(facet_list)
 
-    monkeypatch.setattr(verification, "maximal_simplices", facets)
+    monkeypatch.setattr(cliques, "maximal_simplices", facets)
     monkeypatch.setattr(homology, "build_chain_complex", chain_complex)
     assert main(["homology", "--n", "8"]) == 0
     assert capsys.readouterr().out == "reduced homology: H~2=Z; euler characteristic 2\n"
@@ -389,11 +392,71 @@ def test_failed_out_write_keeps_existing_file(tmp_path, monkeypatch, capsys):
     assert [path.name for path in tmp_path.iterdir()] == ["table.txt"]
 
 
-def test_verify_runs_are_byte_identical():
-    first = run_cli("verify", "--suite", "loops", "--max-n", "6", "--seed", "7")
-    second = run_cli("verify", "--suite", "loops", "--max-n", "6", "--seed", "7")
-    assert first.returncode == 0 and second.returncode == 0
-    assert first.stdout == second.stdout
+def test_out_fifo_is_refused_unopened(tmp_path, capsys):
+    # Opening a FIFO for writing would block without a reader, so the
+    # refusal must come before any open.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    assert main(["table", "--max-n", "3", "--out", str(fifo)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(fifo) in err and ".tmp" not in err
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [path.name for path in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_out_symlink_target_is_replaced_and_the_link_kept(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("previous contents\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["table", "--max-n", "3", "--out", str(link)]) == 0
+    assert capsys.readouterr().out == ""
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert main(["table", "--max-n", "3"]) == 0
+    assert target.read_text() == capsys.readouterr().out
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+def test_out_leaves_files_at_temp_names_untouched(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "table.txt"
+    # Names a temp file beside table.txt could take, made by someone else.
+    squatters = [tmp_path / f"table.txt.{os.getpid()}{tag}.tmp" for tag in ("", ".0")]
+    for squatter in squatters:
+        squatter.write_bytes(b"not ours\n")
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src, None, dst)
+
+    # A failed write removes its own temp file only.
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.os, "replace", refuse)
+        assert main(["table", "--max-n", "3", "--out", str(out)]) == 1
+    assert sorted(tmp_path.iterdir()) == sorted(squatters)
+    assert main(["table", "--max-n", "3", "--out", str(out)]) == 0
+    assert [squatter.read_bytes() for squatter in squatters] == [b"not ours\n"] * 2
+    assert main(["table", "--max-n", "3"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert sorted(tmp_path.iterdir()) == sorted(squatters + [out])
+
+
+@pytest.mark.parametrize("command", [
+    "verify --suite all --max-n 8 --seed 3",
+    "export poset --n 9 --format json",
+    "export graph --n 8 --format edges",
+    "homology --n 12 --format json",
+    "verify --suite loops --max-n 6 --seed 7",
+])
+def test_output_does_not_depend_on_the_hash_seed(command):
+    # The nerve and the poset are built on sets, whose order follows the
+    # hash seed; the bytes written must not.
+    runs = [subprocess.run([sys.executable, "-m", "partition_complex", *command.split()],
+                           capture_output=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("0", "12345")]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_verify_jobs_output_matches_serial(tmp_path):

@@ -4,8 +4,10 @@ The first test reads every module's import statements.  The others start a
 fresh interpreter, so that modules loaded by other tests cannot hide a
 module-level import, and check which package modules each entry point
 loads: the package root none, the command-line module only itself and the
-suite names, `table` and `export bfile` only the layers they run, and the
-homology layer only itself and the base module.  Those interpreters run
+suite names, `table` and `export bfile` only the layers they run,
+`homology` and the other `export` targets the stage chain and the builders
+they read but no checking layer, and the homology layer only itself and
+the base module.  Those interpreters run
 with -S, since a site hook may load standard modules such as `random`
 before any package code runs.
 """
@@ -102,6 +104,26 @@ def test_table_and_bfile_load_only_the_layers_they_run():
     )
     assert loaded_after(statements) == (
         ["", "cli", "cliques", "graph", "partitions", "suite_names"], False)
+
+
+def loaded_by_command(argv):
+    """loaded_after for one successful cli.main call, its stdout dropped."""
+    return loaded_after(
+        "import contextlib, io\n"
+        "import partition_complex.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n")
+
+
+def test_homology_and_export_load_the_stage_chain_but_not_the_checks():
+    facets = ["", "cli", "cliques", "graph", "partitions", "stages", "suite_names"]
+    assert loaded_by_command(["homology", "--n", "8"]) == (
+        sorted(facets + ["homology"]), False)
+    assert loaded_by_command(["export", "facets", "--n", "5"]) == (facets, False)
+    graph, random_loaded = loaded_by_command(["export", "graph", "--n", "5"])
+    assert set(graph) <= set(facets) and not random_loaded
+    assert loaded_by_command(["export", "poset", "--n", "5"]) == (
+        sorted(facets + ["nerve"]), False)
 
 
 def test_homology_import_loads_only_the_base_module():

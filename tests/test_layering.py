@@ -5,8 +5,11 @@ the modules it checks: it imports no underscore-prefixed name from any
 partition_complex module, from .graph nothing but the PartitionGraph type
 it reads, and from no other package module but .partitions.  The demos
 show the public API, so none of them imports an underscore-prefixed name
-from the package.  cli.py reads every per-n stage off
-verification.NContext, so it imports none of the builders NContext chains.
+from the package.  The per-n stage chain, stages.NContext, sits below the
+checking layer: stages.py imports nothing from verification, loops or
+reference.  cli.py and verification.py read every per-n stage off
+NContext, imported from stages, so neither imports a builder that only
+NContext chains.
 homology.py reduces any chain complex, not only the partition complexes,
 so it imports nothing from the package but TheoremViolationError and the
 alternating sum, both from the base module partitions.py.
@@ -20,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ORACLES = ROOT / "src" / "partition_complex" / "oracles.py"
 CLI = ROOT / "src" / "partition_complex" / "cli.py"
 HOMOLOGY = ROOT / "src" / "partition_complex" / "homology.py"
+STAGES = ROOT / "src" / "partition_complex" / "stages.py"
+VERIFICATION = ROOT / "src" / "partition_complex" / "verification.py"
 DEMOS = ROOT / "demos"
 
 
@@ -77,10 +82,29 @@ def test_demos_import_no_private_name():
 def test_cli_imports_no_stage_builder_that_ncontext_owns():
     builders = {"build_graph", "canonical_cover", "maximal_simplices",
                 "enumerate_simplices", "build_nerve", "build_poset"}
-    imported = {name for _, name in package_imports(CLI)}
-    assert "NContext" in imported
+    imports = package_imports(CLI)
+    assert ("stages", "NContext") in imports
+    imported = {name for _, name in imports}
     assert not imported & builders, (
         f"cli.py imports stage builders {sorted(imported & builders)}")
+
+
+def test_stages_sit_below_the_checking_layer():
+    modules = {module for module, _ in package_imports(STAGES)}
+    assert not modules & {"verification", "loops", "reference"}, (
+        f"stages.py imports from {sorted(modules)}")
+
+
+def test_verification_reads_the_stages_off_ncontext():
+    # The builders that only NContext calls; the suites call the rest.
+    builders = {"build_graph", "canonical_cover", "maximal_simplices",
+                "enumerate_simplices", "build_nerve", "build_poset",
+                "nerve_fvector", "all_cliques_reference", "transfers_by_scan"}
+    imports = package_imports(VERIFICATION)
+    assert ("stages", "NContext") in imports
+    imported = {name for _, name in imports}
+    assert not imported & builders, (
+        f"verification.py imports stage builders {sorted(imported & builders)}")
 
 
 def test_homology_imports_only_the_theorem_error():

@@ -35,7 +35,8 @@ def star_simplex(g, lam, row, col):
 
 
 def nerve_at(n):
-    return build_nerve(build_graph(n))
+    g = build_graph(n)
+    return build_nerve(g, canonical_cover(g))
 
 
 def anchor_of(nerve, partitions):
@@ -98,7 +99,7 @@ def test_anchor():
     assert anchor_of(n3, [(2, 1)]) == (0, 1)
 
     g4 = build_graph(4)
-    n4 = build_nerve(g4)
+    n4 = build_nerve(g4, canonical_cover(g4))
     star = star_simplex(g4, (3, 1), 1, 3)
     star_member = next(
         i for i, member in enumerate(n4.cover) if member.vertices == star)
@@ -121,7 +122,7 @@ def test_anchor_intersection():
         sorted(n3.anchor_sets[n3.graph.vertex_id((2, 1))]))
 
     g4 = build_graph(4)
-    n4 = build_nerve(g4)
+    n4 = build_nerve(g4, canonical_cover(g4))
     triple = anchor_of(n4, [(3, 1), (2, 2), (2, 1, 1)])
     assert len(triple) == 1
     assert n4.cover[triple[0]].vertices == star_simplex(g4, (3, 1), 1, 3)
@@ -129,7 +130,7 @@ def test_anchor_intersection():
 
 def test_triple_intersections_are_singletons():
     g = build_graph(9)
-    nerve = build_nerve(g)
+    nerve = build_nerve(g, canonical_cover(g))
     for clique in all_cliques_reference(g):
         if len(clique) >= 3:
             common = set(nerve.anchor_sets[clique[0]])
@@ -150,7 +151,7 @@ def test_closure_laws():
     """closure_ids is extensive, monotone and idempotent on cliques."""
     for n in (4, 5, 6):
         g = build_graph(n)
-        nerve = build_nerve(g)
+        nerve = build_nerve(g, canonical_cover(g))
         for clique in all_cliques_reference(g):
             closed = closure_ids(nerve, clique)
             assert set(clique) <= set(closed)
@@ -163,7 +164,7 @@ def test_closure_laws():
 def test_closure_equals_the_all_vertex_scan():
     for n in range(1, 13):
         g = build_graph(n)
-        nerve = build_nerve(g)
+        nerve = build_nerve(g, canonical_cover(g))
         for clique in all_cliques_reference(g):
             common = anchor_intersection_ids(nerve, clique)
             scanned = tuple(v for v, anchor_set in enumerate(nerve.anchor_sets)
@@ -219,7 +220,7 @@ def test_poset_small():
 def test_poset_matches_all_clique_generation():
     for n in range(2, 8):
         g = build_graph(n)
-        nerve = build_nerve(g)
+        nerve = build_nerve(g, canonical_cover(g))
         restricted = set(build_poset(nerve).elements)
         unrestricted = set()
         for clique in all_cliques_reference(g):

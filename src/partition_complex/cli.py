@@ -16,7 +16,8 @@ format -> formatter table (`_TABLE_FORMATS`, `_VERIFY_FORMATS`,
 `_HOMOLOGY_FORMATS`, `_EXPORT_FORMATS[target]`), whose keys are the formats
 it accepts.  argparse alone validates arguments: `export` has one
 subcommand per target, each with its own size flag (`bfile` --max-n and a
-sequence, the others --n), so every usage error exits 2 through argparse.
+sequence, the others --n), so every usage error exits 2 through argparse,
+and a stray argument is reported by the (sub)command it was given to.
 
 Each per-n stage is chained in one place, `stages.NContext`: `verify` runs
 its suites on one, and `homology` and `export` read the graph, facets and
@@ -369,6 +370,18 @@ def cmd_export(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses stray arguments itself, under its
+    own usage line.  argparse would hand them up to the root parser, whose
+    usage line names no subcommand's flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _add_output_arguments(parser: argparse.ArgumentParser, formats: dict) -> None:
     """--format, whose choices are the keys of a formatter table (the first
     is the default), and --out."""
@@ -385,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="partition-complex",
         description="Transfer graphs on integer partitions, their clique"
                     " complexes, and verification of the structure theorems.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Every subcommand parser, and each `export` target's below it, is a
+    # _SubcommandParser: add_subparsers defaults to the parent's class.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     table = sub.add_parser(
         "table", help="per-n table of p(n), f-vector, chi, and b; every row"

@@ -174,16 +174,44 @@ def _coerce_corner(corner, kind: str) -> Corner:
     return Corner(row, col, kind)
 
 
+def _row_index(row, rows: int) -> int:
+    """The i in range(rows) with i + 1 == row, or -1 if there is none.
+
+    Objects that compare equal hash equal, and a positive int below 2**61 - 1
+    is its own hash, so hash(row) is the one row number that row can equal.
+    Testing it with == accepts True, 1.0 and any other number equal to a row
+    number, and nothing else, as the == of corner-list membership did.
+    """
+    try:
+        number = hash(row)
+    except TypeError:  # unhashable, so equal to no int
+        return -1
+    return number - 1 if 1 <= number <= rows and number == row else -1
+
+
 def _validated_removable(lam: Partition, c) -> Corner:
+    """c, coerced to a Corner, if it is a removable corner of lam: the end of
+    a row that is the last or longer than the next.  Read off lam, without
+    building the corner list it would be a member of."""
     c = _coerce_corner(c, REMOVABLE)
-    if c not in _removable_corners(lam):
+    ell = len(lam)
+    i = _row_index(c.row, ell)
+    if not (i >= 0 and lam[i] == c.col and c.kind == REMOVABLE
+            and (i == ell - 1 or lam[i] > lam[i + 1])):
         raise InvalidCornerError(f"{(c.row, c.col)} is not a removable corner of {lam}")
     return c
 
 
 def _validated_addable(lam: Partition, a) -> Corner:
+    """a, coerced to a Corner, if it is an addable corner of lam: the cell
+    after a row that is the first or shorter than the one above, or column 1
+    of the new row.  Read off lam, as _validated_removable is."""
     a = _coerce_corner(a, ADDABLE)
-    if a not in _addable_corners(lam):
+    ell = len(lam)
+    i = _row_index(a.row, ell + 1)
+    if not (i >= 0 and a.kind == ADDABLE
+            and (a.col == 1 if i == ell
+                 else lam[i] + 1 == a.col and (i == 0 or lam[i - 1] > lam[i]))):
         raise InvalidCornerError(f"{(a.row, a.col)} is not an addable corner of {lam}")
     return a
 
@@ -197,7 +225,16 @@ def _transfer_result(lam: Partition, c: Corner, a: Corner) -> Partition:
 
 
 def apply_transfer(lam: Iterable[int], c, a) -> Partition:
-    """Apply the transfer lam(c -> a); raises unless the transfer is admissible."""
+    """Apply the transfer lam(c -> a); raises unless the transfer is admissible.
+
+    c and a are Corners or bare (row, col) pairs.  Each is tested against
+    lam directly (row in range, column at the row's end or the cell after
+    it, the step to the neighbouring row, and the kind), which accepts and
+    rejects exactly the members of removable_corners(lam) and
+    addable_corners(lam) without building either list.  The result is then
+    re-sorted from the moved row lengths, a route independent of the
+    sort-free one in admissible_transfers.
+    """
     lam = as_partition(lam)
     c = _validated_removable(lam, c)
     a = _validated_addable(lam, a)

@@ -223,30 +223,36 @@ def _postings(sets) -> dict[int, list[int]]:
 
 
 def _count_intersecting_subfamilies(member_sets) -> tuple[int, ...]:
-    """Brute route for the nerve f-vector: depth-first over subfamilies in
-    member order, extending only while the running intersection stays
-    nonempty.
+    """Brute route for the nerve f-vector: lists every subfamily with a
+    nonempty intersection, depth-first in member order, and counts them by
+    size.
 
-    Members of an intersecting family meet pairwise, so a family whose last
-    member is j grows only by the later members that meet j; those lists
-    come from the members' own points.  Every counted family still has its
-    intersection computed explicitly.
+    Each member's points are an int bitmask (bit x for point x), and every
+    listed family has its intersection computed explicitly, as an &.  A
+    family starting at member j grows only by later members that meet j,
+    read off the members' own points.  A family F + k then grows only by
+    the members m after k for which F + m was listed, since F + k + m meets
+    in the & of the intersections of F + k and F + m, both inside that of F.
     """
     holders = _postings(member_sets)
-    later = [sorted({k for x in members for k in holders[x] if k > j})
-             for j, members in enumerate(member_sets)]
-    counts: list[int] = []
+    masks = [sum(1 << x for x in members) for members in member_sets]
+    counts = [0] * (len(masks) + 1)
 
-    def extend(candidates, current, size: int) -> None:
-        for k in candidates:
-            smaller = current & member_sets[k] if current is not None else member_sets[k]
-            if smaller:
-                while len(counts) <= size:
-                    counts.append(0)
-                counts[size] += 1
-                extend(later[k], smaller, size + 1)
+    def extend(tail, size: int) -> None:
+        # tail: (m, intersection of F + m) for every listed F + m, in member order
+        counts[size] += len(tail)
+        for i, (_, common) in enumerate(tail):
+            grown = [(m, both) for m, other in tail[i + 1:] if (both := common & other)]
+            if grown:
+                extend(grown, size + 1)
 
-    extend(range(len(member_sets)), None, 0)
+    for j, members in enumerate(member_sets):
+        if masks[j]:
+            counts[0] += 1
+            meeting = sorted({k for x in members for k in holders[x] if k > j})
+            extend([(k, masks[j] & masks[k]) for k in meeting], 1)
+    while counts and counts[-1] == 0:
+        counts.pop()
     return tuple(counts)
 
 
@@ -257,8 +263,8 @@ def _suite_nerve(ctx: NContext) -> str:
 
     Non-edges are checked through the pairs that do share a member, found
     by inverting the anchors: every such pair must be an edge, and the
-    smallest one that is not is the witness.  The brute search extends a
-    subfamily only over the later members that meet its last member.
+    smallest one that is not is the witness.  The brute search lists every
+    intersecting subfamily and computes each one's intersection.
     """
     g = ctx.graph
     nerve = ctx.nerve
@@ -524,23 +530,34 @@ def _suite_heights(ctx: NContext) -> str:
 
 def _suite_loops(ctx: NContext) -> str:
     """Seeded random closed walks all reduce to constant loops; descent and
-    triangle validity are asserted inside every reduction step."""
+    triangle validity are asserted inside every reduction step.
+
+    Each distinct walk is reduced once, and a repeat counts the steps of
+    that first, fully checked reduction.  reduce_loop depends on the walk
+    alone, so reducing the repeat again would make the same checks on the
+    same states and give the same trace.  Every walk is still drawn, from
+    the same generator, so the walks and the step total are unchanged.
+    """
     g = ctx.graph
     if g.edge_count() == 0:
         raise _Vacuous("no edges, no loops")
     rng = random.Random((ctx.seed or 0) * 1_000_003 + ctx.n)
+    steps_by_walk: dict[tuple[int, ...], int] = {}
     total_steps = 0
     for _ in range(WALKS_PER_N):
         walk = random_closed_walk(g, rng)
-        try:
-            trace = reduce_loop(walk)
-        except TheoremViolationError as exc:
-            raise _Counterexample({
-                "loop": format_loop(walk), "error": str(exc)})
-        if not trace.final.is_constant:
-            raise _Counterexample({
-                "loop": format_loop(walk), "claim": "reduction must end constant"})
-        total_steps += len(trace.steps)
+        steps = steps_by_walk.get(walk.ids)
+        if steps is None:
+            try:
+                trace = reduce_loop(walk)
+            except TheoremViolationError as exc:
+                raise _Counterexample({
+                    "loop": format_loop(walk), "error": str(exc)})
+            if not trace.final.is_constant:
+                raise _Counterexample({
+                    "loop": format_loop(walk), "claim": "reduction must end constant"})
+            steps = steps_by_walk[walk.ids] = len(trace.steps)
+        total_steps += steps
     return f"{WALKS_PER_N} walks, {total_steps} steps"
 
 

@@ -247,14 +247,32 @@ def _usage_error_line(argv, tmp_path, capsys):
 
 
 def test_export_usage_errors(tmp_path, capsys):
-    # Each target takes only its own size flag.
+    # Each target takes only its own size flag, and reports a stray one
+    # itself, under its own usage line.
     line = _usage_error_line(["export", "bfile", "chi", "--max-n", "3", "--n", "5"],
                              tmp_path, capsys)
-    assert line == "partition-complex: error: unrecognized arguments: --n 5"
+    assert line == "partition-complex export bfile: error: unrecognized arguments: --n 5"
     for what in ("graph", "facets", "poset"):
         line = _usage_error_line(["export", what, "--n", "3", "--max-n", "9"],
                                  tmp_path, capsys)
-        assert line == "partition-complex: error: unrecognized arguments: --max-n 9"
+        assert line == (f"partition-complex export {what}: error:"
+                        " unrecognized arguments: --max-n 9")
+
+
+@pytest.mark.parametrize("argv, usage", [
+    ("export graph --n 3 --max-n 9", "usage: partition-complex export graph [-h] --n N"),
+    ("export bfile chi --max-n 3 --n 5", "usage: partition-complex export bfile [-h]"),
+    ("export graph chi --n 3", "usage: partition-complex export graph [-h] --n N"),
+    ("export --bogus graph --n 3", "usage: partition-complex export [-h]"),
+    ("table --max-n 3 --n 5", "usage: partition-complex table [-h] --max-n MAX_N"),
+])
+def test_stray_arguments_show_the_usage_of_their_subcommand(argv, usage, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(usage)
 
 
 # One invalid export input each -> the last line argparse prints on stderr.
@@ -270,7 +288,7 @@ EXPORT_USAGE_ERRORS = {
     "export poset": "partition-complex export poset: error:"
         " the following arguments are required: --n",
     "export graph chi --n 3":
-        "partition-complex: error: unrecognized arguments: chi",
+        "partition-complex export graph: error: unrecognized arguments: chi",
     "export graph --n 3 --format text": "partition-complex export graph: error:"
         " argument --format: invalid choice: 'text' (choose from 'dimacs', 'edges')",
     "export poset --n 4 --format dimacs": "partition-complex export poset: error:"

@@ -205,3 +205,68 @@ def test_admissible_transfers_preserve_size_and_change_shape():
 
 def test_single_cell_partition_has_no_transfers():
     assert admissible_transfers((1,)) == []
+
+
+def _reference_apply_transfer(lam, c, a):
+    """apply_transfer as it was when each corner was validated by membership
+    in the list removable_corners(lam) or addable_corners(lam)."""
+    lam = as_partition(lam)
+
+    def coerce(corner, kind):
+        if isinstance(corner, Corner):
+            return corner
+        try:
+            row, col = corner
+        except (TypeError, ValueError) as exc:
+            raise InvalidCornerError(f"not a corner: {corner!r}") from exc
+        return Corner(row, col, kind)
+
+    c = coerce(c, REMOVABLE)
+    if c not in removable_corners(lam):
+        raise InvalidCornerError(f"{(c.row, c.col)} is not a removable corner of {lam}")
+    a = coerce(a, ADDABLE)
+    if a not in addable_corners(lam):
+        raise InvalidCornerError(f"{(a.row, a.col)} is not an addable corner of {lam}")
+    if c.row == a.row:
+        raise InadmissibleTransferError(f"corners {(c.row, c.col)} and {(a.row, a.col)} share a row")
+    rows = list(lam) + [0]
+    rows[c.row - 1] -= 1
+    rows[a.row - 1] += 1
+    result = tuple(sorted((row for row in rows if row > 0), reverse=True))
+    if result == lam:
+        raise InadmissibleTransferError(f"moving {(c.row, c.col)} to {(a.row, a.col)} fixes {lam}")
+    return result
+
+
+def _outcome(transfer, lam, c, a):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return transfer(lam, c, a)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _corner_arguments(lam):
+    """Every (row, col) in a box one cell wider and taller than the diagram
+    and its new-row slot, as a bare pair, a Corner of either kind, and with a
+    float row; rows 0 and 1 also as bools.  Plus two non-pairs."""
+    out = [5, (1, 2, 3)]
+    for row in range(len(lam) + 3):
+        for col in range(lam[0] + 3):
+            rows = [row, float(row)] + ([bool(row)] if row < 2 else [])
+            for r in rows:
+                out += [(r, col), Corner(r, col, REMOVABLE), Corner(r, col, ADDABLE)]
+    return out
+
+
+def test_apply_transfer_accepts_and_rejects_as_list_membership_did():
+    # Each argument is varied against every real corner in the other place,
+    # so both corner tests, the shared-row test and the re-sort are reached.
+    for n in range(1, 9):
+        for lam in enumerate_partitions(n):
+            arguments = _corner_arguments(lam)
+            pairs = [(c, a) for c in arguments for a in addable_corners(lam)]
+            pairs += [(c, a) for c in removable_corners(lam) for a in arguments]
+            for c, a in pairs:
+                assert (_outcome(apply_transfer, lam, c, a)
+                        == _outcome(_reference_apply_transfer, lam, c, a)), (lam, c, a)

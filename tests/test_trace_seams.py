@@ -10,10 +10,13 @@ first.
 import ast
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 from partition_complex import verification
+from partition_complex.graph import build_graph
 from partition_complex.homology import build_chain_complex
+from partition_complex.loops import random_closed_walk
 
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
@@ -42,18 +45,22 @@ def test_every_traced_function_resolves():
 def test_every_loop_suite_reduction_goes_through_the_traced_name(monkeypatch):
     # The worker replaces reduce_loop in each module that holds it, so its
     # loops.reduce span and loops.steps counter see a reduction only when the
-    # suite calls it by the name verification.reduce_loop.
+    # suite calls it by the name verification.reduce_loop.  The suite reduces
+    # each distinct walk once, so every one of them must pass through it.
     calls = []
     reduce_loop = verification.reduce_loop
 
     def counting(loop):
-        calls.append(loop)
+        calls.append(loop.ids)
         return reduce_loop(loop)
 
     monkeypatch.setattr(verification, "reduce_loop", counting)
     [outcome] = verification.verify_single_n(5, {"loops"}, seed=11)
     assert outcome.status == "pass"
-    assert len(calls) == verification.WALKS_PER_N == 1000
+    rng = random.Random(11 * 1_000_003 + 5)
+    graph = build_graph(5)
+    walks = {random_closed_walk(graph, rng).ids for _ in range(verification.WALKS_PER_N)}
+    assert sorted(calls) == sorted(walks)
 
 
 def test_boundary_nnz_counter_counts_the_boundary_entries():

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 import partition_complex
 from partition_complex import verification
 from partition_complex.cliques import STAR, TOP, CliqueClass, FVector
+from partition_complex.graph import build_graph
 from partition_complex.homology import HomologyReport
+from partition_complex.loops import random_closed_walk
 from partition_complex.nerve import closure_ids
 from partition_complex.partitions import ADDABLE, REMOVABLE, Corner, format_partition
 from partition_complex.verification import (
@@ -173,6 +176,29 @@ def test_subfamily_count_matches_the_power_set(members):
     while counts and counts[-1] == 0:
         counts.pop()
     assert verification._count_intersecting_subfamilies(members) == tuple(counts)
+
+
+def test_loops_suite_reduces_each_distinct_walk_once(monkeypatch):
+    # The walks the suite draws at n = 8, seed 11, redrawn from its generator.
+    graph = build_graph(8)
+    rng = random.Random(11 * 1_000_003 + 8)
+    walks = [random_closed_walk(graph, rng) for _ in range(verification.WALKS_PER_N)]
+    distinct = {walk.ids for walk in walks}
+    assert len(distinct) < len(walks)
+    reduced = []
+    reduce_loop = verification.reduce_loop
+
+    def counting(loop):
+        reduced.append(loop.ids)
+        return reduce_loop(loop)
+
+    monkeypatch.setattr(verification, "reduce_loop", counting)
+    [outcome] = verify_single_n(8, {"loops"}, seed=11)
+    assert len(reduced) == len(distinct)
+    assert set(reduced) == distinct
+    # The detail counts the steps of every walk, each one reduced here anew.
+    total = sum(len(reduce_loop(walk).steps) for walk in walks)
+    assert outcome.detail == f"1000 walks, {total} steps"
 
 
 def test_nerve_fail_names_the_smallest_non_edge_in_a_member():

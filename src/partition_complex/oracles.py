@@ -8,9 +8,9 @@ oracle uses only conjugate arithmetic (two partitions are adjacent exactly
 when their conjugates differ by one unit move: one column count lowered,
 another raised, by one), partition counting uses the recurrence with
 generalized pentagonal numbers, and a vertex's transfers come from
-scanning all its corner pairs through the sorting transfer route (reading
-only the public corner lists), not from the one transfer pass that builds
-the graph.  Edge decompositions and full
+scanning all its corner pairs (read off the public corner lists) by the
+definition, moving one cell and re-sorting the row lengths, not from the
+one transfer pass that builds the graph.  Edge decompositions and full
 star- and top-simplices are checked by filtering that one scan per vertex.
 """
 
@@ -24,11 +24,9 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 from .graph import PartitionGraph
 from .partitions import (
     Corner,
-    InadmissibleTransferError,
     InvalidPartitionError,
     Partition,
     addable_corners,
-    apply_transfer,
     as_partition,
     conjugate,
     removable_corners,
@@ -122,17 +120,23 @@ def edges_by_conjugate_scan(g: PartitionGraph) -> list[tuple[int, int]]:
 
 
 def transfers_by_scan(lam: Partition) -> list[tuple[Corner, Corner, Partition]]:
-    """Every (c, a, apply_transfer(lam, c, a)) that succeeds, by scanning all
-    removable x addable corner pairs of lam, in that order."""
+    """Every admissible (c, a, result) from lam, by the definition: over all
+    removable x addable corner pairs of lam in different rows, in that order,
+    move one cell from row c.row to row a.row, re-sort the row lengths, and
+    keep the pair when the result differs from lam."""
     lam = as_partition(lam)
     addable = addable_corners(lam)
     out = []
     for c in removable_corners(lam):
         for a in addable:
-            try:
-                out.append((c, a, apply_transfer(lam, c, a)))
-            except InadmissibleTransferError:
+            if a.row == c.row:
                 continue
+            rows = list(lam) + [0]
+            rows[c.row - 1] -= 1
+            rows[a.row - 1] += 1
+            result = tuple(sorted((row for row in rows if row), reverse=True))
+            if result != lam:
+                out.append((c, a, result))
     return out
 
 

@@ -67,18 +67,22 @@ def as_partition(parts: Iterable[int]) -> Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse a bracketed literal such as '[3,1]'."""
+    """Parse a bracketed literal such as '[3,1]'.
+
+    Each part is ASCII decimal digits, optionally padded with whitespace:
+    the literals format_partition writes, give or take spacing.
+    """
     stripped = text.strip()
     if not stripped.startswith("[") or not stripped.endswith("]"):
         raise InvalidPartitionError(f"expected a bracketed literal like [3,1], got {text!r}")
     body = stripped[1:-1].strip()
     if not body:
         raise InvalidPartitionError("a partition literal needs at least one part")
-    try:
-        parts = [int(token) for token in body.split(",")]
-    except ValueError as exc:
-        raise InvalidPartitionError(f"non-integer part in {text!r}") from exc
-    return as_partition(parts)
+    tokens = [token.strip() for token in body.split(",")]
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise InvalidPartitionError(f"parts must be ASCII decimal digits, got {token!r} in {text!r}")
+    return as_partition(int(token) for token in tokens)
 
 
 def format_partition(lam: Iterable[int]) -> str:
@@ -174,73 +178,27 @@ def _coerce_corner(corner, kind: str) -> Corner:
     return Corner(row, col, kind)
 
 
-def _row_index(row, rows: int) -> int:
-    """The i in range(rows) with i + 1 == row, or -1 if there is none.
-
-    Objects that compare equal hash equal, and a positive int below 2**61 - 1
-    is its own hash, so hash(row) is the one row number that row can equal.
-    Testing it with == accepts True, 1.0 and any other number equal to a row
-    number, and nothing else, as the == of corner-list membership did.
-    """
-    try:
-        number = hash(row)
-    except TypeError:  # unhashable, so equal to no int
-        return -1
-    return number - 1 if 1 <= number <= rows and number == row else -1
-
-
-def _validated_removable(lam: Partition, c) -> Corner:
-    """c, coerced to a Corner, if it is a removable corner of lam: the end of
-    a row that is the last or longer than the next.  Read off lam, without
-    building the corner list it would be a member of."""
-    c = _coerce_corner(c, REMOVABLE)
-    ell = len(lam)
-    i = _row_index(c.row, ell)
-    if not (i >= 0 and lam[i] == c.col and c.kind == REMOVABLE
-            and (i == ell - 1 or lam[i] > lam[i + 1])):
-        raise InvalidCornerError(f"{(c.row, c.col)} is not a removable corner of {lam}")
-    return c
-
-
-def _validated_addable(lam: Partition, a) -> Corner:
-    """a, coerced to a Corner, if it is an addable corner of lam: the cell
-    after a row that is the first or shorter than the one above, or column 1
-    of the new row.  Read off lam, as _validated_removable is."""
-    a = _coerce_corner(a, ADDABLE)
-    ell = len(lam)
-    i = _row_index(a.row, ell + 1)
-    if not (i >= 0 and a.kind == ADDABLE
-            and (a.col == 1 if i == ell
-                 else lam[i] + 1 == a.col and (i == 0 or lam[i - 1] > lam[i]))):
-        raise InvalidCornerError(f"{(a.row, a.col)} is not an addable corner of {lam}")
-    return a
-
-
-def _transfer_result(lam: Partition, c: Corner, a: Corner) -> Partition:
-    """Move one cell from row c.row to row a.row and re-sort the row lengths."""
-    rows = list(lam) + [0]
-    rows[c.row - 1] -= 1
-    rows[a.row - 1] += 1
-    return tuple(sorted((row for row in rows if row > 0), reverse=True))
-
-
 def apply_transfer(lam: Iterable[int], c, a) -> Partition:
     """Apply the transfer lam(c -> a); raises unless the transfer is admissible.
 
-    c and a are Corners or bare (row, col) pairs.  Each is tested against
-    lam directly (row in range, column at the row's end or the cell after
-    it, the step to the neighbouring row, and the kind), which accepts and
-    rejects exactly the members of removable_corners(lam) and
-    addable_corners(lam) without building either list.  The result is then
-    re-sorted from the moved row lengths, a route independent of the
+    c and a are Corners or bare (row, col) pairs, each accepted only if it is
+    a member of removable_corners(lam) or addable_corners(lam).  The result
+    is re-sorted from the moved row lengths, a route independent of the
     sort-free one in admissible_transfers.
     """
     lam = as_partition(lam)
-    c = _validated_removable(lam, c)
-    a = _validated_addable(lam, a)
+    c = _coerce_corner(c, REMOVABLE)
+    if c not in _removable_corners(lam):
+        raise InvalidCornerError(f"{(c.row, c.col)} is not a removable corner of {lam}")
+    a = _coerce_corner(a, ADDABLE)
+    if a not in _addable_corners(lam):
+        raise InvalidCornerError(f"{(a.row, a.col)} is not an addable corner of {lam}")
     if c.row == a.row:
         raise InadmissibleTransferError(f"corners {(c.row, c.col)} and {(a.row, a.col)} share a row")
-    result = _transfer_result(lam, c, a)
+    rows = list(lam) + [0]
+    rows[c.row - 1] -= 1
+    rows[a.row - 1] += 1
+    result = tuple(sorted((row for row in rows if row > 0), reverse=True))
     if result == lam:
         raise InadmissibleTransferError(f"moving {(c.row, c.col)} to {(a.row, a.col)} fixes {lam}")
     return result

@@ -28,6 +28,7 @@ from partition_complex.partitions import (
     parse_partition,
     removable_corners,
 )
+from test_cliques import partitions_up_to
 
 
 def test_as_partition_accepts_weakly_decreasing():
@@ -49,7 +50,8 @@ def test_parse_and_format_round_trip():
         assert parse_partition(format_partition(lam)) == lam
 
 
-@pytest.mark.parametrize("text", ["3,1", "[]", "[3;1]", "[1,3]", "[a]"])
+@pytest.mark.parametrize("text", ["3,1", "[]", "[3;1]", "[1,3]", "[a]",
+                                  "[3_0]", "[+3]", "[\u0663,1]"])
 def test_parse_rejects_malformed(text):
     with pytest.raises(InvalidPartitionError):
         parse_partition(text)
@@ -201,6 +203,22 @@ def test_admissible_transfers_preserve_size_and_change_shape():
                 assert sum(result) == n
                 assert result != lam
                 assert c.row != a.row
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(partitions_up_to(40))
+def test_transfer_scans_agree_past_exhaustive_range(lam):
+    # Past the exhaustive n <= 14 above: the oracle's own move-and-re-sort
+    # scan, the sort-free kernel and the validating apply_transfer scan list
+    # the same triples in the same order.
+    expected = [
+        (c, a, result)
+        for c in removable_corners(lam)
+        for a in addable_corners(lam)
+        if (result := _transfer_or_none(lam, c, a)) is not None
+    ]
+    assert transfers_by_scan(lam) == expected
+    assert admissible_transfers(lam) == expected
 
 
 def test_single_cell_partition_has_no_transfers():

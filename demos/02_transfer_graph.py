@@ -5,12 +5,7 @@ one unit from one entry to another.  The graph is connected for every n,
 and each edge decomposes in exactly one way as a corner-to-corner transfer.
 """
 
-from partition_complex import (
-    adjacency_by_conjugate,
-    build_graph,
-    format_dimacs,
-    format_partition,
-)
+from partition_complex import adjacency_by_conjugate, build_graph, cli, format_partition
 
 for n in (1, 3, 4):
     g = build_graph(n)
@@ -39,4 +34,4 @@ for i, j in g.edges():
 print()
 
 print("DIMACS form of the n=3 path:")
-print(format_dimacs(build_graph(3)), end="")
+cli.main(["export", "graph", "--n", "3"])

@@ -24,7 +24,6 @@ _EXPORTS = {
         "canonical_cover",
         "classify_clique",
         "enumerate_simplices",
-        "format_facet_lines",
         "fvector_by_corner_counting",
         "fvector_by_fiber_counting",
         "fvector_table",
@@ -34,9 +33,6 @@ _EXPORTS = {
         "PartitionGraph",
         "UnknownVertexError",
         "build_graph",
-        "format_dimacs",
-        "format_edge_list",
-        "format_legend",
     ),
     "homology": (
         "ChainComplex",
@@ -64,7 +60,6 @@ _EXPORTS = {
         "max_chain_length",
         "nerve_fvector",
         "order_complex",
-        "poset_json_dict",
     ),
     "oracles": ("adjacency_by_conjugate", "partition_count"),
     "partitions": (

@@ -14,10 +14,14 @@ off the f-vectors for every table format and for `export bfile`;
 each `export` target included, takes its --format choices from one
 format -> formatter table (`_TABLE_FORMATS`, `_VERIFY_FORMATS`,
 `_HOMOLOGY_FORMATS`, `_EXPORT_FORMATS[target]`), whose keys are the formats
-it accepts.  argparse alone validates arguments: `export` has one
-subcommand per target, each with its own size flag (`bfile` --max-n and a
-sequence, the others --n), so every usage error exits 2 through argparse,
-and a stray argument is reported by the (sub)command it was given to.
+it accepts.  Every export format, with its rule of 1-based ids and one line
+per edge, facet or chain, and the verify text line are defined here and
+nowhere else in the package.
+
+argparse alone validates arguments: `export` has one subcommand per target,
+each with its own size flag (`bfile` --max-n and a sequence, the others
+--n), so every usage error exits 2 through argparse, and a stray argument
+is reported by the (sub)command it was given to.
 
 Each per-n stage is chained in one place, `stages.NContext`: `verify` runs
 its suites on one, and `homology` and `export` read the graph, facets and
@@ -58,6 +62,26 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
     return value
+
+
+def _size_up_to(bound: int):
+    """The argparse type of a size flag: an integer from 1 to bound."""
+
+    def size(text: str) -> int:
+        value = _positive_int(text)
+        if value > bound:
+            raise argparse.ArgumentTypeError(f"{text!r} must be at most {bound}")
+        return value
+
+    return size
+
+
+# Each size flag is bounded, so no integer overflows or runs without end.
+# `table` and `export bfile` sweep part values with no graph built (about
+# 2 s at n = 1000 on a 2-vCPU host); every other size flag builds objects on
+# the partitions of n, so its bound is that of the graph.
+_SWEEP_SIZE = _size_up_to(1000)
+_GRAPH_SIZE = _size_up_to(45)
 
 
 def _write_files(texts: dict[str, str]) -> None:
@@ -223,7 +247,15 @@ def _selected_suites(requested: Optional[list]) -> frozenset:
 def _format_verify_text(outcomes) -> str:
     from .verification import FAIL, PASS, SKIP, VACUOUS
 
-    lines = [outcome.line() for outcome in outcomes]
+    lines = []
+    for outcome in outcomes:
+        line = f"{outcome.suite} n={outcome.n}: {outcome.status}"
+        if outcome.detail:
+            line += f" ({outcome.detail})"
+        if outcome.counterexample is not None:
+            pairs = sorted(outcome.counterexample.items())
+            line += " [" + ", ".join(f"{k}={v}" for k, v in pairs) + "]"
+        lines.append(line)
     tally = Counter(outcome.status for outcome in outcomes)
     lines.append(f"{tally[PASS]} pass, {tally[FAIL]} fail,"
                  f" {tally[VACUOUS]} vacuous, {tally[SKIP]} skip")
@@ -308,42 +340,56 @@ def _format_bfile(rows, sequence: str) -> str:
     return "".join(f"{row.n} {getattr(row, sequence)}\n" for row in rows)
 
 
+def _facet_lines(facets) -> str:
+    """One facet (or chain) per line as space-separated 1-based ids."""
+    return "".join(" ".join(str(vid + 1) for vid in facet) + "\n" for facet in facets)
+
+
 def _format_dimacs(ctx) -> str:
-    from .graph import format_dimacs
-
-    return format_dimacs(ctx.graph)
-
-
-def _format_edges(ctx) -> str:
-    from .graph import format_edge_list
-
-    return format_edge_list(ctx.graph)
+    """DIMACS edge format: a `p edge` header, then `e i j` lines."""
+    g = ctx.graph
+    lines = [f"p edge {len(g.vertices)} {g.edge_count()}\n"]
+    lines.extend(f"e {i + 1} {j + 1}\n" for i, j in g.edges())
+    return "".join(lines)
 
 
-def _format_facets(ctx) -> str:
-    from .cliques import format_facet_lines
+def _format_edge_list(ctx) -> str:
+    return "".join(f"{i + 1} {j + 1}\n" for i, j in ctx.graph.edges())
 
-    return format_facet_lines(ctx.facets)
+
+def _format_legend(ctx) -> str:
+    """Each vertex id with its partition literal: the `.legend` sibling."""
+    from .partitions import format_partition
+
+    return "".join(f"{vid + 1} {format_partition(lam)}\n"
+                   for vid, lam in enumerate(ctx.graph.vertices))
 
 
 def _format_poset_json(ctx) -> str:
-    from .nerve import poset_json_dict
+    """Elements as 1-based member ids, cover relations as 1-based element
+    pairs, and the longest chain's length."""
+    from .nerve import max_chain_length
 
-    return _json_text(poset_json_dict(ctx.poset))
+    poset = ctx.poset
+    return _json_text({
+        "elements": [[m + 1 for m in element] for element in poset.elements],
+        "hasse": [[i + 1, j + 1] for i, j in poset.hasse_edges()],
+        "max_chain_length": max_chain_length(poset),
+    })
 
 
 def _format_poset_text(ctx) -> str:
-    from .cliques import format_facet_lines
+    """The maximal chains of the poset, one per line."""
     from .nerve import order_complex
 
-    return format_facet_lines(order_complex(ctx.poset).facets)
+    return _facet_lines(order_complex(ctx.poset).facets)
 
 
 # Target -> {format: formatter}; the first format is the target's default.
 # bfile formats table rows; the other targets format the NContext on n.
 _EXPORT_FORMATS = {
-    "graph": {"dimacs": _format_dimacs, "edges": _format_edges},
-    "facets": {"text": _format_facets},
+    "graph": {"dimacs": _format_dimacs, "edges": _format_edge_list},
+    "facets": {"text": lambda ctx: _facet_lines(ctx.facets)},
     "poset": {"json": _format_poset_json, "text": _format_poset_text},
     "bfile": {"text": _format_bfile},
 }
@@ -354,14 +400,13 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.what == "bfile":
         _emit(formatter(_table_rows(args.max_n), args.sequence), args.out)
         return 0
-    from .graph import format_legend
     from .stages import NContext
 
     ctx = NContext(args.n)
     text = formatter(ctx)
     if args.what == "graph" and args.out is not None:
         # Vertex legend rides along as a sibling file, never on stdout.
-        _write_files({args.out: text, args.out + ".legend": format_legend(ctx.graph)})
+        _write_files({args.out: text, args.out + ".legend": _format_legend(ctx)})
     else:
         _emit(text, args.out)
     return 0
@@ -407,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="per-n table of p(n), f-vector, chi, and b; every row"
         " comes from one pass over part values, with no graph built and no"
         " partition listed")
-    table.add_argument("--max-n", type=_positive_int, required=True,
+    table.add_argument("--max-n", type=_SWEEP_SIZE, required=True,
                        help="largest n to tabulate")
     _add_output_arguments(table, _TABLE_FORMATS)
     table.set_defaults(func=cmd_table)
@@ -416,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", action="append",
                         choices=SUITE_ORDER + ("all",),
                         help="suite to run; repeatable; default all")
-    verify.add_argument("--max-n", type=_positive_int, required=True,
+    verify.add_argument("--max-n", type=_GRAPH_SIZE, required=True,
                         help="largest n to verify")
     verify.add_argument("--seed", type=int, default=None,
                         help="base seed for the randomized walk suite")
@@ -430,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     homology = sub.add_parser(
         "homology", help="exact integer homology of the clique complex")
-    homology.add_argument("--n", type=_positive_int, required=True)
+    homology.add_argument("--n", type=_GRAPH_SIZE, required=True)
     _add_output_arguments(homology, _HOMOLOGY_FORMATS)
     homology.add_argument("--ignore-budget", action="store_true",
                           help="allow n past the default budget")
@@ -444,10 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
         if what == "bfile":
             target.add_argument("sequence", choices=("chi", "b"),
                                 help="which sequence to export")
-            target.add_argument("--max-n", type=_positive_int, required=True,
+            target.add_argument("--max-n", type=_SWEEP_SIZE, required=True,
                                 help="largest n")
         else:
-            target.add_argument("--n", type=_positive_int, required=True,
+            target.add_argument("--n", type=_GRAPH_SIZE, required=True,
                                 help="partition size")
         _add_output_arguments(target, formats)
     export.set_defaults(func=cmd_export)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import PartitionGraph, _check_vertex_ids
 from .partitions import (
@@ -501,10 +501,3 @@ def fvector_table(max_n: int) -> list[FVector]:
             counts.pop()
         table.append(FVector(tuple(counts)))
     return table
-
-
-def format_facet_lines(facets: Iterable[tuple[int, ...]]) -> str:
-    """One facet per line as space-separated 1-based vertex ids."""
-    return "".join(
-        " ".join(str(vid + 1) for vid in facet) + "\n" for facet in facets
-    )

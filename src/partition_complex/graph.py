@@ -23,7 +23,6 @@ from .partitions import (
     _transfers,
     as_partition,
     enumerate_partitions,
-    format_partition,
     height,
 )
 
@@ -139,22 +138,3 @@ def build_graph(n: int) -> PartitionGraph:
                     f"transfer adjacency is not symmetric and irreflexive at "
                     f"{vertices[i]}, {vertices[j]}")
     return g
-
-
-def format_dimacs(g: PartitionGraph) -> str:
-    """DIMACS edge format with 1-based vertex ids."""
-    lines = [f"p edge {len(g.vertices)} {g.edge_count()}"]
-    lines.extend(f"e {i + 1} {j + 1}" for i, j in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def format_edge_list(g: PartitionGraph) -> str:
-    """Plain 'i j' lines with 1-based vertex ids."""
-    return "".join(f"{i + 1} {j + 1}\n" for i, j in g.edges())
-
-
-def format_legend(g: PartitionGraph) -> str:
-    """The 1-based id -> partition literal mapping used by all exports."""
-    return "".join(
-        f"{vid + 1} {format_partition(lam)}\n" for vid, lam in enumerate(g.vertices))
-

@@ -221,12 +221,3 @@ def order_complex(poset: IntersectionPoset) -> OrderComplex:
     for i in range(len(poset.elements)):
         visit([i])
     return OrderComplex(tuple(facets), FVector(tuple(counts)))
-
-
-def poset_json_dict(poset: IntersectionPoset) -> dict:
-    """JSON-ready poset description; member ids and element indices 1-based."""
-    return {
-        "elements": [[m + 1 for m in element] for element in poset.elements],
-        "hasse": [[i + 1, j + 1] for i, j in poset.hasse_edges()],
-        "max_chain_length": max_chain_length(poset),
-    }

@@ -69,8 +69,9 @@ def as_partition(parts: Iterable[int]) -> Partition:
 def parse_partition(text: str) -> Partition:
     """Parse a bracketed literal such as '[3,1]'.
 
-    Each part is ASCII decimal digits, optionally padded with whitespace:
-    the literals format_partition writes, give or take spacing.
+    Each part is ASCII decimal digits with no leading zero, optionally
+    padded with whitespace: the literals format_partition writes, give or
+    take spacing.
     """
     stripped = text.strip()
     if not stripped.startswith("[") or not stripped.endswith("]"):
@@ -82,6 +83,8 @@ def parse_partition(text: str) -> Partition:
     for token in tokens:
         if not (token.isascii() and token.isdigit()):
             raise InvalidPartitionError(f"parts must be ASCII decimal digits, got {token!r} in {text!r}")
+        if len(token) > 1 and token[0] == "0":
+            raise InvalidPartitionError(f"parts have no leading zero, got {token!r} in {text!r}")
     return as_partition(int(token) for token in tokens)
 
 

@@ -56,15 +56,6 @@ class VerificationOutcome:
     counterexample: Optional[dict] = None
     detail: Optional[str] = None
 
-    def line(self) -> str:
-        text = f"{self.suite} n={self.n}: {self.status}"
-        if self.detail:
-            text += f" ({self.detail})"
-        if self.counterexample is not None:
-            pairs = ", ".join(f"{k}={v}" for k, v in sorted(self.counterexample.items()))
-            text += f" [{pairs}]"
-        return text
-
 
 def _literals(g, ids) -> list[str]:
     """Partition literals of the given vertex ids, for a fail witness."""

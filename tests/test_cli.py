@@ -11,10 +11,11 @@ import weakref
 
 import pytest
 
-from partition_complex import cli, cliques, homology
+from partition_complex import cli, cliques, homology, verification
 from partition_complex.cli import _worker_count, main
 from partition_complex.homology import HomologyReport
 from partition_complex.reference import EULER_CHARACTERISTIC
+from partition_complex.stages import NContext
 from partition_complex.verification import BUDGETS, SUITE_ORDER, verify_single_n
 
 
@@ -94,6 +95,34 @@ def test_verify_vacuous_poset_at_1(capsys):
     assert main(["verify", "--suite", "poset", "--max-n", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("poset n=1: vacuous")
+
+
+def test_verify_text_fail_line_lists_the_witness_sorted(monkeypatch, capsys):
+    def suite(ctx):
+        raise verification._Counterexample(
+            {"route": "dp", "counted": [1, 0], "lam": "[3,1]"})
+
+    monkeypatch.setitem(verification._SUITE_FUNCS, "euler", suite)
+    assert main(["verify", "--suite", "euler", "--max-n", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "euler n=1: fail [counted=[1, 0], lam=[3,1], route=dp]\n"
+        "0 pass, 1 fail, 0 vacuous, 0 skip\n")
+
+
+def test_verify_text_vacuous_line_gives_its_detail(capsys):
+    assert main(["verify", "--suite", "cover", "--max-n", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "cover n=1: vacuous (empty cover)\n"
+        "0 pass, 0 fail, 1 vacuous, 0 skip\n")
+
+
+def test_verify_text_skip_line_names_the_budget(monkeypatch, capsys):
+    monkeypatch.setitem(BUDGETS, "euler", 1)
+    assert main(["verify", "--suite", "euler", "--max-n", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "euler n=2: skip (n beyond default budget 1; rerun with --ignore-budget)",
+        "1 pass, 0 fail, 0 vacuous, 1 skip"]
 
 
 def test_verify_json(capsys):
@@ -217,6 +246,36 @@ def test_export_poset_text(capsys):
     assert len(lines) == 8
 
 
+def test_format_dimacs():
+    text = cli._format_dimacs(NContext(3))
+    lines = text.splitlines()
+    assert lines[0] == "p edge 3 2"
+    assert len(lines) == 3
+    assert all(line.startswith("e ") for line in lines[1:])
+
+
+def test_format_edge_list_and_legend():
+    ctx = NContext(3)
+    assert cli._format_edge_list(ctx) == "1 2\n2 3\n"
+    legend = cli._format_legend(ctx).splitlines()
+    assert legend[0] == "1 [3]"
+    assert legend[-1] == "3 [1,1,1]"
+
+
+def test_format_facet_lines():
+    facets = [(0, 1), (1, 2, 3)]
+    assert cli._facet_lines(facets) == "1 2\n2 3 4\n"
+
+
+def test_poset_json_is_one_based():
+    payload = json.loads(cli._format_poset_json(NContext(4)))
+    assert len(payload["elements"]) == 9
+    assert all(min(element) >= 1 for element in payload["elements"])
+    assert payload["max_chain_length"] == 2
+    assert all(len(pair) == 2 for pair in payload["hasse"])
+    assert all(1 <= i <= 9 and 1 <= j <= 9 for i, j in payload["hasse"])
+
+
 def test_export_bfile(capsys):
     assert main(["export", "bfile", "chi", "--max-n", "10"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -313,6 +372,35 @@ def test_export_empty_format_is_a_usage_error(tmp_path, capsys):
                              tmp_path, capsys)
     assert line == ("partition-complex export graph: error: argument --format:"
                     " invalid choice: '' (choose from 'dimacs', 'edges')")
+
+
+HUGE = "100000000000000000000"
+
+
+# Each size flag's bound, by the argv before it.  Parsed only, never run:
+# were a bound lost, verify --max-n 10**20 would append one skip outcome per
+# n without end.  tests/test_cli_fuzz.py runs every bad size through main.
+SIZE_BOUNDS = {
+    ("table", "--max-n"): 1000,
+    ("export", "bfile", "chi", "--max-n"): 1000,
+    ("verify", "--max-n"): 45,
+    ("homology", "--n"): 45,
+    ("export", "graph", "--n"): 45,
+    ("export", "facets", "--n"): 45,
+    ("export", "poset", "--n"): 45,
+}
+
+
+@pytest.mark.parametrize("head", sorted(SIZE_BOUNDS))
+def test_size_flags_are_bounded(head, capsys):
+    parser = cli.build_parser()
+    bound = SIZE_BOUNDS[head]
+    assert parser.parse_args([*head, str(bound)]).func is not None
+    for value in (str(bound + 1), HUGE):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*head, value])
+        assert exc.value.code == 2
+        assert f"'{value}' must be at most {bound}" in capsys.readouterr().err
 
 
 def test_main_calls_share_no_parsed_state(capsys):

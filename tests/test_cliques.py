@@ -24,7 +24,6 @@ from partition_complex.cliques import (
     canonical_cover,
     classify_clique,
     enumerate_simplices,
-    format_facet_lines,
     _fiber_size_histograms,
     _partition_counts,
     _raising_fiber_sizes,
@@ -437,8 +436,3 @@ def test_packed_vertex_count_checks_its_row():
         cliques._packed_vertex_count(5, row + (1 << bits * width), 5, bits, width)
     with pytest.raises(TheoremViolationError, match="the scalar rows 6"):
         cliques._packed_vertex_count(5, row, 6, bits, width)
-
-
-def test_format_facet_lines():
-    facets = [(0, 1), (1, 2, 3)]
-    assert format_facet_lines(facets) == "1 2\n2 3 4\n"

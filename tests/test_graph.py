@@ -5,13 +5,7 @@ import itertools
 import pytest
 
 from partition_complex import oracles
-from partition_complex.graph import (
-    UnknownVertexError,
-    build_graph,
-    format_dimacs,
-    format_edge_list,
-    format_legend,
-)
+from partition_complex.graph import UnknownVertexError, build_graph
 from partition_complex.oracles import (
     adjacency_by_conjugate,
     edges_by_conjugate_scan,
@@ -178,18 +172,3 @@ def test_connected_for_small_n():
     for n in range(1, 11):
         assert build_graph(n).is_connected()
 
-
-def test_format_dimacs():
-    text = format_dimacs(build_graph(3))
-    lines = text.splitlines()
-    assert lines[0] == "p edge 3 2"
-    assert len(lines) == 3
-    assert all(line.startswith("e ") for line in lines[1:])
-
-
-def test_format_edge_list_and_legend():
-    g = build_graph(3)
-    assert format_edge_list(g) == "1 2\n2 3\n"
-    legend = format_legend(g).splitlines()
-    assert legend[0] == "1 [3]"
-    assert legend[-1] == "3 [1,1,1]"

@@ -21,7 +21,6 @@ from partition_complex.nerve import (
     max_chain_length,
     nerve_fvector,
     order_complex,
-    poset_json_dict,
 )
 from partition_complex.oracles import all_cliques_reference
 from partition_complex.partitions import REMOVABLE, Corner
@@ -263,15 +262,6 @@ def test_order_complex():
         chi_chains = order_complex(build_poset(nerve_at(n))).fvector.euler_characteristic
         chi_complex = enumerate_simplices(maximal_simplices(build_graph(n))).euler_characteristic
         assert chi_chains == chi_complex
-
-
-def test_poset_json_dict_is_one_based():
-    payload = poset_json_dict(build_poset(nerve_at(4)))
-    assert len(payload["elements"]) == 9
-    assert all(min(element) >= 1 for element in payload["elements"])
-    assert payload["max_chain_length"] == 2
-    assert all(len(pair) == 2 for pair in payload["hasse"])
-    assert all(1 <= i <= 9 and 1 <= j <= 9 for i, j in payload["hasse"])
 
 
 def test_build_nerve_accepts_explicit_cover():

@@ -51,10 +51,46 @@ def test_parse_and_format_round_trip():
 
 
 @pytest.mark.parametrize("text", ["3,1", "[]", "[3;1]", "[1,3]", "[a]",
-                                  "[3_0]", "[+3]", "[\u0663,1]"])
+                                  "[3_0]", "[+3]", "[\u0663,1]", "[03]", "[1,01]",
+                                  "[00]", "[2, 01 ]"])
 def test_parse_rejects_malformed(text):
     with pytest.raises(InvalidPartitionError):
         parse_partition(text)
+
+
+def test_parse_keeps_the_positive_parts_message_for_zero():
+    with pytest.raises(InvalidPartitionError, match="positive"):
+        parse_partition("[0]")
+    with pytest.raises(InvalidPartitionError, match="leading zero"):
+        parse_partition("[03]")
+
+
+@st.composite
+def literals(draw):
+    """A bracketed literal of descending parts, each drawn with up to two
+    leading zeros and whitespace around it, with the literal format_partition
+    writes for it, or None when a zero part or a leading zero makes it
+    invalid."""
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    parts = sorted(draw(st.lists(st.integers(0, 300), min_size=1, max_size=6)),
+                   reverse=True)
+    zeros = [draw(st.integers(0, 2)) for _ in parts]
+    tokens = [draw(space) + "0" * pad + str(part) + draw(space)
+              for part, pad in zip(parts, zeros)]
+    text = draw(space) + "[" + ",".join(tokens) + "]" + draw(space)
+    valid = parts[-1] > 0 and not any(zeros)
+    return text, "[" + ",".join(map(str, parts)) + "]" if valid else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(literals())
+def test_accepted_literals_reformat_to_themselves(case):
+    text, canonical = case
+    if canonical is None:
+        with pytest.raises(InvalidPartitionError):
+            parse_partition(text)
+    else:
+        assert format_partition(parse_partition(text)) == canonical == "".join(text.split())
 
 
 def test_enumerate_small():

@@ -8,7 +8,6 @@ in a different row.  This script walks through the basic vocabulary.
 from partition_complex import (
     addable_corners,
     admissible_transfers,
-    apply_transfer,
     conjugate,
     enumerate_partitions,
     format_partition,
@@ -44,7 +43,8 @@ for c, a, result in admissible_transfers(lam):
 print()
 
 # The height change only depends on the two corner rows.
-mu = apply_transfer(lam, (1, 3), (2, 2))
+(mu,) = [result for c, a, result in admissible_transfers(lam)
+         if (c.row, c.col, a.row, a.col) == (1, 3, 2, 2)]
 print(f"moving (1,3) to (2,2) gives {format_partition(mu)}; "
       f"h changed by {height(mu) - height(lam)} = target row 2 - source row 1")
 print()

@@ -64,14 +64,11 @@ _EXPORTS = {
     "oracles": ("adjacency_by_conjugate", "partition_count"),
     "partitions": (
         "Corner",
-        "InadmissibleTransferError",
-        "InvalidCornerError",
         "InvalidPartitionError",
         "Partition",
         "TheoremViolationError",
         "addable_corners",
         "admissible_transfers",
-        "apply_transfer",
         "as_partition",
         "conjugate",
         "enumerate_partitions",

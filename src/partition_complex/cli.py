@@ -54,24 +54,33 @@ from typing import NamedTuple, Optional, Sequence
 from .suite_names import BUDGETS, SUITE_ORDER
 
 
+def _digits(text: str) -> str:
+    """text, if it names a positive integer as parse_partition takes a part:
+    ASCII decimal digits with no leading zero."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} must be ASCII decimal digits")
+    if text[0] == "0":
+        raise argparse.ArgumentTypeError(
+            f"{text!r} must be at least 1" if text == "0" else f"{text!r} has a leading zero")
+    return text
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
-    return value
+        return int(_digits(text))
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"{text!r} is too long") from None
 
 
 def _size_up_to(bound: int):
     """The argparse type of a size flag: an integer from 1 to bound."""
 
     def size(text: str) -> int:
-        value = _positive_int(text)
-        if value > bound:
+        # A digit string longer than the bound's is past it, however long.
+        digits = _digits(text)
+        if len(digits) > len(str(bound)) or int(digits) > bound:
             raise argparse.ArgumentTypeError(f"{text!r} must be at most {bound}")
-        return value
+        return int(digits)
 
     return size
 

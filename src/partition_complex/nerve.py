@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cliques import CoverMember, FVector, NotACliqueError, _check_clique
 from .graph import PartitionGraph
@@ -111,15 +111,18 @@ class IntersectionPoset:
                 result[j].append(i)
         return tuple(tuple(sorted(preds)) for preds in result)
 
+    def upper_covers(self) -> Iterator[tuple[int, ...]]:
+        """For each element in turn, the elements covering it: those above it
+        but above nothing else above it.  What lies above its strict upper
+        bounds is one set, built for one element at a time."""
+        above = self.above
+        for ups in above:
+            between = set().union(*(above[k] for k in ups))
+            yield tuple(j for j in ups if j not in between)
+
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Cover relations (i, j): element i below j with nothing between."""
-        above_sets = [set(ups) for ups in self.above]
-        edges = []
-        for i, ups in enumerate(self.above):
-            for j in ups:
-                if not any(j in above_sets[k] for k in ups if k != j):
-                    edges.append((i, j))
-        return edges
+        return [(i, j) for i, ups in enumerate(self.upper_covers()) for j in ups]
 
 
 def build_poset(nerve: NerveComplex) -> IntersectionPoset:
@@ -188,36 +191,32 @@ class OrderComplex(NamedTuple):
 def order_complex(poset: IntersectionPoset) -> OrderComplex:
     """Chains of the poset as a simplicial complex: facets and face counts.
 
-    A chain is maximal when nothing extends it below, above, or between
-    consecutive entries.
+    Every chain is counted by one walk along above.  A chain is maximal when
+    nothing extends it below, above, or between consecutive entries: it
+    starts at a minimal element and steps along covers to a maximal one.
     """
     above = poset.above
-    above_sets = [set(ups) for ups in above]
-    below_sets = [set(preds) for preds in poset.below]
+    covers = list(poset.upper_covers())
     counts: list[int] = []
     facets: list[tuple[int, ...]] = []
 
-    def is_maximal(chain: list[int]) -> bool:
-        if below_sets[chain[0]]:
-            return False
-        for lower, upper in zip(chain, chain[1:]):
-            if above_sets[lower] & below_sets[upper]:
-                return False
-        return True
-
-    def visit(chain: list[int]) -> None:
-        dim = len(chain) - 1
-        while len(counts) <= dim:
+    def count(i: int, dim: int) -> None:
+        if len(counts) <= dim:
             counts.append(0)
         counts[dim] += 1
-        extensions = above[chain[-1]]
-        for j in extensions:
-            chain.append(j)
-            visit(chain)
-            chain.pop()
-        if not extensions and is_maximal(chain):
-            facets.append(tuple(chain))
+        for j in above[i]:
+            count(j, dim + 1)
+
+    def saturate(chain: tuple[int, ...]) -> None:
+        ups = covers[chain[-1]]
+        if not ups:
+            facets.append(chain)
+        for j in ups:
+            saturate(chain + (j,))
 
     for i in range(len(poset.elements)):
-        visit([i])
+        count(i, 0)
+    for i, lower in enumerate(poset.below):
+        if not lower:
+            saturate((i,))
     return OrderComplex(tuple(facets), FVector(tuple(counts)))

@@ -18,14 +18,6 @@ class InvalidPartitionError(ValueError):
     """A sequence that is not a weakly decreasing tuple of positive integers."""
 
 
-class InvalidCornerError(ValueError):
-    """A corner argument that is not a corner of the given partition."""
-
-
-class InadmissibleTransferError(ValueError):
-    """A transfer within a single row, or one that leaves the partition unchanged."""
-
-
 class TheoremViolationError(AssertionError):
     """A machine-checked structural claim failed on concrete data."""
 
@@ -170,43 +162,6 @@ def addable_corners(lam: Iterable[int]) -> list[Corner]:
     return _addable_corners(as_partition(lam))
 
 
-def _coerce_corner(corner, kind: str) -> Corner:
-    """Allow bare (row, col) pairs wherever a Corner of a known kind is expected."""
-    if isinstance(corner, Corner):
-        return corner
-    try:
-        row, col = corner
-    except (TypeError, ValueError) as exc:
-        raise InvalidCornerError(f"not a corner: {corner!r}") from exc
-    return Corner(row, col, kind)
-
-
-def apply_transfer(lam: Iterable[int], c, a) -> Partition:
-    """Apply the transfer lam(c -> a); raises unless the transfer is admissible.
-
-    c and a are Corners or bare (row, col) pairs, each accepted only if it is
-    a member of removable_corners(lam) or addable_corners(lam).  The result
-    is re-sorted from the moved row lengths, a route independent of the
-    sort-free one in admissible_transfers.
-    """
-    lam = as_partition(lam)
-    c = _coerce_corner(c, REMOVABLE)
-    if c not in _removable_corners(lam):
-        raise InvalidCornerError(f"{(c.row, c.col)} is not a removable corner of {lam}")
-    a = _coerce_corner(a, ADDABLE)
-    if a not in _addable_corners(lam):
-        raise InvalidCornerError(f"{(a.row, a.col)} is not an addable corner of {lam}")
-    if c.row == a.row:
-        raise InadmissibleTransferError(f"corners {(c.row, c.col)} and {(a.row, a.col)} share a row")
-    rows = list(lam) + [0]
-    rows[c.row - 1] -= 1
-    rows[a.row - 1] += 1
-    result = tuple(sorted((row for row in rows if row > 0), reverse=True))
-    if result == lam:
-        raise InadmissibleTransferError(f"moving {(c.row, c.col)} to {(a.row, a.col)} fixes {lam}")
-    return result
-
-
 def admissible_transfers(lam: Iterable[int]) -> list[tuple[Corner, Corner, Partition]]:
     """All (c, a, result) triples of admissible transfers from lam.
 
@@ -214,6 +169,8 @@ def admissible_transfers(lam: Iterable[int]) -> list[tuple[Corner, Corner, Parti
     otherwise its result is lam - e_r + e_s (r = c.row, s = a.row), already
     sorted, since c ends the rows of its length and a starts the rows of its
     length.  The only row that can empty is the last, and it is dropped.
+    oracles.transfers_by_scan lists the same triples by the definition,
+    moving one cell and re-sorting the rows: the independent route.
     """
     lam = as_partition(lam)
     return _transfers(lam, _removable_corners(lam), _addable_corners(lam))
@@ -225,7 +182,7 @@ def _transfers(
     """admissible_transfers over given corners of lam, without validation.
 
     Triples come removable corner first, then addable corner, each in the
-    order given.
+    order given, as in oracles.transfers_by_scan, which checks this pass.
     """
     out = []
     for c in removable:

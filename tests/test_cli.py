@@ -396,11 +396,36 @@ def test_size_flags_are_bounded(head, capsys):
     parser = cli.build_parser()
     bound = SIZE_BOUNDS[head]
     assert parser.parse_args([*head, str(bound)]).func is not None
-    for value in (str(bound + 1), HUGE):
+    # A digit string too long for int() is still only past the bound.
+    for value in (str(bound + 1), HUGE, "9" * 5000):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([*head, value])
         assert exc.value.code == 2
         assert f"'{value}' must be at most {bound}" in capsys.readouterr().err
+
+
+# Counts are held to parse_partition's rule for a part: ASCII decimal digits
+# with no leading zero.  Each token but the last three is one int() takes.
+REFUSED_COUNTS = [
+    ("+3", "must be ASCII decimal digits"), ("1_0", "must be ASCII decimal digits"),
+    (" 4 ", "must be ASCII decimal digits"), ("\u0663", "must be ASCII decimal digits"),
+    ("-1", "must be ASCII decimal digits"), ("03", "has a leading zero"),
+    ("00", "has a leading zero"), ("0", "must be at least 1"),
+    ("x", "must be ASCII decimal digits"), ("1.5", "must be ASCII decimal digits"),
+    ("", "must be ASCII decimal digits"),
+]
+
+
+@pytest.mark.parametrize("head", sorted(SIZE_BOUNDS) + [("verify", "--jobs")])
+def test_counts_are_ascii_digits_without_leading_zero(head, capsys):
+    parser = cli.build_parser()
+    # --jobs has no bound to report a digit string too long for int() past.
+    too_long = [("9" * 5000, "is too long")] if head[-1] == "--jobs" else []
+    for value, reason in REFUSED_COUNTS + too_long:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*head, value])
+        assert exc.value.code == 2
+        assert f"{value!r} {reason}" in capsys.readouterr().err
 
 
 def test_main_calls_share_no_parsed_state(capsys):

@@ -5,8 +5,8 @@ below it) or a bad one, and a token for each argument the parser at that
 path declares: a choice for --format, --suite and the bfile sequence; a
 size for each size flag; a path under tmp_path for --out.  It carries at
 most one fault: an argument left out, a bad token (a wrong word; a size
-that is zero, negative, past its bound, huge or not a number; an --out
-that is a directory or empty), or stray tokens.  Every bad size on every
+that is zero, negative, past its bound, huge, not a number or not plain
+ASCII digits; an --out that is a directory or empty), or stray tokens.  Every bad size on every
 size flag also runs as an explicit example.  Sizes that do work stay small
 enough that one run takes a few milliseconds, and --jobs is never drawn
 above 1, so no process pool starts.
@@ -36,11 +36,13 @@ WORK_CAP = {
     "export graph": 10, "export facets": 10, "export poset": 10, "export bfile": 40,
 }
 # Sizes that fail before any work: zero, negative, one past each size bound,
-# huge, too long for int(), or not a number.  (`table` and `bfile` accept
-# one past the graph's bound, and run it in milliseconds.)
+# huge, too long for int(), not a number, or an integer int() takes that is
+# not plain ASCII decimal digits without a leading zero.  (`table` and
+# `bfile` accept one past the graph's bound, and run it in milliseconds.)
+LENIENT = ["+3", "1_0", " 4 ", "\u0663", "03"]
 BAD_SIZES = ["0", "-1", *sorted({str(bound + 1) for bound in SIZE_BOUNDS.values()}),
-             HUGE, "9" * 5000, "x", "1.5", ""]
-BAD_JOBS = ["0", "-2", "x"]
+             HUGE, "9" * 5000, "x", "1.5", "", *LENIENT]
+BAD_JOBS = ["0", "-2", "x", *LENIENT]
 SEEDS = ["0", "7", "-3", HUGE]
 STRAY = ["--bogus", "extra", "-q", "--", "--format", "--n", "7", "-h"]
 # Stands for a fresh directory under tmp_path, one per example.

@@ -14,7 +14,6 @@ from partition_complex.oracles import (
 from partition_complex.partitions import (
     InvalidPartitionError,
     admissible_transfers,
-    apply_transfer,
     height,
 )
 
@@ -92,7 +91,6 @@ def test_edge_decompositions_unique_and_correct():
     c, a = g.moves[vid((3, 1))][vid((2, 2))]
     assert (c.row, c.col) == (1, 3)
     assert (a.row, a.col) == (2, 2)
-    assert apply_transfer((3, 1), c, a) == (2, 2)
     assert scan_decompositions((3, 1), (2, 2)) == [(c, a)]
     assert vid((1, 1, 1, 1)) not in g.moves[vid((4,))]
     assert scan_decompositions((4,), (1, 1, 1, 1)) == []

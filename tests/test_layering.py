@@ -3,7 +3,8 @@
 oracles.py recomputes what the fast path builds, so it must not reach into
 the modules it checks: it imports no underscore-prefixed name from any
 partition_complex module, from .graph nothing but the PartitionGraph type
-it reads, and from no other package module but .partitions.  The demos
+it reads, from .partitions no transfer routine (it moves cells itself),
+and from no other package module but .partitions.  The demos
 show the public API, so none of them imports an underscore-prefixed name
 from the package.  The per-n stage chain, stages.NContext, sits below the
 checking layer: stages.py imports nothing from verification, loops or
@@ -68,6 +69,14 @@ def test_oracles_import_from_no_module_but_graph_and_partitions():
     modules = {module for module, _ in package_imports(ORACLES)}
     assert modules <= {"graph", "partitions"}, (
         f"oracles.py imports from {sorted(modules - {'graph', 'partitions'})}")
+
+
+def test_oracles_import_no_transfer_routine():
+    # transfers_by_scan is the independent route to what these compute.
+    routines = {"admissible_transfers", "_transfers"}
+    imported = {name for module, name in package_imports(ORACLES) if module == "partitions"}
+    assert not imported & routines, (
+        f"oracles.py imports transfer routines {sorted(imported & routines)}")
 
 
 def test_demos_import_no_private_name():

@@ -264,6 +264,35 @@ def test_order_complex():
         assert chi_chains == chi_complex
 
 
+def test_order_complex_matches_chains_by_all_pairs_inclusion():
+    # Every chain, listed from the element sets alone; the facets are the
+    # chains nothing extends below, above or between consecutive entries.
+    for n in range(1, 11):
+        poset = build_poset(nerve_at(n))
+        sets = [set(element) for element in poset.elements]
+        indices = range(len(sets))
+        chains = [(i,) for i in indices]
+        frontier = chains
+        while frontier:
+            frontier = [chain + (j,) for chain in frontier for j in indices
+                        if sets[chain[-1]] < sets[j]]
+            chains += frontier
+
+        def extensible(chain):
+            bounds = [None, *chain, None]
+            return any(
+                (low is None or sets[low] < sets[k]) and (high is None or sets[k] < sets[high])
+                for low, high in zip(bounds, bounds[1:]) for k in indices)
+
+        counts = [0] * max((len(chain) for chain in chains), default=0)
+        for chain in chains:
+            counts[len(chain) - 1] += 1
+        chains_complex = order_complex(poset)
+        assert chains_complex.facets == tuple(
+            sorted(chain for chain in chains if not extensible(chain))), n
+        assert chains_complex.fvector.counts == tuple(counts), n
+
+
 def test_build_nerve_accepts_explicit_cover():
     g = build_graph(5)
     cover = canonical_cover(g)

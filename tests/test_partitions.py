@@ -13,12 +13,9 @@ from partition_complex.partitions import (
     ADDABLE,
     REMOVABLE,
     Corner,
-    InadmissibleTransferError,
-    InvalidCornerError,
     InvalidPartitionError,
     addable_corners,
     admissible_transfers,
-    apply_transfer,
     as_partition,
     conjugate,
     enumerate_partitions,
@@ -184,57 +181,33 @@ def test_corner_rows_recoverable_from_columns():
             assert a.row == (conj[a.col - 1] + 1 if a.col <= len(conj) else 1)
 
 
-def test_apply_transfer():
-    assert apply_transfer((3, 1), (1, 3), (2, 2)) == (2, 2)
-    assert apply_transfer((1, 1, 1), (3, 1), (1, 2)) == (2, 1)
-
-
-def test_apply_transfer_rejects_identity_move():
-    # Moving the last cell into a fresh last row rebuilds the same shape.
-    with pytest.raises(InadmissibleTransferError):
-        apply_transfer((1, 1, 1), (3, 1), (4, 1))
-
-
-def test_apply_transfer_rejects_same_row():
-    with pytest.raises(InadmissibleTransferError):
-        apply_transfer((2, 1), (1, 2), (1, 3))
-
-
-def test_apply_transfer_rejects_non_corners():
-    with pytest.raises(InvalidCornerError):
-        apply_transfer((3, 1), (1, 2), (2, 2))
-    with pytest.raises(InvalidCornerError):
-        apply_transfer((3, 1), (1, 3), (2, 3))
-
-
-def _transfer_or_none(lam, c, a):
-    try:
-        return apply_transfer(lam, c, a)
-    except InadmissibleTransferError:
-        return None
-
-
 def test_is_admissible():
-    assert _transfer_or_none((3, 1), (1, 3), (2, 2)) == (2, 2)
-    # Same row, and a move that fixes the shape.
-    assert _transfer_or_none((2,), (1, 2), (1, 3)) is None
-    assert _transfer_or_none((1, 1), (2, 1), (3, 1)) is None
+    # A transfer is admissible when its corners lie in different rows and
+    # the move changes the shape; both transfer routes list exactly those.
+    def listed(lam):
+        by_corners = [((c.row, c.col), (a.row, a.col), result)
+                      for c, a, result in admissible_transfers(lam)]
+        assert by_corners == [((c.row, c.col), (a.row, a.col), result)
+                              for c, a, result in transfers_by_scan(lam)]
+        return {(c, a): result for c, a, result in by_corners}
+
+    assert listed((3, 1))[(1, 3), (2, 2)] == (2, 2)
+    assert listed((1, 1, 1))[(3, 1), (1, 2)] == (2, 1)
+    # Same row, and moves that fix the shape.
+    assert ((1, 2), (1, 3)) not in listed((2,))
+    assert ((1, 2), (1, 3)) not in listed((2, 1))
+    assert ((2, 1), (3, 1)) not in listed((1, 1))
+    assert ((3, 1), (4, 1)) not in listed((1, 1, 1))
 
 
 def test_admissible_transfers_preserve_size_and_change_shape():
     # The sort-free enumeration must list exactly the transfers that the
-    # validating, re-sorting route accepts, in corner order; so must the
-    # corner-pair scan oracle.
+    # corner-pair scan oracle finds by moving a cell and re-sorting, in
+    # corner order.
     for n in range(1, 15):
         for lam in enumerate_partitions(n):
-            expected = [
-                (c, a, result)
-                for c in removable_corners(lam)
-                for a in addable_corners(lam)
-                if (result := _transfer_or_none(lam, c, a)) is not None
-            ]
+            expected = transfers_by_scan(lam)
             assert admissible_transfers(lam) == expected
-            assert transfers_by_scan(lam) == expected
             for c, a, result in expected:
                 assert sum(result) == n
                 assert result != lam
@@ -245,82 +218,9 @@ def test_admissible_transfers_preserve_size_and_change_shape():
 @given(partitions_up_to(40))
 def test_transfer_scans_agree_past_exhaustive_range(lam):
     # Past the exhaustive n <= 14 above: the oracle's own move-and-re-sort
-    # scan, the sort-free kernel and the validating apply_transfer scan list
-    # the same triples in the same order.
-    expected = [
-        (c, a, result)
-        for c in removable_corners(lam)
-        for a in addable_corners(lam)
-        if (result := _transfer_or_none(lam, c, a)) is not None
-    ]
-    assert transfers_by_scan(lam) == expected
-    assert admissible_transfers(lam) == expected
+    # scan and the sort-free kernel list the same triples in the same order.
+    assert admissible_transfers(lam) == transfers_by_scan(lam)
 
 
 def test_single_cell_partition_has_no_transfers():
     assert admissible_transfers((1,)) == []
-
-
-def _reference_apply_transfer(lam, c, a):
-    """apply_transfer as it was when each corner was validated by membership
-    in the list removable_corners(lam) or addable_corners(lam)."""
-    lam = as_partition(lam)
-
-    def coerce(corner, kind):
-        if isinstance(corner, Corner):
-            return corner
-        try:
-            row, col = corner
-        except (TypeError, ValueError) as exc:
-            raise InvalidCornerError(f"not a corner: {corner!r}") from exc
-        return Corner(row, col, kind)
-
-    c = coerce(c, REMOVABLE)
-    if c not in removable_corners(lam):
-        raise InvalidCornerError(f"{(c.row, c.col)} is not a removable corner of {lam}")
-    a = coerce(a, ADDABLE)
-    if a not in addable_corners(lam):
-        raise InvalidCornerError(f"{(a.row, a.col)} is not an addable corner of {lam}")
-    if c.row == a.row:
-        raise InadmissibleTransferError(f"corners {(c.row, c.col)} and {(a.row, a.col)} share a row")
-    rows = list(lam) + [0]
-    rows[c.row - 1] -= 1
-    rows[a.row - 1] += 1
-    result = tuple(sorted((row for row in rows if row > 0), reverse=True))
-    if result == lam:
-        raise InadmissibleTransferError(f"moving {(c.row, c.col)} to {(a.row, a.col)} fixes {lam}")
-    return result
-
-
-def _outcome(transfer, lam, c, a):
-    """The result, or the type and message of the exception raised."""
-    try:
-        return transfer(lam, c, a)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def _corner_arguments(lam):
-    """Every (row, col) in a box one cell wider and taller than the diagram
-    and its new-row slot, as a bare pair, a Corner of either kind, and with a
-    float row; rows 0 and 1 also as bools.  Plus two non-pairs."""
-    out = [5, (1, 2, 3)]
-    for row in range(len(lam) + 3):
-        for col in range(lam[0] + 3):
-            rows = [row, float(row)] + ([bool(row)] if row < 2 else [])
-            for r in rows:
-                out += [(r, col), Corner(r, col, REMOVABLE), Corner(r, col, ADDABLE)]
-    return out
-
-
-def test_apply_transfer_accepts_and_rejects_as_list_membership_did():
-    # Each argument is varied against every real corner in the other place,
-    # so both corner tests, the shared-row test and the re-sort are reached.
-    for n in range(1, 9):
-        for lam in enumerate_partitions(n):
-            arguments = _corner_arguments(lam)
-            pairs = [(c, a) for c in arguments for a in addable_corners(lam)]
-            pairs += [(c, a) for c in removable_corners(lam) for a in arguments]
-            for c, a in pairs:
-                assert (_outcome(apply_transfer, lam, c, a)
-                        == _outcome(_reference_apply_transfer, lam, c, a)), (lam, c, a)

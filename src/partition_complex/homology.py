@@ -226,10 +226,14 @@ def _check_face_identities(cplx: ChainComplex) -> None:
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
     """Rank and nontrivial invariant factors of an integer matrix, exactly.
 
-    Dense elimination with pivoting on a minimum-absolute-value entry;
-    remainders swap into the pivot seat, so pivot magnitudes only shrink.
-    A final gcd/lcm sweep restores the divisibility chain.  Every entry must
-    be an int (bools refused), as for partition parts; nothing is coerced.
+    Each round pivots on a nonzero entry of least absolute value and clears
+    its row and column by floor division.  A nonzero remainder is smaller
+    than the pivot, so the next round pivots on it; once the pivot's row
+    and column are clear, |pivot| joins the diagonal and that row and
+    column are deleted.  So each round either retires a pivot or lowers
+    the least absolute value, and the loop ends.  A final gcd/lcm sweep
+    restores the divisibility chain.  Every entry must be an int (bools
+    refused), as for partition parts; nothing is coerced.
     """
     work = [list(row) for row in matrix]
     for row in work:
@@ -241,58 +245,41 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[int, 
     if nrows and any(len(row) != ncols for row in work):
         raise ValueError("ragged matrix")
     diag: list[int] = []
-    top = 0
-    while top < nrows and top < ncols:
-        pivot = None
-        for i in range(top, nrows):
-            row = work[i]
-            for j in range(top, ncols):
-                value = row[j]
-                if value and (pivot is None or abs(value) < abs(pivot[2])):
-                    pivot = (i, j, value)
-                    if abs(value) == 1:
-                        break
-            if pivot is not None and abs(pivot[2]) == 1:
-                break
-        if pivot is None:
-            break
-        pi, pj, _ = pivot
-        work[top], work[pi] = work[pi], work[top]
-        if pj != top:
+    while entry := _least_entry(work):
+        i, j = entry
+        pivot_row = work[i]
+        pivot = pivot_row[j]
+        for r, row in enumerate(work):
+            if r != i and (q := row[j] // pivot):
+                work[r] = [a - q * b for a, b in zip(row, pivot_row)]
+        quotients = [value // pivot for value in pivot_row]
+        quotients[j] = 0
+        if any(quotients):
+            for r, row in enumerate(work):
+                if x := row[j]:
+                    work[r] = [a - q * x for a, q in zip(row, quotients)]
+        if (work[i].count(0) == len(work[i]) - 1
+                and [row[j] for row in work].count(0) == len(work) - 1):
+            diag.append(abs(pivot))
+            del work[i]
             for row in work:
-                row[top], row[pj] = row[pj], row[top]
-        while True:
-            touched = False
-            for i in range(top + 1, nrows):
-                if work[i][top]:
-                    q = work[i][top] // work[top][top]
-                    if q:
-                        row_i, row_t = work[i], work[top]
-                        for j in range(top, ncols):
-                            row_i[j] -= q * row_t[j]
-                    if work[i][top]:
-                        work[i], work[top] = work[top], work[i]
-                    touched = True
-                    break
-            if touched:
-                continue
-            for j in range(top + 1, ncols):
-                if work[top][j]:
-                    q = work[top][j] // work[top][top]
-                    if q:
-                        for row in work:
-                            row[j] -= q * row[top]
-                    if work[top][j]:
-                        for row in work:
-                            row[top], row[j] = row[j], row[top]
-                    touched = True
-                    break
-            if not touched:
-                break
-        diag.append(abs(work[top][top]))
-        top += 1
+                del row[j]
     _normalize_divisibility(diag)
     return len(diag), tuple(d for d in diag if d > 1)
+
+
+def _least_entry(work: list[list[int]]) -> tuple[int, int] | None:
+    """(row, column) of a nonzero entry of least absolute value, or None
+    when every entry is zero; rows are read in order, and the first row
+    that holds a +-1 ends the scan."""
+    best, least = None, 0
+    for i, row in enumerate(work):
+        smallest = min(map(abs, filter(None, row)), default=0)
+        if smallest and (not least or smallest < least):
+            best, least = (i, row.index(smallest if smallest in row else -smallest)), smallest
+            if least == 1:
+                return best
+    return best
 
 
 def _normalize_divisibility(diag: list[int]) -> None:
@@ -376,8 +363,8 @@ def _sparse_rank_and_factors(
     d_p make the rows e_t of d_{p+1} integer combinations of its other
     rows.  Both hold for any subset of rows and columns already left out.
     The residue's pivots are not returned: they may be non-units (the 2 of
-    the projective plane), and its row and column swaps do not pick out an
-    invertible submatrix of the input.
+    the projective plane), and its row and column operations do not pick out
+    an invertible submatrix of the input.
     """
     by_columns = skip_cols.count(0) <= nrows - len(skip_rows)
     line_ids, tops, units = _leading_entries(

@@ -7,7 +7,8 @@ size for each size flag; a path under tmp_path for --out.  It carries at
 most one fault: an argument left out, a bad token (a wrong word; a size
 that is zero, negative, past its bound, huge, not a number or not plain
 ASCII digits; an --out that is a directory or empty), or stray tokens.  Every bad size on every
-size flag also runs as an explicit example.  Sizes that do work stay small
+size flag also runs as an explicit example, and as a plain test that it
+is refused.  Sizes that do work stay small
 enough that one run takes a few milliseconds, and --jobs is never drawn
 above 1, so no process pool starts.
 
@@ -22,6 +23,7 @@ import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -151,6 +153,23 @@ def with_every_bad_size(test):
         for size in BAD_SIZES:
             test = example(argv=sized(path, size))(test)
     return test
+
+
+def _size_id(size):
+    return size if len(size) <= 21 else f"{len(size)}-digit"
+
+
+@pytest.mark.parametrize("size", BAD_SIZES, ids=_size_id)
+@pytest.mark.parametrize("path", sorted(LEAVES))
+def test_every_bad_size_is_refused(path, size):
+    # One past the graph's bound is inside the sweep bound of `table` and
+    # `export bfile`, which run it; every other bad size is a usage error.
+    past_graph = str(SIZE_BOUNDS[("export", "graph", "--n")] + 1)
+    code, stdout = run(sized(path, size))
+    if size == past_graph and path in ("table", "export bfile"):
+        assert code == 0
+    else:
+        assert (code, stdout) == (2, "")
 
 
 @settings(max_examples=600, deadline=None, derandomize=True,

@@ -143,12 +143,11 @@ def test_verification_refuses_suites_that_differ_from_the_suite_names():
         "else:\n"
         "    raise SystemExit('verification loaded')\n"
     )
-    for flags in ([], ["-O"]):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, *flags, "-c", statements], env=env,
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", statements], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 # The package's exports, by the module that defines each.

@@ -4,17 +4,12 @@ import copy
 import enum
 import hashlib
 import itertools
-import json
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import partition_complex
 from partition_complex import loops
 from partition_complex.graph import build_graph
 from partition_complex.loops import (
@@ -352,29 +347,6 @@ def test_mutant_rewrites_are_caught_where_they_happen():
     assert _mutant_outcomes() == {name: "TheoremViolationError" for name in MUTANTS}
 
 
-def _outcomes_without_asserts(function_name):
-    """Run this module's function of that name under python -O and return
-    what it returns."""
-    script = ("import json, runpy, sys; ns = runpy.run_path(sys.argv[1]); "
-              "print(json.dumps([sys.flags.optimize, ns[sys.argv[2]]()]))")
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(partition_complex.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-O", "-c", script, __file__, function_name],
-                            env=env, capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
-    optimize, outcomes = json.loads(result.stdout)
-    assert optimize == 1
-    return outcomes
-
-
-def test_mutant_rewrites_are_caught_without_asserts():
-    # Under -O every assert is stripped, so the local checks must raise on
-    # their own.
-    outcomes = _outcomes_without_asserts("_mutant_outcomes")
-    assert outcomes == {name: "TheoremViolationError" for name in MUTANTS}
-
-
 # A detour fragment of MUTATION_LOOP: the peak [3,2,1] (height 10) sits
 # between [4,1,1] and [3,3] (height 9); its moves to them share no corner,
 # and the detour vertex is [4,2].
@@ -450,11 +422,6 @@ def test_replace_peak_checks_raise_on_doctored_graphs():
     expected = {name: ["TheoremViolationError", True] for name, *_ in _doctored_graphs()}
     assert len(expected) == 5
     assert _doctored_outcomes() == expected
-
-
-def test_replace_peak_checks_raise_without_asserts():
-    expected = {name: ["TheoremViolationError", True] for name, *_ in _doctored_graphs()}
-    assert _outcomes_without_asserts("_doctored_outcomes") == expected
 
 
 def test_seeded_loop_suite_step_counts():

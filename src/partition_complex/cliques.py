@@ -43,23 +43,11 @@ class NotACliqueError(ValueError):
 
 
 @dataclass(frozen=True)
-class TriangleClass:
-    """Classification of a path mu1 - lam - mu2: star/top with its corner, or none."""
-
-    kind: str
-    corner: Optional[Corner] = None
-
-    @property
-    def is_triangle(self) -> bool:
-        return self.kind != NOT_TRIANGLE
-
-
-@dataclass(frozen=True)
 class CliqueClass:
-    """Classification of a clique: the witnessing base vertex and fixed corner."""
+    """Classification of a clique: the witnessing base vertex id and fixed corner."""
 
     kind: str
-    base: Optional[Partition] = None
+    base: Optional[int] = None
     corner: Optional[Corner] = None
 
 
@@ -87,17 +75,17 @@ class FVector:
         return _alternating_sum(self.counts)
 
 
-def _triangle_class(arm1: tuple[Corner, Corner], arm2: tuple[Corner, Corner]) -> TriangleClass:
-    """Whether the path mu1 - lam - mu2 closes into a triangle, from the
-    corner pairs (c, a) of its two edges lam -> mu1 and lam -> mu2: it
-    closes iff they share the removable corner (star) or the addable
-    corner (top)."""
+def _triangle_class(arm1: tuple[Corner, Corner], arm2: tuple[Corner, Corner]) -> str:
+    """STAR, TOP or NOT_TRIANGLE: whether the path mu1 - lam - mu2 closes
+    into a triangle, from the corner pairs (c, a) of its two edges lam -> mu1
+    and lam -> mu2.  It closes iff they share the removable corner (star)
+    or the addable corner (top)."""
     (c1, a1), (c2, a2) = arm1, arm2
     if c1 == c2:
-        return TriangleClass(STAR, c1)
+        return STAR
     if a1 == a2:
-        return TriangleClass(TOP, a1)
-    return TriangleClass(NOT_TRIANGLE)
+        return TOP
+    return NOT_TRIANGLE
 
 
 def _check_clique(g: PartitionGraph, ids: Sequence[int]) -> tuple[int, ...]:
@@ -124,17 +112,15 @@ def classify_clique(g: PartitionGraph, ids: Sequence[int]) -> CliqueClass:
     if len(sorted_ids) <= 2:
         return CliqueClass(SMALL)
     base_id = min(sorted_ids, key=lambda vid: g.heights[vid])
-    base = g.vertices[base_id]
     decomps = [g.moves[base_id][vid] for vid in sorted_ids if vid != base_id]
     removables = {c for c, _ in decomps}
     if len(removables) == 1:
-        return CliqueClass(STAR, base, next(iter(removables)))
+        return CliqueClass(STAR, base_id, next(iter(removables)))
     addables = {a for _, a in decomps}
     if len(addables) == 1:
-        return CliqueClass(TOP, base, next(iter(addables)))
-    raise TheoremViolationError(
-        f"clique {[g.vertices[v] for v in sorted_ids]} shares no corner at {base}"
-    )
+        return CliqueClass(TOP, base_id, next(iter(addables)))
+    raise TheoremViolationError(f"clique {[g.vertices[v] for v in sorted_ids]} shares no corner"
+                                f" at {g.vertices[base_id]}")
 
 
 def canonical_cover(g: PartitionGraph) -> list[CoverMember]:

@@ -86,10 +86,6 @@ class ChainComplex:
     def dimension(self) -> int:
         return len(self.fvector) - 1
 
-    @property
-    def euler_characteristic(self) -> int:
-        return _alternating_sum(self.fvector)
-
 
 @dataclass(frozen=True)
 class HomologyReport:

@@ -88,16 +88,6 @@ class EdgeLoop:
     def heights(self) -> tuple[int, ...]:
         return tuple(self.graph.heights[v] for v in self.ids)
 
-    def partitions(self) -> tuple:
-        return tuple(self.graph.vertices[v] for v in self.ids)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, EdgeLoop)
-                and self.graph.n == other.graph.n and self.ids == other.ids)
-
-    def __hash__(self) -> int:
-        return hash((self.graph.n, self.ids))
-
     def __repr__(self) -> str:
         return f"EdgeLoop(n={self.graph.n}, {format_loop(self)!r})"
 
@@ -113,7 +103,7 @@ def parse_loop(graph: PartitionGraph, text: str) -> EdgeLoop:
 
 def format_loop(loop: EdgeLoop) -> str:
     """Closed form with the first literal repeated; constant loops print once."""
-    literals = [format_partition(p) for p in loop.partitions()]
+    literals = [format_partition(loop.graph.vertices[v]) for v in loop.ids]
     if len(literals) > 1:
         literals.append(literals[0])
     return " ".join(literals)
@@ -218,11 +208,6 @@ class ReductionTrace:
     @property
     def final(self) -> EdgeLoop:
         return self.steps[-1][1] if self.steps else self.initial
-
-    def __len__(self) -> int:
-        # Number of loop states, initial included; an already-constant
-        # input gives a trace of length 1.
-        return 1 + len(self.steps)
 
     def to_json_dict(self) -> dict:
         return {

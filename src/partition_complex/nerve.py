@@ -36,10 +36,6 @@ class NerveComplex:
     member_sets: tuple[frozenset[int], ...]
     anchor_sets: tuple[frozenset[int], ...]
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.cover)
-
 
 def build_nerve(graph: PartitionGraph, cover: Sequence[CoverMember]) -> NerveComplex:
     member_sets = tuple(frozenset(member.vertices) for member in cover)

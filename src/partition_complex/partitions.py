@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-REMOVABLE = "removable"
-ADDABLE = "addable"
-
 
 class InvalidPartitionError(ValueError):
     """A sequence that is not a weakly decreasing tuple of positive integers."""
@@ -31,14 +28,15 @@ Partition = tuple[int, ...]
 
 
 class Corner(NamedTuple):
-    """A boundary cell of a Ferrers diagram, tagged removable or addable."""
+    """A boundary cell (row, col) of a Ferrers diagram.
+
+    Its kind is the list it comes from: removable_corners or addable_corners.
+    The two never share a cell, since a removable corner lies in the diagram
+    and an addable one just outside it.
+    """
 
     row: int
     col: int
-    kind: str
-
-    def __repr__(self) -> str:
-        return f"Corner({self.row}, {self.col}, {self.kind})"
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -136,7 +134,7 @@ def height(lam: Iterable[int]) -> int:
 def _removable_corners(lam: Partition) -> list[Corner]:
     ell = len(lam)
     return [
-        Corner(i + 1, lam[i], REMOVABLE)
+        Corner(i + 1, lam[i])
         for i in range(ell)
         if i == ell - 1 or lam[i] > lam[i + 1]
     ]
@@ -144,11 +142,11 @@ def _removable_corners(lam: Partition) -> list[Corner]:
 
 def _addable_corners(lam: Partition) -> list[Corner]:
     out = [
-        Corner(i + 1, lam[i] + 1, ADDABLE)
+        Corner(i + 1, lam[i] + 1)
         for i in range(len(lam))
         if i == 0 or lam[i - 1] > lam[i]
     ]
-    out.append(Corner(len(lam) + 1, 1, ADDABLE))
+    out.append(Corner(len(lam) + 1, 1))
     return out
 
 

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from . import reference
 from .cliques import (
+    NOT_TRIANGLE,
     STAR,
     TheoremViolationError,
     _full_simplex,
@@ -90,12 +91,12 @@ def _suite_triangles(ctx: NContext) -> str:
             verdict = _triangle_class(moves[i1], moves[i2])
             closed = i2 in g.moves[i1]
             checked += 1
-            if verdict.is_triangle != closed:
+            if (verdict != NOT_TRIANGLE) != closed:
                 raise _Counterexample({
                     "lam": format_partition(lam),
                     "mu1": format_partition(g.vertices[i1]),
                     "mu2": format_partition(g.vertices[i2]),
-                    "classified": verdict.kind,
+                    "classified": verdict,
                     "edge_present": closed,
                 })
     for lam_id, lam in enumerate(g.vertices):
@@ -106,7 +107,7 @@ def _suite_triangles(ctx: NContext) -> str:
                     checked += 1
                     if i2 not in g.moves[i1]:
                         raise _Counterexample({
-                            "lam": format_partition(lam), "corner": list(corner)[:2],
+                            "lam": format_partition(lam), "corner": list(corner),
                             "mu1": format_partition(g.vertices[i1]),
                             "mu2": format_partition(g.vertices[i2]),
                             "claim": claim,
@@ -137,7 +138,7 @@ def _suite_cliques(ctx: NContext) -> str:
         checked += 1
         verdict = classify_clique(g, clique)
         base_id = min(clique, key=lambda vid: g.heights[vid])
-        if g.vertex_id(verdict.base) != base_id:
+        if verdict.base != base_id:
             raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "witness base must be the lowest vertex"})
@@ -416,32 +417,25 @@ def _suite_closure(ctx: NContext) -> str:
     g = ctx.graph
     nerve = ctx.nerve
     checked = 0
-    cache: dict[tuple[int, ...], tuple[tuple[int, ...], frozenset[int]]] = {}
-    # One (tuple, frozenset) pair per distinct closure, shared by every key
-    # that closes to it, so there is one frozenset per closed set, not one
-    # per clique.
-    shared: dict[tuple[int, ...], tuple[tuple[int, ...], frozenset[int]]] = {}
+    cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def close(ids) -> tuple[tuple[int, ...], frozenset[int]]:
-        """The closure of ids as a sorted tuple and as a frozenset, computed once."""
+    def close(ids) -> tuple[int, ...]:
+        """The closure of ids as a sorted tuple, computed once."""
         key = tuple(sorted(ids))
-        found = cache.get(key)
-        if found is None:
-            closed = closure_ids(nerve, key)
-            found = shared.get(closed)
-            if found is None:
-                found = shared[closed] = (closed, frozenset(closed))
-            cache[key] = found
-        return found
+        closed = cache.get(key)
+        if closed is None:
+            closed = cache[key] = closure_ids(nerve, key)
+        return closed
 
     for clique in ctx.all_cliques:
-        closed, closed_set = close(clique)
+        closed = close(clique)
+        closed_set = frozenset(closed)
         checked += 1
         if not closed_set.issuperset(clique):
             raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "closure must contain its argument"})
-        if close(closed)[0] != closed:
+        if close(closed) != closed:
             raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "closure must be idempotent"})
@@ -453,12 +447,12 @@ def _suite_closure(ctx: NContext) -> str:
         for size in range(1, len(clique)):
             for sub in itertools.combinations(clique, size):
                 checked += 1
-                if not close(sub)[1] <= closed_set:
+                if not closed_set.issuperset(close(sub)):
                     raise _Counterexample({
                         "clique": _literals(g, clique),
                         "subset": _literals(g, sub),
                         "claim": "closure must be monotone"})
-    fixed = sorted({close(clique)[0] for clique in ctx.all_cliques})
+    fixed = sorted({close(clique) for clique in ctx.all_cliques})
     anchors_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for closed in fixed:
         common = tuple(sorted(anchor_intersection_ids(nerve, closed)))

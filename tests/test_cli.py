@@ -387,7 +387,7 @@ SIZE_BOUNDS = {
     ("homology", "--n"): 45,
     ("export", "graph", "--n"): 45,
     ("export", "facets", "--n"): 45,
-    ("export", "poset", "--n"): 45,
+    ("export", "poset", "--n"): 36,
 }
 
 

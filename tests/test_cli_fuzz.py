@@ -40,10 +40,12 @@ WORK_CAP = {
 # Sizes that fail before any work: zero, negative, one past each size bound,
 # huge, too long for int(), not a number, or an integer int() takes that is
 # not plain ASCII decimal digits without a leading zero.  (`table` and
-# `bfile` accept one past the graph's bound, and run it in milliseconds.)
+# `bfile` accept one past the graph's and the poset's bound, and run them
+# in milliseconds.)
 LENIENT = ["+3", "1_0", " 4 ", "\u0663", "03"]
-BAD_SIZES = ["0", "-1", *sorted({str(bound + 1) for bound in SIZE_BOUNDS.values()}),
-             HUGE, "9" * 5000, "x", "1.5", "", *LENIENT]
+PAST_BOUNDS = sorted({str(bound + 1) for bound in SIZE_BOUNDS.values()})
+BAD_SIZES = ["0", "-1", *PAST_BOUNDS, HUGE, "9" * 5000, "x", "1.5", "", *LENIENT]
+SWEEP_PATHS = ("table", "export bfile")
 BAD_JOBS = ["0", "-2", "x", *LENIENT]
 SEEDS = ["0", "7", "-3", HUGE]
 STRAY = ["--bogus", "extra", "-q", "--", "--format", "--n", "7", "-h"]
@@ -87,6 +89,20 @@ def test_the_fuzzer_covers_every_command_path():
         assert sum(map(is_size, arguments(path))) == 1
 
 
+def bound_at(path):
+    """The bound of the size flag at path."""
+    words = tuple(path.split())
+    [bound] = [bound for head, bound in SIZE_BOUNDS.items() if head[:len(words)] == words]
+    return bound
+
+
+def bad_sizes(path):
+    """BAD_SIZES that reach path: one past a bound below path's own would
+    run a graph-sized build, so only the sweep paths get those."""
+    return [size for size in BAD_SIZES
+            if size not in PAST_BOUNDS or int(size) > bound_at(path) or path in SWEEP_PATHS]
+
+
 def sized(path, size):
     """path's argv with its size flag at size, and the bfile sequence."""
     [flag] = [action.option_strings[0] for action in arguments(path) if is_size(action)]
@@ -121,7 +137,7 @@ def argvs(draw):
         elif action.choices is not None:
             good, wrong = list(action.choices), ["bogus", ""]
         else:
-            good, wrong = [str(draw(st.integers(1, WORK_CAP[path])))], BAD_SIZES
+            good, wrong = [str(draw(st.integers(1, WORK_CAP[path])))], bad_sizes(path)
             if path == "homology" and not ignore_budget:
                 # Past its budget, homology exits 3 before any work.
                 bound = SIZE_BOUNDS[("homology", "--n")]
@@ -150,7 +166,7 @@ def run(argv):
 def with_every_bad_size(test):
     """test, with an explicit example for each bad size on each size flag."""
     for path in sorted(LEAVES):
-        for size in BAD_SIZES:
+        for size in bad_sizes(path):
             test = example(argv=sized(path, size))(test)
     return test
 
@@ -159,14 +175,16 @@ def _size_id(size):
     return size if len(size) <= 21 else f"{len(size)}-digit"
 
 
-@pytest.mark.parametrize("size", BAD_SIZES, ids=_size_id)
-@pytest.mark.parametrize("path", sorted(LEAVES))
+@pytest.mark.parametrize("path, size", [
+    (path, size) for path in sorted(LEAVES) for size in bad_sizes(path)],
+    ids=_size_id)
 def test_every_bad_size_is_refused(path, size):
-    # One past the graph's bound is inside the sweep bound of `table` and
-    # `export bfile`, which run it; every other bad size is a usage error.
-    past_graph = str(SIZE_BOUNDS[("export", "graph", "--n")] + 1)
+    # One past the graph's or the poset's bound is inside the sweep bound of
+    # `table` and `export bfile`, which run it; every other bad size is a
+    # usage error.
     code, stdout = run(sized(path, size))
-    if size == past_graph and path in ("table", "export bfile"):
+    if size in PAST_BOUNDS and int(size) <= bound_at(path):
+        assert path in SWEEP_PATHS
         assert code == 0
     else:
         assert (code, stdout) == (2, "")

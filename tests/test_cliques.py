@@ -15,7 +15,6 @@ from partition_complex.cliques import (
     STAR,
     TOP,
     NotACliqueError,
-    TriangleClass,
     _triangle_class,
     canonical_cover,
     classify_clique,
@@ -38,8 +37,6 @@ from partition_complex.oracles import (
     transfers_by_scan,
 )
 from partition_complex.partitions import (
-    ADDABLE,
-    REMOVABLE,
     Corner,
     InvalidPartitionError,
     TheoremViolationError,
@@ -52,31 +49,30 @@ from partition_complex.partitions import (
 
 
 def stored_fiber(lam, kind, row, col):
-    """The partitions in lam's stored star (REMOVABLE) or top (ADDABLE)
-    fiber at the corner (row, col)."""
+    """The partitions in lam's stored STAR or TOP fiber at the corner (row, col)."""
     g = build_graph(sum(lam))
     vid = g.vertex_id(lam)
-    fibers = g.star[vid] if kind == REMOVABLE else g.top[vid]
-    return [g.vertices[mu] for mu in fibers[Corner(row, col, kind)]]
+    fibers = g.star[vid] if kind == STAR else g.top[vid]
+    return [g.vertices[mu] for mu in fibers[Corner(row, col)]]
 
 
 def test_star_fiber():
-    assert set(stored_fiber((3, 1), REMOVABLE, 1, 3)) == {(2, 2), (2, 1, 1)}
-    assert stored_fiber((5,), REMOVABLE, 1, 5) == [(4, 1)]
+    assert set(stored_fiber((3, 1), STAR, 1, 3)) == {(2, 2), (2, 1, 1)}
+    assert stored_fiber((5,), STAR, 1, 5) == [(4, 1)]
     # The new-row target of (1,1)'s only cell is the identity, so it drops out.
-    assert stored_fiber((1, 1), REMOVABLE, 2, 1) == [(2,)]
+    assert stored_fiber((1, 1), STAR, 2, 1) == [(2,)]
     # A cell that is not a removable corner has no star fiber.
     g = build_graph(4)
-    assert Corner(1, 2, REMOVABLE) not in g.star[g.vertex_id((3, 1))]
+    assert Corner(1, 2) not in g.star[g.vertex_id((3, 1))]
 
 
 def test_top_fiber():
-    assert stored_fiber((3, 1), ADDABLE, 2, 2) == [(2, 2)]
-    assert stored_fiber((2, 1, 1), ADDABLE, 1, 3) == [(3, 1)]
-    assert stored_fiber((2, 2), ADDABLE, 3, 1) == [(2, 1, 1)]
+    assert stored_fiber((3, 1), TOP, 2, 2) == [(2, 2)]
+    assert stored_fiber((2, 1, 1), TOP, 1, 3) == [(3, 1)]
+    assert stored_fiber((2, 2), TOP, 3, 1) == [(2, 1, 1)]
     # A cell that is not an addable corner has no top fiber.
     g = build_graph(4)
-    assert Corner(2, 3, ADDABLE) not in g.top[g.vertex_id((3, 1))]
+    assert Corner(2, 3) not in g.top[g.vertex_id((3, 1))]
 
 
 def test_fibers_filter_admissible_transfers():
@@ -102,23 +98,14 @@ def triangle_class(g, lam, mu1, mu2):
 
 def test_classify_triangle():
     g = build_graph(4)
-    verdict = triangle_class(g, (3, 1), (2, 2), (2, 1, 1))
-    assert isinstance(verdict, TriangleClass)
-    assert verdict.kind == STAR
-    assert (verdict.corner.row, verdict.corner.col) == (1, 3)
-    assert verdict.is_triangle
-
-    verdict = triangle_class(g, (2, 2), (3, 1), (2, 1, 1))
-    assert verdict.kind == STAR
-    assert (verdict.corner.row, verdict.corner.col) == (2, 2)
+    assert triangle_class(g, (3, 1), (2, 2), (2, 1, 1)) == STAR
+    assert triangle_class(g, (2, 2), (3, 1), (2, 1, 1)) == STAR
 
 
 def test_classify_triangle_rejects_bad_paths():
     g = build_graph(3)
     # (3) and (1,1,1) are both adjacent to (2,1) but not to each other.
-    verdict = triangle_class(g, (2, 1), (3,), (1, 1, 1))
-    assert verdict.kind == NOT_TRIANGLE
-    assert not verdict.is_triangle
+    assert triangle_class(g, (2, 1), (3,), (1, 1, 1)) == NOT_TRIANGLE
     # (2,2) is no arm of (4): there is no move to classify.
     g4 = build_graph(4)
     assert g4.vertex_id((2, 2)) not in g4.moves[g4.vertex_id((4,))]
@@ -130,7 +117,7 @@ def test_triangle_verdict_matches_adjacency_at_n7():
         moves = g.moves[lam_id]
         for mu1_id, mu2_id in itertools.combinations(row, 2):
             verdict = _triangle_class(moves[mu1_id], moves[mu2_id])
-            assert verdict.is_triangle == (mu2_id in g.moves[mu1_id])
+            assert (verdict != NOT_TRIANGLE) == (mu2_id in g.moves[mu1_id])
 
 
 def test_classify_clique():
@@ -138,7 +125,7 @@ def test_classify_clique():
     ids = [g.vertex_id(lam) for lam in [(3, 1), (2, 2), (2, 1, 1)]]
     verdict = classify_clique(g, ids)
     assert verdict.kind == STAR
-    assert verdict.base == (3, 1)
+    assert verdict.base == g.vertex_id((3, 1))
     assert (verdict.corner.row, verdict.corner.col) == (1, 3)
 
     edge = [g.vertex_id((4,)), g.vertex_id((3, 1))]
@@ -189,7 +176,7 @@ def test_canonical_cover_small():
 
     g4 = build_graph(4)
     cover4 = canonical_cover(g4)
-    star = _full_simplex(g4, g4.star, (3, 1), Corner(1, 3, REMOVABLE))
+    star = _full_simplex(g4, g4.star, (3, 1), Corner(1, 3))
     assert star == tuple(sorted(g4.vertex_id(lam) for lam in [(3, 1), (2, 2), (2, 1, 1)]))
     assert any(member.vertices == star for member in cover4)
 
@@ -198,10 +185,10 @@ def test_full_simplices_match_fibers():
     g = build_graph(6)
     lam = (3, 2, 1)
     scan = transfers_by_scan(lam)
-    star = _full_simplex(g, g.star, lam, Corner(2, 2, REMOVABLE))
+    star = _full_simplex(g, g.star, lam, Corner(2, 2))
     assert star == tuple(sorted(
         [g.vertex_id(lam)] + [g.vertex_id(mu) for c, _, mu in scan if (c.row, c.col) == (2, 2)]))
-    top = _full_simplex(g, g.top, lam, Corner(2, 3, ADDABLE))
+    top = _full_simplex(g, g.top, lam, Corner(2, 3))
     assert top == tuple(sorted(
         [g.vertex_id(lam)] + [g.vertex_id(mu) for _, a, mu in scan if (a.row, a.col) == (2, 3)]))
 

@@ -41,7 +41,7 @@ def complexity(loop):
 def test_parse_strips_the_closing_vertex():
     loop = loop4("[4] [3,1] [4]")
     assert len(loop) == 2
-    assert loop.partitions() == ((4,), (3, 1))
+    assert loop.ids == (G4.vertex_id((4,)), G4.vertex_id((3, 1)))
 
 
 def test_parse_constant():
@@ -138,7 +138,6 @@ def test_two_cycle_reduces_by_one_shortcut():
 
 def test_constant_trace_has_length_one():
     trace = reduce_loop(loop4("[4]"))
-    assert len(trace) == 1
     assert trace.steps == ()
     assert trace.final is trace.initial
 
@@ -368,18 +367,18 @@ def _doctored_graphs():
     top = g.heights[peak]
     corner_before = g.moves[peak][before][0]
     _, add_after = g.moves[peak][after]
-    same_row = Corner(corner_before.row, corner_before.col - 1, corner_before.kind)
+    same_row = Corner(corner_before.row, corner_before.col - 1)
     changes = {
         "neighbour_not_lower": (
             {"heights": _replaced(g.heights, after, top)},
             "peak (3, 2, 1) has a neighbour of height >= 10"),
         "corners_share_a_row": (
             {"moves": _replaced(g.moves, peak, {**g.moves[peak], after: (same_row, add_after)})},
-            "distinct removable corners Corner(2, 2, removable) and "
-            "Corner(2, 1, removable) share a row"),
+            "distinct removable corners Corner(row=2, col=2) and "
+            "Corner(row=2, col=1) share a row"),
         "no_detour_vertex": (
             {"top": _replaced(g.top, peak, {corner: () for corner in g.top[peak]})},
-            "detour transfer Corner(3, 1, removable)->Corner(1, 4, addable) from "
+            "detour transfer Corner(row=3, col=1)->Corner(row=1, col=4) from "
             "(3, 2, 1) is inadmissible"),
         "detour_not_lower": (
             {"heights": _replaced(g.heights, detour, top)},
@@ -452,7 +451,7 @@ def test_random_closed_walk_is_closed_and_seeded():
     g = build_graph(6)
     walk1 = random_closed_walk(g, random.Random(3))
     walk2 = random_closed_walk(g, random.Random(3))
-    assert walk1 == walk2
+    assert walk1.ids == walk2.ids
     with pytest.raises(ValueError):
         random_closed_walk(build_graph(1), random.Random(0))
 
@@ -476,10 +475,3 @@ def test_random_closed_walk_names_its_step_limit(monkeypatch):
     with pytest.raises(RuntimeError, match="WALK_MAX_LEN = 1 steps"):
         random_closed_walk(build_graph(5), random.Random(0))
 
-
-def test_loop_equality_and_hash():
-    a = loop4("[4] [3,1] [4]")
-    b = loop4("[4] [3,1] [4]")
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != loop4("[4]")

@@ -23,14 +23,14 @@ from partition_complex.nerve import (
     order_complex,
 )
 from partition_complex.oracles import all_cliques_reference
-from partition_complex.partitions import REMOVABLE, Corner
+from partition_complex.partitions import Corner
 from partition_complex.verification import _count_intersecting_subfamilies
 
 
 def star_simplex(g, lam, row, col):
     """Vertex ids of lam and its star fiber at the removable corner (row, col)."""
     vid = g.vertex_id(lam)
-    return tuple(sorted((vid,) + g.star[vid][Corner(row, col, REMOVABLE)]))
+    return tuple(sorted((vid,) + g.star[vid][Corner(row, col)]))
 
 
 def nerve_at(n):
@@ -49,7 +49,7 @@ def nerve_fvector_at(n):
 
 
 def test_nerve_small():
-    assert nerve_at(2).vertex_count == 1
+    assert len(nerve_at(2).cover) == 1
     assert nerve_fvector_at(2).counts == (1,)
 
     n4 = nerve_fvector_at(4)
@@ -61,7 +61,7 @@ def test_nerve_small():
 
 def test_empty_nerve_at_1():
     n1 = nerve_at(1)
-    assert n1.vertex_count == 0
+    assert len(n1.cover) == 0
     assert nerve_fvector_at(1).counts == ()
     assert anchor_of(n1, [(1,)]) == ()
 
@@ -83,7 +83,7 @@ def test_nerve_simplices_match_anchor_intersections():
     nerve = nerve_at(5)
     vertices = nerve.graph.vertices
     for size in (1, 2):
-        for members in itertools.combinations(range(nerve.vertex_count), size):
+        for members in itertools.combinations(range(len(nerve.cover)), size):
             shared = frozenset.intersection(*(nerve.member_sets[m] for m in members))
             in_some_anchor = any(
                 set(members) <= set(anchor_of(nerve, [lam])) for lam in vertices)
@@ -297,4 +297,4 @@ def test_build_nerve_accepts_explicit_cover():
     g = build_graph(5)
     cover = canonical_cover(g)
     nerve = build_nerve(g, cover[:2])
-    assert nerve.vertex_count == 2
+    assert len(nerve.cover) == 2

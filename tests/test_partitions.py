@@ -10,8 +10,6 @@ from partition_complex.oracles import (
     transfers_by_scan,
 )
 from partition_complex.partitions import (
-    ADDABLE,
-    REMOVABLE,
     Corner,
     InvalidPartitionError,
     addable_corners,
@@ -157,18 +155,39 @@ def test_height():
 
 
 def test_removable_corners():
-    assert removable_corners((6,)) == [Corner(1, 6, REMOVABLE)]
+    assert removable_corners((6,)) == [Corner(1, 6)]
     assert removable_corners((3, 1)) == [
-        Corner(1, 3, REMOVABLE), Corner(2, 1, REMOVABLE)]
+        Corner(1, 3), Corner(2, 1)]
     # Row 1 of (2,2) is blocked because the row below has equal length.
-    assert removable_corners((2, 2)) == [Corner(2, 2, REMOVABLE)]
+    assert removable_corners((2, 2)) == [Corner(2, 2)]
 
 
 def test_addable_corners():
-    assert addable_corners((1,)) == [Corner(1, 2, ADDABLE), Corner(2, 1, ADDABLE)]
+    assert addable_corners((1,)) == [Corner(1, 2), Corner(2, 1)]
     assert addable_corners((3, 1)) == [
-        Corner(1, 4, ADDABLE), Corner(2, 2, ADDABLE), Corner(3, 1, ADDABLE)]
-    assert addable_corners((2, 2)) == [Corner(1, 3, ADDABLE), Corner(3, 1, ADDABLE)]
+        Corner(1, 4), Corner(2, 2), Corner(3, 1)]
+    assert addable_corners((2, 2)) == [Corner(1, 3), Corner(3, 1)]
+
+
+def _corner_cells_are_disjoint(lam):
+    """No removable corner of lam sits at the (row, col) of an addable one,
+    which is what lets a Corner be the pair alone, its kind the list it
+    came from."""
+    removable = {(c.row, c.col) for c in removable_corners(lam)}
+    addable = {(a.row, a.col) for a in addable_corners(lam)}
+    return removable.isdisjoint(addable)
+
+
+def test_removable_and_addable_corners_are_disjoint_up_to_12():
+    for n in range(1, 13):
+        for lam in enumerate_partitions(n):
+            assert _corner_cells_are_disjoint(lam), lam
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(partitions_up_to(40))
+def test_removable_and_addable_corners_are_disjoint(lam):
+    assert _corner_cells_are_disjoint(lam)
 
 
 def test_corner_rows_recoverable_from_columns():

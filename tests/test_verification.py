@@ -15,7 +15,7 @@ from partition_complex.graph import build_graph
 from partition_complex.homology import HomologyReport
 from partition_complex.loops import random_closed_walk
 from partition_complex.nerve import closure_ids
-from partition_complex.partitions import ADDABLE, REMOVABLE, Corner, format_partition
+from partition_complex.partitions import Corner, format_partition
 from partition_complex.verification import (
     FAIL,
     PASS,
@@ -118,13 +118,13 @@ def test_euler_fail_names_the_disagreeing_route(monkeypatch, route, function):
 
 @pytest.mark.parametrize("target, replacement, claim", [
     ("classify_clique",
-     lambda g, clique: CliqueClass(STAR, (2, 1, 1), Corner(1, 2, REMOVABLE)),
+     lambda g, clique: CliqueClass(STAR, g.vertex_id((2, 1, 1)), Corner(1, 2)),
      {"claim": "witness base must be the lowest vertex"}),
     ("classify_clique",
-     lambda g, clique: CliqueClass(TOP, (3, 1), Corner(3, 1, ADDABLE)),
+     lambda g, clique: CliqueClass(TOP, g.vertex_id((3, 1)), Corner(3, 1)),
      {"kind": TOP, "claim": "members must lie in the witness fiber"}),
     ("moves",
-     (Corner(1, 3, REMOVABLE), Corner(2, 2, ADDABLE)),
+     (Corner(1, 3), Corner(2, 2)),
      {"claim": "a clique of size >= 3 cannot be both star- and top-type"}),
 ])
 def test_cliques_fail_names_the_clique(monkeypatch, target, replacement, claim):

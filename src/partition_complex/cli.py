@@ -72,6 +72,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is too long") from None
 
 
+def _seed(text: str) -> int:
+    """A --seed value: 0, or a positive integer as _positive_int takes it,
+    after an optional '-'."""
+    if text == "0":
+        return 0
+    if text.startswith("-"):
+        return -_positive_int(text[1:])
+    return _positive_int(text)
+
+
 def _size_up_to(bound: int):
     """The argparse type of a size flag: an integer from 1 to bound."""
 
@@ -90,7 +100,7 @@ def _size_up_to(bound: int):
 # 2 s at n = 1000 on a 2-vCPU host); every other size flag builds objects on
 # the partitions of n, so its bound is that of the graph (`export graph
 # --n 45` peaks at 672 MB), except `export poset`, whose poset outgrows the
-# graph: it peaks at 663 MB at n = 36 and 816 MB at n = 37.
+# graph: it peaks at 629 MB at n = 36 and 773 MB at n = 37.
 _SWEEP_SIZE = _size_up_to(1000)
 _GRAPH_SIZE = _size_up_to(45)
 _POSET_SIZE = _size_up_to(36)
@@ -385,7 +395,7 @@ def _format_poset_json(ctx) -> str:
     poset = ctx.poset
     return _json_text({
         "elements": [[m + 1 for m in element] for element in poset.elements],
-        "hasse": [[i + 1, j + 1] for i, j in poset.hasse_edges()],
+        "hasse": [[i + 1, j + 1] for i, ups in enumerate(poset.upper_covers()) for j in ups],
         "max_chain_length": max_chain_length(poset),
     })
 
@@ -475,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suite to run; repeatable; default all")
     verify.add_argument("--max-n", type=_GRAPH_SIZE, required=True,
                         help="largest n to verify")
-    verify.add_argument("--seed", type=int, default=None,
+    verify.add_argument("--seed", type=_seed, default=None,
                         help="base seed for the randomized walk suite")
     _add_output_arguments(verify, _VERIFY_FORMATS)
     verify.add_argument("--jobs", type=_positive_int, default=1,

@@ -99,14 +99,6 @@ class IntersectionPoset:
                 and members.issubset(self.elements[j])))
         return tuple(result)
 
-    @cached_property
-    def below(self) -> tuple[tuple[int, ...], ...]:
-        result: list[list[int]] = [[] for _ in self.elements]
-        for i, ups in enumerate(self.above):
-            for j in ups:
-                result[j].append(i)
-        return tuple(tuple(sorted(preds)) for preds in result)
-
     def upper_covers(self) -> Iterator[tuple[int, ...]]:
         """For each element in turn, the elements covering it: those above it
         but above nothing else above it.  What lies above its strict upper
@@ -115,10 +107,6 @@ class IntersectionPoset:
         for ups in above:
             between = set().union(*(above[k] for k in ups))
             yield tuple(j for j in ups if j not in between)
-
-    def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover relations (i, j): element i below j with nothing between."""
-        return [(i, j) for i, ups in enumerate(self.upper_covers()) for j in ups]
 
 
 def build_poset(nerve: NerveComplex) -> IntersectionPoset:
@@ -155,28 +143,28 @@ def nerve_fvector(poset: IntersectionPoset) -> FVector:
     A nerve simplex F closes to the members common to every vertex that F's
     members share, a poset element.  g_P(x) counts by size the simplices
     closing to exactly P, so (1 + x)^|P| - 1 = sum over Q <= P of g_Q(x).
-    The (size, ids) element order is topological: one pass takes each g_P
-    as the binomial coefficients of |P|, k >= 1, minus the g_Q of its strict
-    lower set, and the f-vector is their columnwise sum.
+    Each g_P starts as the binomial coefficients of |P|, k >= 1.  The
+    (size, ids) element order is topological, so one pass in that order
+    reaches each g_Q once its whole strict lower set is subtracted from it,
+    and subtracts it from every element above Q; the f-vector is the
+    columnwise sum.
     """
-    exact: list[list[int]] = []
-    for element, lower in zip(poset.elements, poset.below):
-        g = [math.comb(len(element), k) for k in range(1, len(element) + 1)]
-        for q in lower:
-            for k, count in enumerate(exact[q]):
-                g[k] -= count
-        exact.append(g)
+    exact = [[math.comb(len(element), k) for k in range(1, len(element) + 1)]
+             for element in poset.elements]
+    for g, ups in zip(exact, poset.above):
+        for p in ups:
+            for k, count in enumerate(g):
+                exact[p][k] -= count
     return FVector(tuple(sum(column) for column in itertools.zip_longest(*exact, fillvalue=0)))
 
 
 def max_chain_length(poset: IntersectionPoset) -> int:
     """Strict inclusions in a longest chain; 0 for an empty or antichain poset."""
-    best = 0
-    longest: list[int] = [0] * len(poset.elements)
-    for i, preds in enumerate(poset.below):
-        longest[i] = max((longest[p] + 1 for p in preds), default=0)
-        best = max(best, longest[i])
-    return best
+    longest = [0] * len(poset.elements)
+    for i, ups in enumerate(poset.above):
+        for j in ups:
+            longest[j] = max(longest[j], longest[i] + 1)
+    return max(longest, default=0)
 
 
 class OrderComplex(NamedTuple):
@@ -189,7 +177,8 @@ def order_complex(poset: IntersectionPoset) -> OrderComplex:
 
     Every chain is counted by one walk along above.  A chain is maximal when
     nothing extends it below, above, or between consecutive entries: it
-    starts at a minimal element and steps along covers to a maximal one.
+    starts at a minimal element, one in no above list, and steps along
+    covers to a maximal one.
     """
     above = poset.above
     covers = list(poset.upper_covers())
@@ -210,9 +199,9 @@ def order_complex(poset: IntersectionPoset) -> OrderComplex:
         for j in ups:
             saturate(chain + (j,))
 
+    has_lower = set(itertools.chain.from_iterable(above))
     for i in range(len(poset.elements)):
         count(i, 0)
-    for i, lower in enumerate(poset.below):
-        if not lower:
+        if i not in has_lower:
             saturate((i,))
     return OrderComplex(tuple(facets), FVector(tuple(counts)))

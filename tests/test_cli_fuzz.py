@@ -6,7 +6,8 @@ path declares: a choice for --format, --suite and the bfile sequence; a
 size for each size flag; a path under tmp_path for --out.  It carries at
 most one fault: an argument left out, a bad token (a wrong word; a size
 that is zero, negative, past its bound, huge, not a number or not plain
-ASCII digits; an --out that is a directory or empty), or stray tokens.  Every bad size on every
+ASCII digits; a seed that is not 0 or plain ASCII digits after an optional
+'-'; an --out that is a directory or empty), or stray tokens.  Every bad size on every
 size flag also runs as an explicit example, and as a plain test that it
 is refused.  Sizes that do work stay small
 enough that one run takes a few milliseconds, and --jobs is never drawn
@@ -133,7 +134,7 @@ def argvs(draw):
         elif action.dest == "jobs":
             good, wrong = ["1"], BAD_JOBS
         elif action.dest == "seed":
-            good, wrong = SEEDS, ["seed", ""]
+            good, wrong = SEEDS, ["seed", "", *LENIENT]
         elif action.choices is not None:
             good, wrong = list(action.choices), ["bogus", ""]
         else:
@@ -188,6 +189,17 @@ def test_every_bad_size_is_refused(path, size):
         assert code == 0
     else:
         assert (code, stdout) == (2, "")
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=_size_id)
+def test_every_good_seed_parses_to_its_integer(seed):
+    args = cli.build_parser().parse_args(["verify", "--max-n", "1", "--seed", seed])
+    assert args.seed == int(seed)
+
+
+@pytest.mark.parametrize("seed", ["seed", "", "-", "-0", "-03", *LENIENT])
+def test_every_bad_seed_is_refused(seed):
+    assert run(["verify", "--max-n", "1", "--seed", seed]) == (2, "")
 
 
 @settings(max_examples=600, deadline=None, derandomize=True,

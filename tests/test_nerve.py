@@ -1,6 +1,7 @@
 """Nerve of the canonical cover, anchors, closure, and the intersection poset."""
 
 import itertools
+import math
 
 import pytest
 
@@ -232,6 +233,8 @@ def test_poset_matches_all_clique_generation():
 
 
 def test_poset_order_matches_all_pairs_inclusion():
+    # The poset stores only above; every reader of the order is checked
+    # against inclusion tested on all pairs of element sets.
     for n in range(1, 13):
         poset = build_poset(nerve_at(n))
         sets = [set(element) for element in poset.elements]
@@ -240,9 +243,25 @@ def test_poset_order_matches_all_pairs_inclusion():
         below = tuple(tuple(i for i in indices if sets[i] < sets[j]) for j in indices)
         hasse = [(i, j) for i in indices for j in above[i]
                  if not any(sets[i] < sets[k] < sets[j] for k in indices)]
-        assert poset.above == above
-        assert poset.below == below
-        assert poset.hasse_edges() == hasse
+        assert poset.above == above, n
+        # Each step moves to the tops of chains one element longer.
+        longest, tops = 0, set(indices)
+        while tops := {j for i in tops for j in above[i]}:
+            longest += 1
+        assert max_chain_length(poset) == longest, n
+        covers = [(i, j) for i, ups in enumerate(poset.upper_covers()) for j in ups]
+        assert covers == hasse, n
+        minimal = {j for j in indices if not below[j]}
+        assert {facet[0] for facet in order_complex(poset).facets} == minimal, n
+        exact = []
+        for j in indices:
+            g = [math.comb(len(sets[j]), k) for k in range(1, len(sets[j]) + 1)]
+            for i in below[j]:
+                for k, count in enumerate(exact[i]):
+                    g[k] -= count
+            exact.append(g)
+        inverted = tuple(sum(column) for column in itertools.zip_longest(*exact, fillvalue=0))
+        assert nerve_fvector(poset).counts == inverted, n
 
 
 def test_max_chain_length():

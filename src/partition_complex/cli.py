@@ -219,14 +219,11 @@ def _format_table_text(rows) -> str:
     cells = [("n", "p", "f-vector", "chi", "b")]
     cells += [(str(n), str(counts[0]), str(list(counts)), str(chi), str(b))
               for n, counts, chi, b in rows]
-    widths = [max(len(row[col]) for row in cells) for col in range(5)]
-    # Right-align the numeric columns, left-align the f-vector.
-    aligns = (str.rjust, str.rjust, str.ljust, str.rjust, str.rjust)
-    lines = []
-    for row in cells:
-        parts = [align(cell, width) for align, cell, width in zip(aligns, row, widths)]
-        lines.append("  ".join(parts).rstrip())
-    return "\n".join(lines) + "\n"
+    widths = tuple(max(map(len, column)) for column in zip(*cells))
+    # Right-align the numeric columns, left-align the f-vector; the last
+    # column is right-aligned, so no line ends in a space.
+    line = "{:>%d}  {:>%d}  {:<%d}  {:>%d}  {:>%d}\n" % widths
+    return "".join(line.format(*row) for row in cells)
 
 
 def _format_table_csv(rows) -> str:

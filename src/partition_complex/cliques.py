@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .graph import PartitionGraph, _check_vertex_ids
@@ -302,7 +303,7 @@ def _unpack(row: int, bits: int, width: int) -> list[int]:
     if row >> (bits * width):
         raise TheoremViolationError(f"a packed row overflows its {width} slots of {bits} bits")
     mask = (1 << bits) - 1
-    return [(row >> (bits * i)) & mask for i in range(width)]
+    return [(row >> shift) & mask for shift in range(0, bits * width, bits)]
 
 
 def _packed_vertex_count(n: int, ways: int, count: int, bits: int, width: int) -> int:
@@ -360,8 +361,11 @@ def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]
     update again, so each step carries the old values to the next in
     locals.  When 2v > max_n every class takes one step, from a sum m - v
     < v that the pass never writes, so that pass reads the lists directly.
-    counts advances as ways does: counts[0] gains counts[1], and counts[1]
-    at m becomes the two running count sums.
+    After the pass, ways[0] and counts[0] gain ways[1] and counts[1] in one
+    slice over the sums m >= v - 1: no partition of a smaller sum holds the
+    part v - 1, so ways[1] and counts[1] are 0 below it.  Then ways[1][m]
+    becomes the two running ways sums shifted one slot up (v is one more
+    distinct part), and counts[1][m] the two running count sums.
 
     Each ways, star and top row, a vector over d or s of length width =
     isqrt(2 max_n) + 1, is one int with slot i in bits [W i, W (i + 1)):
@@ -431,8 +435,10 @@ def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]
                     top[m] = top_old + ((top_kept + absent_count) << bits) + present_count
                     next1[m] = (absent + present) << bits
                     next_counts1[m] = absent_count + present_count
-        ways0 = [x + y for x, y in zip(ways0, ways1)]
-        counts0 = [x + y for x, y in zip(counts0, counts1)]
+        # No partition of a sum below v - 1 holds the part v - 1, so ways1
+        # and counts1 are 0 there.
+        ways0[v - 1:] = map(add, ways0[v - 1:], ways1[v - 1:])
+        counts0[v - 1:] = map(add, counts0[v - 1:], counts1[v - 1:])
         ways1, counts1 = next1, next_counts1
 
     out = []
@@ -471,13 +477,13 @@ def fvector_table(max_n: int) -> list[FVector]:
     """
     table = []
     for n, (vertices, star, top) in enumerate(_fiber_size_histograms(max_n), start=1):
-        edges = sum(s * count for s, count in enumerate(star))
-        by_addable = sum(s * count for s, count in enumerate(top))
+        edges = sum(map(mul, star, range(len(star))))
+        by_addable = sum(map(mul, top, range(len(top))))
         if edges != by_addable:
             raise TheoremViolationError(
                 f"n={n} has {edges} raising transfers by removable corner"
                 f" but {by_addable} by addable corner")
-        fibers = [x + y for x, y in zip(star, top)]
+        fibers = list(map(add, star, top))
         bits = (sum(fibers) << len(fibers)).bit_length()
         packed = 0
         for count in reversed(fibers):

@@ -19,9 +19,10 @@ class TheoremViolationError(AssertionError):
     """A machine-checked structural claim failed on concrete data."""
 
 
-def _alternating_sum(values: Iterable[int]) -> int:
-    """values[0] - values[1] + values[2] - ..., e.g. chi from an f-vector."""
-    return sum(-v if p % 2 else v for p, v in enumerate(values))
+def _alternating_sum(values: Sequence[int]) -> int:
+    """values[0] - values[1] + values[2] - ... of a tuple or list, e.g. chi
+    from an f-vector: the even-indexed entries less the odd-indexed ones."""
+    return sum(values[::2]) - sum(values[1::2])
 
 
 Partition = tuple[int, ...]

@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from partition_complex import cli, cliques, homology, verification
+from partition_complex import cli, cliques, homology, reference, verification
 from partition_complex.cli import _worker_count, main
 from partition_complex.homology import HomologyReport
 from partition_complex.reference import EULER_CHARACTERISTIC
@@ -142,6 +142,39 @@ def test_verify_csv(capsys):
     assert all(row[2] == "pass" for row in rows[1:])
 
 
+def test_verify_ignore_budget_warns_of_each_suite_past_its_cap(monkeypatch, capsys):
+    monkeypatch.setitem(BUDGETS, "heights", 2)
+    monkeypatch.setitem(BUDGETS, "euler", 1)
+    assert main(["verify", "--suite", "heights", "--suite", "euler", "--suite", "triangles",
+                 "--max-n", "3", "--ignore-budget"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: running past the default budgets of euler, heights;"
+                            " large n may take a long time\n")
+    assert captured.out.splitlines()[-1] == "7 pass, 0 fail, 2 vacuous, 0 skip"
+
+
+def test_verify_csv_fail_row_holds_the_witness_as_compact_json(monkeypatch, capsys):
+    def suite(ctx):
+        raise verification._Counterexample(
+            {"route": "dp", "counted": [1, 0], "lam": "[3,1]"})
+
+    monkeypatch.setitem(verification._SUITE_FUNCS, "euler", suite)
+    assert main(["verify", "--suite", "euler", "--max-n", "1", "--format", "csv"]) == 1
+    assert capsys.readouterr().out == (
+        "suite,n,status,detail,counterexample\n"
+        'euler,1,fail,,"{""counted"": [1, 0], ""lam"": ""[3,1]"", ""route"": ""dp""}"\n')
+
+
+def test_euler_detail_past_the_tabulated_range(monkeypatch, capsys):
+    monkeypatch.setattr(reference, "MAX_TABULATED_N", 7)
+    assert main(["verify", "--suite", "euler", "--max-n", "9"]) == 0
+    assert capsys.readouterr().out.splitlines()[6:] == [
+        "euler n=7: pass (chi=1 matches the tabulated value)",
+        "euler n=8: pass (chi=2 (beyond the tabulated range))",
+        "euler n=9: pass (chi=3 (beyond the tabulated range))",
+        "9 pass, 0 fail, 0 vacuous, 0 skip"]
+
+
 def test_verify_budget_skip_and_override(capsys):
     cap = BUDGETS["facets"]
     assert main(["verify", "--suite", "facets", "--max-n", str(cap + 1)]) == 0
@@ -202,6 +235,15 @@ def test_homology_frees_the_graph_before_the_chain_complex(monkeypatch, capsys):
     monkeypatch.setattr(homology, "build_chain_complex", chain_complex)
     assert main(["homology", "--n", "8"]) == 0
     assert capsys.readouterr().out == "reduced homology: H~2=Z; euler characteristic 2\n"
+
+
+def test_homology_ignore_budget_warns_past_the_budget(monkeypatch, capsys):
+    monkeypatch.setitem(BUDGETS, "homology", 5)
+    assert main(["homology", "--n", "6", "--ignore-budget"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: n=6 is past the default homology budget n <= 5;"
+                            " this may take a long time\n")
+    assert captured.out == "reduced homology: trivial in all degrees; euler characteristic 1\n"
 
 
 def test_homology_budget_exit_code():

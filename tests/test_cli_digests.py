@@ -30,6 +30,9 @@ STDOUT_SHA256 = {
         "db0c35c8a8707037a25cf3f5c0496dcea6ba8419434f920c556a9eca79e63b6e",
     "export bfile b --max-n 200":
         "62608e523e1a39ce87172f061f9bf3b0b302ba21006eba3b1a22a551c9859bde",
+    # The sweep at its --max-n bound: its widest packed rows.
+    "export bfile chi --max-n 1000":
+        "7415862a69b0cb351c78b767fa5ac3d05bc5c426c816d6dd8e8d4cc06e7bbd88",
     "verify --suite all --max-n 8 --seed 5":
         "d42ae2933f241e559784954f3230d9ef1b5001e20cb4ed1c97776e73cfa00c76",
     "verify --suite all --max-n 6 --seed 5 --format csv":

@@ -350,6 +350,9 @@ def test_mutant_rewrites_are_caught_where_they_happen():
 # between [4,1,1] and [3,3] (height 9); its moves to them share no corner,
 # and the detour vertex is [4,2].
 DETOUR_FRAGMENT = ((4, 1, 1), (3, 2, 1), (3, 3))
+# MUTATION_LOOP started at the fragment's first vertex, so that its first
+# highest vertex stays the fragment's peak when a doctored height ties it.
+DETOUR_LOOP = "[4,1,1] [3,2,1] [3,3] [4,2] [4,1,1]"
 
 
 def _replaced(items, index, value):
@@ -358,9 +361,10 @@ def _replaced(items, index, value):
 
 
 def _doctored_graphs():
-    """For each check of _replace_peak, a copy of build_graph(6) doctored so
-    that the DETOUR_FRAGMENT rewrite fails exactly that check, and the
-    message it must raise."""
+    """For each check of _replace_peak, and for the rewrite-site check that
+    reduce_loop makes on the edge after the new vertex, a copy of
+    build_graph(6) doctored so that the DETOUR_FRAGMENT rewrite fails
+    exactly that check, and the message it must raise."""
     g = build_graph(6)
     before, peak, after = (g.vertex_id(lam) for lam in DETOUR_FRAGMENT)
     detour = g.vertex_id((4, 2))
@@ -387,22 +391,29 @@ def _doctored_graphs():
             {"moves": _replaced(g.moves, detour, {
                 v: move for v, move in g.moves[detour].items() if v != peak})},
             "detour triangle: (4, 2) and (3, 2, 1) are not adjacent"),
+        # The detour keeps the peak and the previous vertex, so the loop
+        # still parses and _replace_peak succeeds; only the edge from the
+        # detour to the next vertex is missing.
+        "detour_not_adjacent_to_next": (
+            {"moves": _replaced(g.moves, detour, {
+                v: move for v, move in g.moves[detour].items() if v != after})},
+            "detour: (4, 2) and (3, 3) are not adjacent"),
     }
     for name, (attributes, message) in changes.items():
         doctored = copy.copy(g)
         for attribute, value in attributes.items():
             setattr(doctored, attribute, value)
-        yield name, doctored, [before, peak, after], message
+        yield name, doctored, message
 
 
 def _doctored_outcomes():
-    """For each doctored graph, the exception _replace_peak raised on the
-    DETOUR_FRAGMENT peak, as [type name, whether the message is the one
-    its check raises], or None."""
+    """For each doctored graph, the exception reduce_loop raised on
+    DETOUR_LOOP, whose first rewrite is the DETOUR_FRAGMENT peak, as [type
+    name, whether the message is the one its check raises], or None."""
     outcomes = {}
-    for name, graph, ids, message in _doctored_graphs():
+    for name, graph, message in _doctored_graphs():
         try:
-            _replace_peak(graph, ids, 1)
+            reduce_loop(parse_loop(graph, DETOUR_LOOP))
         except Exception as exc:
             outcomes[name] = [type(exc).__name__, str(exc) == message]
         else:
@@ -419,7 +430,7 @@ def test_detour_fragment_rewrites_on_the_real_graph():
 
 def test_replace_peak_checks_raise_on_doctored_graphs():
     expected = {name: ["TheoremViolationError", True] for name, *_ in _doctored_graphs()}
-    assert len(expected) == 5
+    assert len(expected) == 6
     assert _doctored_outcomes() == expected
 
 

@@ -1,6 +1,7 @@
 """The verification runner: a suite that raises costs one fail record, not the
 run, and a failing suite names what disagreed."""
 
+import copy
 import dataclasses
 import itertools
 import random
@@ -13,7 +14,7 @@ from partition_complex import verification
 from partition_complex.cliques import STAR, TOP, CliqueClass, FVector
 from partition_complex.graph import build_graph
 from partition_complex.homology import HomologyReport
-from partition_complex.loops import random_closed_walk
+from partition_complex.loops import format_loop, normalize_ids, random_closed_walk
 from partition_complex.nerve import closure_ids
 from partition_complex.partitions import Corner, format_partition
 from partition_complex.verification import (
@@ -346,3 +347,114 @@ def test_homology_fail_carries_the_deviant_report(monkeypatch, name):
     outcome = run_suite("homology", NContext(6))
     assert outcome.status == FAIL
     assert outcome.counterexample == DEVIANT[name].to_json_dict()
+
+
+# Planted faults: each suite, run on a fresh NContext with one fault planted
+# in a graph copy or a stage, fails with its own witness, not the
+# {"error", "type"} record of a suite that crashed.
+
+
+def test_triangles_fail_names_a_path_classified_closed_without_its_edge():
+    # n = 4: [3,1] reaches [2,2] and [2,1,1] with one removable corner, the
+    # star triangle [3,1] [2,2] [2,1,1]; the graph below loses its third edge.
+    ctx = NContext(4)
+    assert run_suite("triangles", ctx).status == PASS
+    g = ctx.graph
+    u, v = g.index[(2, 2)], g.index[(2, 1, 1)]
+    doctored = copy.copy(g)
+    doctored.moves = tuple(
+        {w: move for w, move in moves.items() if {x, w} != {u, v}}
+        for x, moves in enumerate(g.moves))
+    ctx.graph = doctored
+    outcome = run_suite("triangles", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {
+        "lam": "[3,1]", "mu1": "[2,2]", "mu2": "[2,1,1]",
+        "classified": STAR, "edge_present": False}
+
+
+def test_facets_fail_names_the_extra_and_missing_facets():
+    # n = 4 has the facets [4]-[3,1], the triangle [3,1] [2,2] [2,1,1] and
+    # [2,1,1]-[1,1,1,1]; the stage below lists the triangle's edges instead.
+    ctx = NContext(4)
+    assert ctx.facets == [(0, 1), (1, 2, 3), (3, 4)]
+    ctx.facets = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    outcome = run_suite("facets", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {"extra": [(1, 2), (2, 3)], "missing": [(1, 2, 3)]}
+
+
+def test_cover_fail_names_a_provenance_that_does_not_rebuild_its_member():
+    # The first member, the edge [4]-[3,1], is the full star simplex at [4]
+    # of its corner (1, 4); read as a top simplex, that corner is no addable
+    # corner of [4], so the rebuilt set is [4] alone.
+    ctx = NContext(4)
+    assert run_suite("cover", ctx).status == PASS
+    member = ctx.cover[0]
+    kind, base, corner = member.provenances[0]
+    assert (member.vertices, kind, base, corner) == ((0, 1), STAR, 0, Corner(1, 4))
+    ctx.cover[0] = dataclasses.replace(
+        member, provenances=((TOP, base, corner),) + member.provenances[1:])
+    outcome = run_suite("cover", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {
+        "member": [0, 1], "kind": TOP, "base": "[4]",
+        "claim": "provenance must rebuild the member"}
+
+
+def test_poset_fail_names_a_chain_longer_than_two():
+    # An order that puts every element below the next one: its longest
+    # chain runs through all of them.
+    ctx = NContext(6)
+    assert run_suite("poset", ctx).status == PASS
+    size = len(ctx.poset.elements)
+    ctx.poset.__dict__["above"] = tuple((i + 1,) for i in range(size - 1)) + ((),)
+    outcome = run_suite("poset", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {"max_chain_length": size - 1}
+
+
+def test_heights_fail_names_a_transfer_whose_height_change_is_off():
+    # [4] -> [3,1] moves the cell (1, 4) to (2, 1): one row down, so the
+    # height rises by one; the copy below lowers the height of [4] by one.
+    ctx = NContext(4)
+    assert run_suite("heights", ctx).status == PASS
+    doctored = copy.copy(ctx.graph)
+    doctored.heights = (ctx.graph.heights[0] - 1,) + ctx.graph.heights[1:]
+    ctx.graph = doctored
+    outcome = run_suite("heights", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {
+        "lam": "[4]", "mu": "[3,1]", "from_row": 1, "to_row": 2,
+        "claim": "height change must equal the row difference"}
+
+
+def test_loops_fail_names_the_walk_whose_reduction_raised():
+    # With every height equal, the first walk that is more than a spur has
+    # a peak whose neighbours are as high as it, and reduce_loop refuses it.
+    ctx = NContext(5, seed=11)
+    assert run_suite("loops", ctx).status == PASS
+    doctored = copy.copy(ctx.graph)
+    doctored.heights = (0,) * len(doctored.vertices)
+    ctx.graph = doctored
+    # The walks depend on the adjacency alone, so they are the suite's.
+    rng = random.Random(11 * 1_000_003 + 5)
+    walk = next(walk for walk in iter(lambda: random_closed_walk(doctored, rng), None)
+                if len(normalize_ids(walk.ids)) > 1)
+    peak = doctored.vertices[normalize_ids(walk.ids)[0]]
+    outcome = run_suite("loops", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {
+        "loop": format_loop(walk),
+        "error": f"peak {peak} has a neighbour of height >= 0"}
+
+
+def test_homology_fail_names_the_face_counts_that_disagree():
+    ctx = NContext(6)
+    assert run_suite("homology", ctx).status == PASS
+    counts = ctx.fvector.counts
+    ctx.fvector = FVector(counts[:-1] + (counts[-1] + 1,))
+    outcome = run_suite("homology", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {
+        "chain_faces": list(counts), "counted": list(counts[:-1]) + [counts[-1] + 1]}

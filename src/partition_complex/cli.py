@@ -5,7 +5,7 @@ keys, LF newlines.  Identical arguments (including --seed) produce
 byte-identical files, and `verify` gives the same bytes for every --jobs.
 
 Only `verify` takes --jobs, to run its n values in parallel.  `table` and
-`export bfile` take every row from one pass over part values
+`export bfile` take every row from the partition numbers p(0..max-n)
 (cliques.fvector_table), so they have nothing to split among workers.
 
 Each output rule is written once.  `_table_rows` reads chi and b = chi - 1
@@ -96,11 +96,12 @@ def _size_up_to(bound: int):
 
 
 # Each size flag is bounded, so no integer overflows or runs without end.
-# `table` and `export bfile` sweep part values with no graph built (about
-# 2 s at n = 1000 on a 2-vCPU host); every other size flag builds objects on
-# the partitions of n, so its bound is that of the graph (`export graph
-# --n 45` peaks at 672 MB), except `export poset`, whose poset outgrows the
-# graph: it peaks at 629 MB at n = 36 and 773 MB at n = 37.
+# `table` and `export bfile` read the partition numbers with no graph built
+# (about 0.2 s for the whole run at n = 1000 on a 2-vCPU host); every other
+# size flag builds objects on the partitions of n, so its bound is that of
+# the graph (`export graph --n 45` peaks at 672 MB), except `export poset`,
+# whose poset outgrows the graph: it peaks at 629 MB at n = 36 and 773 MB at
+# n = 37.
 _SWEEP_SIZE = _size_up_to(1000)
 _GRAPH_SIZE = _size_up_to(45)
 _POSET_SIZE = _size_up_to(36)
@@ -194,7 +195,7 @@ def _map_over_n(worker, ns, jobs: int) -> list:
 
 
 class TableRow(NamedTuple):
-    """One row of the chi sweep: n, the f-vector counts, chi and b = chi - 1."""
+    """One row of the chi table: n, the f-vector counts, chi and b = chi - 1."""
 
     n: int
     counts: tuple[int, ...]
@@ -203,7 +204,7 @@ class TableRow(NamedTuple):
 
 
 def _table_rows(max_n: int) -> list[TableRow]:
-    """One row per n up to max_n, off one cliques.fvector_table sweep.  This
+    """One row per n up to max_n, off one cliques.fvector_table call.  This
     is the only place chi and b = chi - 1 are read off an f-vector, for
     every table format and for `export bfile`."""
     from .cliques import fvector_table
@@ -469,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser(
         "table", help="per-n table of p(n), f-vector, chi, and b; every row"
-        " comes from one pass over part values, with no graph built and no"
-        " partition listed")
+        " comes from the partition numbers p(0..max-n), with no graph built"
+        " and no partition listed")
     table.add_argument("--max-n", type=_SWEEP_SIZE, required=True,
                        help="largest n to tabulate")
     _add_output_arguments(table, _TABLE_FORMATS)

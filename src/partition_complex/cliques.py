@@ -6,8 +6,8 @@ shared corner, builds the canonical cover out of full star- and top-simplices,
 derives the maximal simplices from the classification, and counts simplices
 per dimension four ways: by subsets of the facets, by the height-raising
 fibers of the graph, from the corner rows of each partition alone, and for
-every n up to a bound at once, by one sweep over part values that lists no
-partition.
+every n up to a bound at once, by a closed form in the partition numbers
+that lists no partition.
 
 Classification vocabulary: a clique is star-type at a vertex lam when every
 other member is lam with one fixed removable corner moved somewhere, and
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, mul
 from typing import Optional, Sequence
 
 from .graph import PartitionGraph, _check_vertex_ids
@@ -292,203 +291,69 @@ def _partition_counts(max_n: int) -> list[int]:
     return counts
 
 
-def _slot_bits(largest: int, width: int) -> int:
-    """The least W with 2^W > largest * (width + 2): the bits of one slot."""
-    return (largest * (width + 2)).bit_length()
+def fvector_table(max_n: int) -> list[FVector]:
+    """f-vectors of the clique complexes for n = 1..max_n, from the
+    partition numbers p(0..max_n) alone, with no partition listed.
 
+    With P(q) = sum_m p(m) q^m, (a; q)_m = prod_{i<m} (1 - a q^i) and
 
-def _unpack(row: int, bits: int, width: int) -> list[int]:
-    """The width slots of bits bits each of row, lowest first; a bit above
-    the top slot raises TheoremViolationError."""
-    if row >> (bits * width):
-        raise TheoremViolationError(f"a packed row overflows its {width} slots of {bits} bits")
-    mask = (1 << bits) - 1
-    return [(row >> shift) & mask for shift in range(0, bits * width, bits)]
+        g(n, k) = [q^n] q^(k(k+3)/2) P(q) / (q; q)_{k+1},   0 for n < 0,
 
+    the table is f_0 = p(n), f_1 = g(n, 1) and, for k >= 2,
+    f_k = g(n, k) + g(n - 2, k) + g(n - 2, k - 1), trailing zeros dropped.
+    The series behind row k is that of row k - 1 divided once more, by
+    1 - q^(k+1): one pass s[m] += s[m - k - 1], starting from P(q).  Row k
+    reads it shifted k(k+3)/2 places up, so rows are made while k(k+3)/2
+    <= max_n: about sqrt(2 max_n) passes of max_n additions.
 
-def _packed_vertex_count(n: int, ways: int, count: int, bits: int, width: int) -> int:
-    """The partitions of n counted by the packed row ways, width slots of
-    bits bits over the number of distinct parts: its digit sum, one product
-    with sum_i 2^(bits i) read off slot width - 1.  A bit above the top
-    slot, or a digit sum other than count, the scalar rows' count, raises
-    TheoremViolationError."""
-    if ways >> (bits * width):
-        raise TheoremViolationError(f"a packed row overflows its {width} slots of {bits} bits")
-    ones = ((1 << (bits * width)) - 1) // ((1 << bits) - 1)
-    vertices = ((ways * ones) >> (bits * (width - 1))) & ((1 << bits) - 1)
-    if vertices != count:
-        raise TheoremViolationError(
-            f"n={n}: the packed rows count {vertices} partitions, the scalar rows {count}")
-    return vertices
+    Derivation.  The count is that of fvector_by_corner_counting: f_k for
+    k >= 2 sums C(s, k) over every raising star and top fiber of every
+    partition of n, s its size, and f_1 sums the star sizes.  So with y =
+    1 + x, f_k = [x^k q^n] (S + T) for k >= 2 and f_1 = [x q^n] S, where S
+    and T sum q^|lam| y^s over the star and the top fibers of all lam.  By
+    _raising_fiber_sizes, each distinct part v of lam has one star fiber of
+    size d_<(v) + 1 - adj(v) and one top fiber of size d_>(v) + 1 - adj(v),
+    where d_< and d_> count the distinct parts below and above v and adj(v)
+    = [v - 1 is a part, or v = 1]; each lam also has one empty top fiber.
+    Giving each distinct part below v (for the star fiber) or above v (for
+    the top fiber) a factor y and summing over v, with z = 1 - y, gives
+    (the top sum after telescoping by (z q^v; q)_inf = (1 - z q^v)
+    (z q^(v+1); q)_inf):
 
+        T = P(q) sum_{m>=0} q^m (z q^(m+2); q)_inf,
+        S = q P(q) + y q^2 P(q) sum_{m>=0} q^m (z q; q)_m.
 
-def _fiber_size_histograms(max_n: int) -> list[tuple[int, list[int], list[int]]]:
-    """(p(n), star, top) for n = 1..max_n, with star[s] and top[s] the number
-    of raising star and top fibers of size s over all partitions of n.
-
-    By _raising_fiber_sizes, each distinct part v of lam has one raising
-    star fiber, of size d_<=(v) - adj(v), and one raising top fiber, of
-    size d_>=(v) - adj(v), where d_<=(v) and d_>=(v) count the distinct
-    parts <= v and >= v, and adj(v) = [v - 1 is a part, or v = 1].  Every
-    partition also has the top fiber at its first-row addable corner, which
-    is always empty and is counted at size 0.
-
-    One sweep adds the part values v = 1, 2, ..., max_n in turn, with no
-    partition enumerated.  Before v, for the partitions of each sum m into
-    parts < v:
-
-    - ways[adj][m][d] counts those with d distinct parts, split by
-      whether v - 1 is a part; the empty partition counts 0 as a part,
-      which gives adj(1) = 1;
-    - counts[adj][m], a plain int, counts them over all d;
-    - star[m][s] counts their (partition, part) pairs with a star fiber of
-      size s, which no larger part changes;
-    - top[m][s] counts their (partition, part u) pairs with d_>=(u) -
-      adj(u) = s so far, before the parts >= v are known; each distinct
-      part added later raises s by one.
-
-    Adding one or more parts v to a partition with d distinct parts gives v
-    the star size d + 1 - adj and the top size 1 - adj so far, so the top
-    update needs only counts, not ways.
-
-    The pass for v walks each residue class r = 0, ..., min(v, max_n + 1 -
-    v) - 1 along m = r + v, r + 2v, ... <= max_n.  A partition of m with
-    one or more parts v is one of m - jv, j >= 1, into parts < v with j
-    parts v added, so along a class every sum over j of the rows at m - jv
-    is a running sum held in a local.  Those sums must read the rows as they
-    stood before v, and the pass writes star[m] and top[m] once it has read
-    them: reading star[m - v] back from the list would add this v's own
-    update again, so each step carries the old values to the next in
-    locals.  When 2v > max_n every class takes one step, from a sum m - v
-    < v that the pass never writes, so that pass reads the lists directly.
-    After the pass, ways[0] and counts[0] gain ways[1] and counts[1] in one
-    slice over the sums m >= v - 1: no partition of a smaller sum holds the
-    part v - 1, so ways[1] and counts[1] are 0 below it.  Then ways[1][m]
-    becomes the two running ways sums shifted one slot up (v is one more
-    distinct part), and counts[1][m] the two running count sums.
-
-    Each ways, star and top row, a vector over d or s of length width =
-    isqrt(2 max_n) + 1, is one int with slot i in bits [W i, W (i + 1)):
-    adding rows is + and the shift from d to d + 1 is << W.  The work is
-    O(max_n^2) big-integer additions and shifts on width * W-bit rows, and
-    one product per n for its vertex count, after an O(max_n^2) pre-pass for
-    p(0..max_n), which sets W = _slot_bits(p(max_n), width).
-
-    Lemma (no carry crosses a slot): a partition of m <= max_n with d
-    distinct parts has m >= d (d + 1) / 2, so d <= width - 1; it counts at
-    most once in a ways row, and in at most d star and d + 1 top slots
-    over all s.  So every slot value, and every digit sum and partial
-    digit sum, is at most p(m) * width < p(max_n) * (width + 2) < 2^W, and
-    nothing is ever shifted past slot width - 1.  The sweep still checks
-    that it holds, since a carry out of a slot changes a digit sum.  A bit
-    left above the top slot, a vertex count that differs from counts[0][n]
-    + counts[1][n] or from the pre-pass p(n), or fiber counts where top
-    does not exceed star by p(n) (one star and one top fiber per distinct
-    part, and the first-row top fiber) raise TheoremViolationError.  The
-    vertex count is the digit sum of ways[0][n] + ways[1][n], read by
-    _packed_vertex_count.
+    Euler's identity (a; q)_inf = sum_k (-a)^k q^(k(k-1)/2) / (q; q)_k, and
+    the q-binomial expansion of (z q; q)_m with sum_m [m choose k]_q q^m =
+    q^k / (q; q)_{k+1} (Andrews, The Theory of Partitions, 1976, Cor. 2.2
+    and ch. 3), turn both sums into sum_k (-z)^k q^(k(k+3)/2) / (q; q)_{k+1}.
+    So S = q P + y q^2 T, and since -z = x, [x^k] T = g(., k): the top
+    fibers give g(n, k) and the star fibers [k = 0] p(n - 1) + g(n - 2, k)
+    + g(n - 2, k - 1).  Their x^1 coefficients agree, since (1 - q^2) g(., 1)
+    = q^2 g(., 0) as series: both sides count every raising transfer once,
+    by removable and by addable corner, so f_1 = g(n, 1).  A corollary:
+    the top fibers of size s over the partitions of n are as many as the
+    star fibers of size s + 1 over those of n + 2.
     """
     if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 1:
         raise InvalidPartitionError(f"max_n must be a positive integer, got {max_n!r}")
-    width = math.isqrt(2 * max_n) + 1
     partitions = _partition_counts(max_n)
-    bits = _slot_bits(partitions[max_n], width)
-
-    ways0, ways1 = [0] * (max_n + 1), [1] + [0] * max_n
-    counts0, counts1 = [0] * (max_n + 1), [1] + [0] * max_n
-    star = [0] * (max_n + 1)
-    top = [0] * (max_n + 1)
-    for v in range(1, max_n + 1):
-        next1, next_counts1 = [0] * (max_n + 1), [0] * (max_n + 1)
-        # Partitions with one or more parts v, without (absent) and with
-        # (present) the part v - 1.  v's star fiber has size d + 1 without
-        # v - 1 and d with it.  v raises every smaller part's top size by
-        # one, and its own top fiber has size 1 without v - 1 and 0 with it
-        # so far.
-        if 2 * v > max_n:
-            # Each class takes one step, from a sum below v that this pass
-            # does not write.
-            for m in range(v, max_n + 1):
-                rest = m - v
-                absent, present = ways0[rest], ways1[rest]
-                absent_count, present_count = counts0[rest], counts1[rest]
-                star[m] += star[rest] + (absent << bits) + present
-                top[m] += ((top[rest] + absent_count) << bits) + present_count
-                next1[m] = (absent + present) << bits
-                next_counts1[m] = absent_count + present_count
-        else:
-            for r in range(v):
-                absent = present = absent_count = present_count = star_kept = top_kept = 0
-                # The pass overwrites star[m] and top[m] after reading them,
-                # so the next step adds the rows as they stood before v.
-                star_old, top_old = star[r], top[r]
-                for m in range(r + v, max_n + 1, v):
-                    rest = m - v
-                    absent += ways0[rest]
-                    present += ways1[rest]
-                    absent_count += counts0[rest]
-                    present_count += counts1[rest]
-                    star_kept += star_old
-                    top_kept += top_old
-                    star_old, top_old = star[m], top[m]
-                    star[m] = star_old + star_kept + (absent << bits) + present
-                    top[m] = top_old + ((top_kept + absent_count) << bits) + present_count
-                    next1[m] = (absent + present) << bits
-                    next_counts1[m] = absent_count + present_count
-        # No partition of a sum below v - 1 holds the part v - 1, so ways1
-        # and counts1 are 0 there.
-        ways0[v - 1:] = map(add, ways0[v - 1:], ways1[v - 1:])
-        counts0[v - 1:] = map(add, counts0[v - 1:], counts1[v - 1:])
-        ways1, counts1 = next1, next_counts1
-
-    out = []
-    for n in range(1, max_n + 1):
-        vertices = _packed_vertex_count(n, ways0[n] + ways1[n], counts0[n] + counts1[n], bits, width)
-        if vertices != partitions[n]:
-            raise TheoremViolationError(
-                f"n={n}: the sweep counts {vertices} partitions, not p(n) = {partitions[n]}")
-        star_n, top_n = _unpack(star[n], bits, width), _unpack(top[n] + vertices, bits, width)
-        if sum(star_n) + vertices != sum(top_n):
-            raise TheoremViolationError(
-                f"n={n}: {sum(star_n)} star fibers but {sum(top_n)} top fibers"
-                f" for {vertices} partitions")
-        out.append((vertices, star_n, top_n))
-    return out
-
-
-def fvector_table(max_n: int) -> list[FVector]:
-    """f-vectors of the clique complexes for n = 1..max_n, from one sweep.
-
-    The counting is that of fvector_by_corner_counting, aggregated by
-    _fiber_size_histograms instead of summed partition by partition:
-    f_0 = p(n), f_1 = sum of s * star[s], and f_k = sum of
-    (star[s] + top[s]) * C(s, k) for k >= 2.  Those sums are the
-    coefficients of sum_s (star[s] + top[s]) (1 + x)^s, built by Horner's
-    rule, so each step is one Pascal's-rule pass and no binomial is formed.
-    The polynomial is one int with B-bit slots, one per power of x, so a
-    step is P + (P << B) + count.  Every coefficient of every step is at
-    most the number of fibers, sum_s (star[s] + top[s]), times
-    2^(width - 1), so B with 2^B above that number times 2^width keeps
-    each in its slot.
-
-    Lemma, in the aggregate this route sees: both histograms count every
-    height-raising transfer once, so their edge sums agree at every n; an n
-    where they do not raises TheoremViolationError.
-    """
+    series = list(partitions)
+    # g[k][n + 2] = g(n, k), with two zeros in front for g(n - 2, k), and a
+    # row of zeros past the last k that reaches max_n.
+    g = []
+    k = shift = 0
+    while shift <= max_n:
+        for m in range(k + 1, max_n + 1):
+            series[m] += series[m - k - 1]
+        g.append([0] * (shift + 2) + series[:max_n + 1 - shift])
+        k += 1
+        shift += k + 1
+    g.append([0] * (max_n + 3))
     table = []
-    for n, (vertices, star, top) in enumerate(_fiber_size_histograms(max_n), start=1):
-        edges = sum(map(mul, star, range(len(star))))
-        by_addable = sum(map(mul, top, range(len(top))))
-        if edges != by_addable:
-            raise TheoremViolationError(
-                f"n={n} has {edges} raising transfers by removable corner"
-                f" but {by_addable} by addable corner")
-        fibers = list(map(add, star, top))
-        bits = (sum(fibers) << len(fibers)).bit_length()
-        packed = 0
-        for count in reversed(fibers):
-            packed += (packed << bits) + count
-        counts = [vertices, edges] + _unpack(packed, bits, len(fibers))[2:]
+    for n in range(1, max_n + 1):
+        counts = [partitions[n], g[1][n + 2]]
+        counts += [g[k][n + 2] + g[k][n] + g[k - 1][n] for k in range(2, len(g))]
         while counts[-1] == 0:
             counts.pop()
         table.append(FVector(tuple(counts)))

@@ -62,9 +62,6 @@ class PartitionGraph:
         self.adjacency = [tuple(sorted(targets)) for targets in moves]
         self.heights = tuple(height(lam) for lam in vertices)
 
-    def __repr__(self) -> str:
-        return f"PartitionGraph(n={self.n}, vertices={len(self.vertices)}, edges={self.edge_count()})"
-
     def vertex_id(self, lam: Iterable[int]) -> int:
         lam = as_partition(lam)
         try:

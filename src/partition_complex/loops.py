@@ -88,9 +88,6 @@ class EdgeLoop:
     def heights(self) -> tuple[int, ...]:
         return tuple(self.graph.heights[v] for v in self.ids)
 
-    def __repr__(self) -> str:
-        return f"EdgeLoop(n={self.graph.n}, {format_loop(self)!r})"
-
 
 def parse_loop(graph: PartitionGraph, text: str) -> EdgeLoop:
     """Build a loop from whitespace-separated partition literals."""

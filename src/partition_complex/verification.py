@@ -560,10 +560,10 @@ def _suite_homology(ctx: NContext) -> str:
 
 def _suite_euler(ctx: NContext) -> str:
     """Subset enumeration versus graph-based fiber counting versus corner
-    counting per partition versus the sweep over part values (its row n)
-    versus tabulated values, plus the partition-count recurrence for the
-    vertex count.  A fail witness names the route that disagreed with
-    subset enumeration."""
+    counting per partition versus the closed form in p(n) (fvector_table's
+    row n, witness route "dp") versus tabulated values, plus the
+    partition-count recurrence for the vertex count.  A fail witness names
+    the route that disagreed with subset enumeration."""
     counted = ctx.fvector
     for route, other in (("fiber", fvector_by_fiber_counting(ctx.graph)),
                          ("corner", fvector_by_corner_counting(ctx.n)),

@@ -30,9 +30,11 @@ STDOUT_SHA256 = {
         "db0c35c8a8707037a25cf3f5c0496dcea6ba8419434f920c556a9eca79e63b6e",
     "export bfile b --max-n 200":
         "62608e523e1a39ce87172f061f9bf3b0b302ba21006eba3b1a22a551c9859bde",
-    # The sweep at its --max-n bound: its widest packed rows.
+    # The closed form at its --max-n bound: chi alone, then every f-vector.
     "export bfile chi --max-n 1000":
         "7415862a69b0cb351c78b767fa5ac3d05bc5c426c816d6dd8e8d4cc06e7bbd88",
+    "table --max-n 1000 --format csv":
+        "c26b331ddb97be6e3e87abd1e49ad6a1ad126b849917cda1c0c2e0e517d954d2",
     "verify --suite all --max-n 8 --seed 5":
         "d42ae2933f241e559784954f3230d9ef1b5001e20cb4ed1c97776e73cfa00c76",
     "verify --suite all --max-n 6 --seed 5 --format csv":
@@ -76,7 +78,7 @@ def test_cli_stdout_is_unchanged(command):
 # Subcommand ("" for the top-level parser, "export <target>" for an export
 # target) -> sha256 of its --help text.
 HELP_SHA256 = {
-    "": "fa2be51c6cdd89a1281d5e11ae1307857648888dbc3ea314bd7d406b2482d841",
+    "": "1e934d980663014f30efcee89dbb851d2b849ff0022ff9e0ad040b78338f7724",
     "table": "12578fcc4e288561ea038f0e959682e5da3a37dcb008097aae0eb685bbce294a",
     "verify": "c08487a34306378504cd20b81647f612484400c5e187af52967612ffbee97f5b",
     "homology": "6ea9fccb656cb1b5d9ce2dfea5e51b49eeefc3bab0d93bbf21a4306640d1cee5",

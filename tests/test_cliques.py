@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -19,10 +20,8 @@ from partition_complex.cliques import (
     canonical_cover,
     classify_clique,
     enumerate_simplices,
-    _fiber_size_histograms,
     _partition_counts,
     _raising_fiber_sizes,
-    _unpack,
     fvector_by_corner_counting,
     fvector_by_fiber_counting,
     fvector_table,
@@ -39,13 +38,13 @@ from partition_complex.oracles import (
 from partition_complex.partitions import (
     Corner,
     InvalidPartitionError,
-    TheoremViolationError,
     addable_corners,
     admissible_transfers,
     enumerate_partitions,
     height,
     removable_corners,
 )
+from partition_complex.verification import FAIL, NContext, run_suite
 
 
 def stored_fiber(lam, kind, row, col):
@@ -329,18 +328,47 @@ def test_fvector_table_rejects_nonpositive():
             fvector_table(bad)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(min_value=1, max_value=30))
-def test_fiber_size_histograms_sum_the_per_partition_sizes(n):
-    star_sizes, top_sizes = Counter(), Counter()
-    for lam in enumerate_partitions(n):
-        star, top = _raising_fiber_sizes(lam)
-        star_sizes.update(star)
-        top_sizes.update(top)
-    vertices, star, top = _fiber_size_histograms(n)[-1]
-    assert vertices == len(enumerate_partitions(n))
-    assert {s: count for s, count in enumerate(star) if count} == star_sizes
-    assert {s: count for s, count in enumerate(top) if count} == top_sizes
+def closed_form_rows(max_n):
+    """rows[k][n] = g(n, k) = [q^n] q^(k(k+3)/2) P(q) / ((1 - q) ... (1 - q^(k+1))),
+    for every k with k(k+3)/2 <= max_n, from the pentagonal p(n) and one
+    series division per factor."""
+    rows = []
+    k = 0
+    while k * (k + 3) // 2 <= max_n:
+        series = [partition_count(m) for m in range(max_n + 1)]
+        for j in range(1, k + 2):
+            for m in range(j, max_n + 1):
+                series[m] += series[m - j]
+        shift = k * (k + 3) // 2
+        rows.append([0] * shift + series[:max_n + 1 - shift])
+        k += 1
+    return rows
+
+
+def test_fiber_sizes_per_partition_give_the_closed_form():
+    max_n = 30
+    rows = closed_form_rows(max_n)
+
+    def g(n, k):
+        return rows[k][n] if n >= 0 and 0 <= k < len(rows) else 0
+
+    star_sizes, top_sizes = {}, {}
+    for n in range(1, max_n + 1):
+        star_sizes[n], top_sizes[n] = Counter(), Counter()
+        for lam in enumerate_partitions(n):
+            star, top = _raising_fiber_sizes(lam)
+            star_sizes[n].update(star)
+            top_sizes[n].update(top)
+        for k in range(len(rows) + 2):
+            top_faces = sum(count * math.comb(s, k) for s, count in top_sizes[n].items())
+            star_faces = sum(count * math.comb(s, k) for s, count in star_sizes[n].items())
+            assert top_faces == g(n, k), (n, k)
+            assert star_faces == ((k == 0) * partition_count(n - 1)
+                                  + g(n - 2, k) + g(n - 2, k - 1)), (n, k)
+    # Top fibers of size s at n are as many as star fibers of size s + 1 at n + 2.
+    for n in range(1, max_n - 1):
+        shifted_star = {s - 1: count for s, count in star_sizes[n + 2].items() if s}
+        assert top_sizes[n] == Counter(shifted_star), n
 
 
 def test_partition_counts_match_the_pentagonal_recurrence():
@@ -348,65 +376,15 @@ def test_partition_counts_match_the_pentagonal_recurrence():
 
 
 def test_wrong_partition_count_raises(monkeypatch):
+    """fvector_table trusts _partition_counts, so a wrong p(n) is caught by
+    the routes that do not read it: corner counting per partition, and the
+    euler suite, which raises its counterexample naming the dp route."""
     def off_by_one(max_n):
         counts = _partition_counts(max_n)
         counts[max_n // 2] += 1
         return counts
     monkeypatch.setattr(cliques, "_partition_counts", off_by_one)
-    with pytest.raises(TheoremViolationError, match="p\\(n\\)"):
-        fvector_table(25)
-
-
-def test_unpack_reads_slots_and_rejects_a_bit_above_them():
-    assert _unpack(0b101_011, 3, 2) == [3, 5]
-    assert _unpack(0, 4, 3) == [0, 0, 0]
-    with pytest.raises(TheoremViolationError):
-        _unpack(1 << 6 | 0b101_011, 3, 2)
-
-
-def _raises(function, *args) -> bool:
-    try:
-        function(*args)
-    except TheoremViolationError:
-        return True
-    return False
-
-
-def _narrow_slots_raise(max_n_values=(25, 100)) -> bool:
-    """Whether the sweep, and so fvector_table, raise at each max_n for
-    every slot width W with 2^W at most the largest count of the
-    histograms, where carries must occur."""
-    largest = {max_n: max(max(p, *star, *top) for p, star, top in _fiber_size_histograms(max_n))
-               for max_n in max_n_values}
-    real_slot_bits = cliques._slot_bits
-    try:
-        for max_n, count in largest.items():
-            for bits in range(1, count.bit_length()):
-                cliques._slot_bits = lambda largest, width: bits
-                if not (_raises(cliques._fiber_size_histograms, max_n)
-                        and _raises(cliques.fvector_table, max_n)):
-                    return False
-    finally:
-        cliques._slot_bits = real_slot_bits
-    return True
-
-
-def test_narrow_slots_raise():
-    # At max_n = 25 the largest count is 2436, so W = 1..11 all carry; at
-    # max_n = 100 it needs 28 bits, so W = 1..27 do.
-    assert _narrow_slots_raise()
-    assert fvector_table(25) == [fvector_by_corner_counting(n) for n in range(1, 26)]
-
-
-def test_packed_vertex_count_checks_its_row():
-    # A too-narrow slot overflows a star or top row before any ways row, so
-    # the sweep never reaches these two checks; crafted rows do.  Three
-    # 4-bit slots: 2 partitions with one distinct part, 3 with two.
-    bits, width = 4, 3
-    row = (2 << bits) + (3 << 2 * bits)
-    assert cliques._packed_vertex_count(5, row, 5, bits, width) == 5
-    # The bit above the top slot falls out of the digit sum, which still reads 5.
-    with pytest.raises(TheoremViolationError, match="overflows its 3 slots of 4 bits"):
-        cliques._packed_vertex_count(5, row + (1 << bits * width), 5, bits, width)
-    with pytest.raises(TheoremViolationError, match="the scalar rows 6"):
-        cliques._packed_vertex_count(5, row, 6, bits, width)
+    assert fvector_table(25)[-1] != fvector_by_corner_counting(25)
+    outcome = run_suite("euler", NContext(25))
+    assert outcome.status == FAIL
+    assert outcome.counterexample["route"] == "dp"

@@ -102,7 +102,7 @@ def _size_up_to(bound: int):
 # the graph (`export graph --n 45` peaks at 672 MB), except `export poset`,
 # whose poset outgrows the graph: it peaks at 629 MB at n = 36 and 773 MB at
 # n = 37.
-_SWEEP_SIZE = _size_up_to(1000)
+_TABLE_SIZE = _size_up_to(1000)
 _GRAPH_SIZE = _size_up_to(45)
 _POSET_SIZE = _size_up_to(36)
 
@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="per-n table of p(n), f-vector, chi, and b; every row"
         " comes from the partition numbers p(0..max-n), with no graph built"
         " and no partition listed")
-    table.add_argument("--max-n", type=_SWEEP_SIZE, required=True,
+    table.add_argument("--max-n", type=_TABLE_SIZE, required=True,
                        help="largest n to tabulate")
     _add_output_arguments(table, _TABLE_FORMATS)
     table.set_defaults(func=cmd_table)
@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         if what == "bfile":
             target.add_argument("sequence", choices=("chi", "b"),
                                 help="which sequence to export")
-            target.add_argument("--max-n", type=_SWEEP_SIZE, required=True,
+            target.add_argument("--max-n", type=_TABLE_SIZE, required=True,
                                 help="largest n")
         else:
             target.add_argument("--n", type=_POSET_SIZE if what == "poset" else _GRAPH_SIZE,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -186,6 +187,23 @@ def enumerate_simplices(facets: Sequence[tuple[int, ...]]) -> FVector:
         for size in range(1, max_size + 1)))
 
 
+def _fvector_from_fiber_sizes(vertices: int, edges: int, sizes: Counter[int]) -> FVector:
+    """f_0 = vertices, f_1 = edges and, for k >= 2, f_k = sum over s of
+    sizes[s] C(s, k), where sizes counts the raising fibers of each size s;
+    trailing zeros dropped.
+
+    A k-simplex, k >= 2, is its lowest vertex plus k members of exactly one
+    height-raising star or top fiber of it, so the binomial sum counts it
+    once.
+    """
+    counts = [vertices, edges]
+    counts += [sum(count * math.comb(s, k) for s, count in sizes.items())
+               for k in range(2, max(sizes, default=0) + 1)]
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return FVector(tuple(counts))
+
+
 def fvector_by_fiber_counting(g: PartitionGraph) -> FVector:
     """Independent f-vector: count cliques at their minimum-height vertex.
 
@@ -196,20 +214,12 @@ def fvector_by_fiber_counting(g: PartitionGraph) -> FVector:
     directly.  Shares only the fibers with the facet machinery, none of its
     subset enumeration.
     """
-    counts = [len(g.vertices), g.edge_count()]
-    higher: list[int] = []
     heights = g.heights
-    for vid in range(len(g.vertices)):
-        for fiber in itertools.chain(g.star[vid].values(), g.top[vid].values()):
-            raising = sum(1 for mu in fiber if heights[mu] > heights[vid])
-            for k in range(2, raising + 1):
-                while len(higher) < k - 1:
-                    higher.append(0)
-                higher[k - 2] += math.comb(raising, k)
-    counts.extend(higher)
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return FVector(tuple(counts))
+    sizes = Counter(
+        sum(1 for mu in fiber if heights[mu] > heights[vid])
+        for vid in range(len(g.vertices))
+        for fiber in itertools.chain(g.star[vid].values(), g.top[vid].values()))
+    return _fvector_from_fiber_sizes(len(g.vertices), g.edge_count(), sizes)
 
 
 def _raising_fiber_sizes(lam: Partition) -> tuple[list[int], list[int]]:
@@ -252,34 +262,20 @@ def fvector_by_corner_counting(n: int) -> FVector:
     k-simplex is its lowest vertex plus k members of exactly one raising
     star or top fiber, so f_k sums C(s, k) over all of them, s the size.
 
-    Lemma: the raising star sizes and the raising top sizes of one
+    Remark: the raising star sizes and the raising top sizes of one
     partition both count its height-raising transfers, once by removable
-    and once by addable corner, so their sums agree; a partition where they
-    do not raises TheoremViolationError.
+    and once by addable corner.  Their sums agree by construction: in
+    _raising_fiber_sizes both are k(k + 1)/2, k the number of distinct
+    parts, less the same adjacency flags.
     """
-    vertices = 0
-    edges = 0
-    size_counts = [0] * (n + 2)
+    vertices = edges = 0
+    sizes: Counter[int] = Counter()
     for lam in iter_partitions(n):
         star, top = _raising_fiber_sizes(lam)
-        raising = sum(star)
-        if raising != sum(top):
-            raise TheoremViolationError(
-                f"{lam} has {raising} raising transfers by removable corner"
-                f" but {sum(top)} by addable corner")
         vertices += 1
-        edges += raising
-        for s in itertools.chain(star, top):
-            size_counts[s] += 1
-    counts = [vertices, edges]
-    for k in range(2, len(size_counts)):
-        faces = sum(count * math.comb(s, k) for s, count in enumerate(size_counts) if count)
-        if not faces:
-            break
-        counts.append(faces)
-    while counts[-1] == 0:
-        counts.pop()
-    return FVector(tuple(counts))
+        edges += sum(star)
+        sizes.update(star + top)
+    return _fvector_from_fiber_sizes(vertices, edges, sizes)
 
 
 def _partition_counts(max_n: int) -> list[int]:

@@ -8,11 +8,15 @@ every nerve simplex is a subset of some anchor.
 Intersecting the anchors over a set of partitions S yields the members
 containing all of S; collecting those intersections over all cliques, with
 equal sets identified, gives a poset under inclusion whose order complex is
-a combinatorial stand-in for the original clique complex.  Each nerve
-simplex closes to one poset element, and the nonempty subsets of an element
-P are the simplices that close at or below P, so the nerve f-vector comes
-from inverting (1 + x)^|P| - 1 = sum over Q <= P of g_Q(x) along the poset,
-without listing a simplex.
+a combinatorial stand-in for the original clique complex.  By the
+classification of cliques, a clique of size >= 3 lies in exactly one
+member, so the poset is generated by the vertex anchors, the edge
+intersections and the singletons of the members with three or more
+vertices, with no triangle listed.  Each nerve simplex closes to one poset
+element, and the nonempty subsets of an element P are the simplices that
+close at or below P, so the nerve f-vector comes from inverting
+(1 + x)^|P| - 1 = sum over Q <= P of g_Q(x) along the poset, without
+listing a simplex.
 """
 
 from __future__ import annotations
@@ -110,30 +114,26 @@ class IntersectionPoset:
 
 
 def build_poset(nerve: NerveComplex) -> IntersectionPoset:
-    """Anchor intersections over cliques of size at most three.
+    """Anchor intersections over every clique, from three generators: each
+    nonempty vertex anchor, each edge intersection, and the singleton (m,)
+    of each cover member m with three or more vertices.
 
-    Larger cliques contribute only singleton intersections that already
-    arise from their triangles, so these generators suffice; the agreement
-    with the all-cliques definition is checked independently at small n.
+    Premise, the classification of cliques: a clique of size >= 3 is star-
+    or top-type at its lowest vertex, so it lies in exactly one member and
+    its intersection is that member's singleton.  Every member with three
+    or more vertices holds a triangle, so each such singleton arises, and
+    cliques of size one and two give the anchors and edge intersections.
+    Two checks test the premise apart from this function: the anchors suite
+    (larger cliques lie in exactly one member) and the poset suite (the
+    elements equal the all-cliques definition).
     """
-    graph = nerve.graph
     anchors = nerve.anchor_sets
-    found: set[tuple[int, ...]] = set()
-    for anchor_set in anchors:
-        if anchor_set:
-            found.add(tuple(sorted(anchor_set)))
-    edges = graph.edges()
-    for u, v in edges:
+    found = {tuple(sorted(anchor_set)) for anchor_set in anchors if anchor_set}
+    for u, v in nerve.graph.edges():
         common = anchors[u] & anchors[v]
         if common:
             found.add(tuple(sorted(common)))
-    moves = graph.moves
-    for u, v in edges:
-        for w in moves[u].keys() & moves[v].keys():
-            if w > v:
-                common = anchors[u] & anchors[v] & anchors[w]
-                if common:
-                    found.add(tuple(sorted(common)))
+    found.update((m,) for m, members in enumerate(nerve.member_sets) if len(members) >= 3)
     return IntersectionPoset(tuple(sorted(found, key=lambda t: (len(t), t))))
 
 

@@ -64,6 +64,10 @@ STDOUT_SHA256 = {
         "8f753989de716b924f84014f84ca698f29934d9ed3da32cd179b252625a6b6a5",
     "export poset --n 12 --format text":
         "556ffba8498e5fda5043fab7a416c0ba8a5386152219a9ddceb2e1e3bbbb5dc6",
+    "export poset --n 20 --format json":
+        "2ae320b2ec158f1dead279eae686b19fca28a61ae52f302f77f2bf82a0ca79f2",
+    "export poset --n 20 --format text":
+        "ce66b868f30acc3a562d8203e8c25b77502dc03935c62f7334d91af78f393ec0",
 }
 
 

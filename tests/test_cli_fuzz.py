@@ -46,7 +46,7 @@ WORK_CAP = {
 LENIENT = ["+3", "1_0", " 4 ", "\u0663", "03"]
 PAST_BOUNDS = sorted({str(bound + 1) for bound in SIZE_BOUNDS.values()})
 BAD_SIZES = ["0", "-1", *PAST_BOUNDS, HUGE, "9" * 5000, "x", "1.5", "", *LENIENT]
-SWEEP_PATHS = ("table", "export bfile")
+TABLE_PATHS = ("table", "export bfile")
 BAD_JOBS = ["0", "-2", "x", *LENIENT]
 SEEDS = ["0", "7", "-3", HUGE]
 STRAY = ["--bogus", "extra", "-q", "--", "--format", "--n", "7", "-h"]
@@ -99,9 +99,10 @@ def bound_at(path):
 
 def bad_sizes(path):
     """BAD_SIZES that reach path: one past a bound below path's own would
-    run a graph-sized build, so only the sweep paths get those."""
+    run a graph-sized build, so only the paths bounded by the table's size
+    get those."""
     return [size for size in BAD_SIZES
-            if size not in PAST_BOUNDS or int(size) > bound_at(path) or path in SWEEP_PATHS]
+            if size not in PAST_BOUNDS or int(size) > bound_at(path) or path in TABLE_PATHS]
 
 
 def sized(path, size):
@@ -180,12 +181,12 @@ def _size_id(size):
     (path, size) for path in sorted(LEAVES) for size in bad_sizes(path)],
     ids=_size_id)
 def test_every_bad_size_is_refused(path, size):
-    # One past the graph's or the poset's bound is inside the sweep bound of
-    # `table` and `export bfile`, which run it; every other bad size is a
-    # usage error.
+    # One past the graph's or the poset's bound is inside the bound of
+    # `table` and `export bfile`, which read the partition numbers alone and
+    # run it; every other bad size is a usage error.
     code, stdout = run(sized(path, size))
     if size in PAST_BOUNDS and int(size) <= bound_at(path):
-        assert path in SWEEP_PATHS
+        assert path in TABLE_PATHS
         assert code == 0
     else:
         assert (code, stdout) == (2, "")

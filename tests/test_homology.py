@@ -40,6 +40,11 @@ def test_snf_refuses_non_integer_entries():
             smith_normal_form(matrix)
 
 
+def test_snf_refuses_a_ragged_matrix():
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        smith_normal_form([[1, 2], [3]])
+
+
 def test_snf_known_factors():
     # d1 = gcd of all entries = 2, d1*d2 = |det| = 8.
     assert smith_normal_form([[2, 4], [6, 8]]) == (2, (2, 4))

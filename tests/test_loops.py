@@ -64,6 +64,11 @@ def test_parse_rejects_non_adjacent_steps():
         loop4("[4] [3,1] [2,2]")
 
 
+def test_parse_rejects_blank_text():
+    with pytest.raises(InvalidLoopError, match="^empty loop text$"):
+        parse_loop(G4, "  \n\t")
+
+
 def test_loop_ids_validated():
     with pytest.raises(InvalidLoopError):
         EdgeLoop(G4, [0, 99])

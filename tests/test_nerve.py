@@ -74,7 +74,7 @@ def test_inverted_nerve_fvector_matches_brute_subfamily_search():
                 == _count_intersecting_subfamilies(nerve.member_sets)), n
 
 
-def test_inverted_nerve_chi_matches_the_part_value_sweep():
+def test_inverted_nerve_chi_matches_the_closed_form():
     table = fvector_table(24)
     for n in (20, 24):
         assert nerve_fvector_at(n).euler_characteristic == table[n - 1].euler_characteristic
@@ -129,14 +129,15 @@ def test_anchor_intersection():
 
 
 def test_triple_intersections_are_singletons():
-    g = build_graph(9)
-    nerve = build_nerve(g, canonical_cover(g))
-    for clique in all_cliques_reference(g):
-        if len(clique) >= 3:
-            common = set(nerve.anchor_sets[clique[0]])
-            for vid in clique[1:]:
-                common &= nerve.anchor_sets[vid]
-            assert len(common) == 1
+    # The premise of build_poset's generators, from the all-cliques list.
+    for n in range(1, 21):
+        nerve = nerve_at(n)
+        for clique in all_cliques_reference(nerve.graph):
+            if len(clique) >= 3:
+                common = set(nerve.anchor_sets[clique[0]])
+                for vid in clique[1:]:
+                    common &= nerve.anchor_sets[vid]
+                assert len(common) == 1, (n, clique)
 
 
 def test_closure_of_full_star_clique_is_itself():
@@ -218,7 +219,7 @@ def test_poset_small():
 
 
 def test_poset_matches_all_clique_generation():
-    for n in range(2, 8):
+    for n in range(1, 21):
         g = build_graph(n)
         nerve = build_nerve(g, canonical_cover(g))
         restricted = set(build_poset(nerve).elements)
@@ -229,7 +230,7 @@ def test_poset_matches_all_clique_generation():
                 common &= nerve.anchor_sets[vid]
             if common:
                 unrestricted.add(tuple(sorted(common)))
-        assert restricted == unrestricted
+        assert restricted == unrestricted, n
 
 
 def test_poset_order_matches_all_pairs_inclusion():

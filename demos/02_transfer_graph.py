@@ -5,12 +5,22 @@ one unit from one entry to another.  The graph is connected for every n,
 and each edge decomposes in exactly one way as a corner-to-corner transfer.
 """
 
-from partition_complex import adjacency_by_conjugate, build_graph, cli, format_partition
+from partition_complex import (
+    adjacency_by_conjugate,
+    build_chain_complex,
+    build_graph,
+    cli,
+    format_partition,
+    maximal_simplices,
+    reduced_homology,
+)
 
+# Connected means one component: unreduced H_0 of the clique complex is Z.
 for n in (1, 3, 4):
     g = build_graph(n)
+    components = reduced_homology(build_chain_complex(maximal_simplices(g))).betti[0]
     print(f"n={n}: {len(g.vertices)} vertices, {g.edge_count()} edges, "
-          f"connected={g.is_connected()}")
+          f"connected={components == 1}")
 print()
 
 g = build_graph(4)

@@ -79,7 +79,7 @@ _EXPORTS = {
         "removable_corners",
     ),
     "suite_names": ("BUDGETS", "SUITE_ORDER"),
-    "verification": ("VerificationOutcome", "run_verification", "verify_single_n"),
+    "verification": ("VerificationOutcome", "verify_single_n"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -104,8 +104,10 @@ def classify_clique(g: PartitionGraph, ids: Sequence[int]) -> CliqueClass:
     """Classify a clique of ids as star- or top-type at its lowest vertex.
 
     For a clique of size >= 3 the witness (base, corner) satisfies: every
-    member is the base or lies in the base's fiber at that corner.  Cliques
-    of size <= 2 carry no forced type and come back as SMALL.
+    member is the base or lies in the base's fiber at that corner.  The kind
+    is the _triangle_class verdict of every arm at the base against the
+    first: all STAR, or all TOP.  Cliques of size <= 2 carry no forced type
+    and come back as SMALL.
     """
     sorted_ids = _check_clique(g, ids)
     if len(sorted_ids) != len(ids):
@@ -113,13 +115,12 @@ def classify_clique(g: PartitionGraph, ids: Sequence[int]) -> CliqueClass:
     if len(sorted_ids) <= 2:
         return CliqueClass(SMALL)
     base_id = min(sorted_ids, key=lambda vid: g.heights[vid])
-    decomps = [g.moves[base_id][vid] for vid in sorted_ids if vid != base_id]
-    removables = {c for c, _ in decomps}
-    if len(removables) == 1:
-        return CliqueClass(STAR, base_id, next(iter(removables)))
-    addables = {a for _, a in decomps}
-    if len(addables) == 1:
-        return CliqueClass(TOP, base_id, next(iter(addables)))
+    first, *rest = [g.moves[base_id][vid] for vid in sorted_ids if vid != base_id]
+    verdicts = {_triangle_class(first, arm) for arm in rest}
+    if verdicts == {STAR}:
+        return CliqueClass(STAR, base_id, first[0])
+    if verdicts == {TOP}:
+        return CliqueClass(TOP, base_id, first[1])
     raise TheoremViolationError(f"clique {[g.vertices[v] for v in sorted_ids]} shares no corner"
                                 f" at {g.vertices[base_id]}")
 

@@ -76,20 +76,6 @@ class PartitionGraph:
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
-    def is_connected(self) -> bool:
-        """Breadth-first reachability of every vertex from vertex 0."""
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for vid in frontier:
-                for other in self.adjacency[vid]:
-                    if other not in seen:
-                        seen.add(other)
-                        nxt.append(other)
-            frontier = nxt
-        return len(seen) == len(self.vertices)
-
 
 def _check_vertex_ids(g: PartitionGraph, ids: Sequence[int], error: type[Exception]) -> None:
     """Raise error unless every id is a vertex id of g: of type int itself,

@@ -2,13 +2,14 @@
 
 A loop is stored as a cyclic vertex sequence without the closing repeat.
 Reduction repeatedly rewrites a highest vertex of the loop: when the moves
-to its two lower neighbours share a corner, the fragment shortcuts across
-a triangle; otherwise a strictly lower detour vertex replaces the peak,
-crossing two triangles that share it.  Every step is checked against the
-structure theory where it happens: the peak's neighbours are strictly
-lower, each triangle crossed is a clique, the loop edges the rewrite
-creates are edges of the graph, and the complexity strictly decreases.  A
-finished trace is therefore a machine-checked contraction certificate.
+to its two lower neighbours close a triangle, by the one triangle rule
+cliques._triangle_class, the fragment shortcuts across it; otherwise a
+strictly lower detour vertex replaces the peak, crossing two triangles
+that share it.  Every step is checked against the structure theory where
+it happens: the peak's neighbours are strictly lower, each triangle
+crossed is a clique, the loop edges the rewrite creates are edges of the
+graph, and the complexity strictly decreases.  A finished trace is
+therefore a machine-checked contraction certificate.
 
 Only outside input is validated edge by edge, by the EdgeLoop constructor.
 The states of a reduction need no such pass: every edge of a new state
@@ -32,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .cliques import NOT_TRIANGLE, _triangle_class
 from .graph import PartitionGraph, _check_vertex_ids
 from .partitions import TheoremViolationError, format_partition, parse_partition
 
@@ -158,14 +160,14 @@ def _replace_peak(graph: PartitionGraph, ids: list[int], peak: int) -> str:
         raise TheoremViolationError(
             f"peak {graph.vertices[peak_id]} has a neighbour of height >= {top}")
     peak_moves = graph.moves[peak_id]
-    corner_before, add_before = peak_moves[before_id]
-    corner_after, add_after = peak_moves[after_id]
-    if corner_before == corner_after or add_before == add_after:
+    arm_before, arm_after = peak_moves[before_id], peak_moves[after_id]
+    if _triangle_class(arm_before, arm_after) != NOT_TRIANGLE:
         # triangle shortcut: the fragment collapses to the edge between the
         # neighbours; they coincide only in a two-vertex loop, which leaves
         # one vertex
         del ids[peak]
         return "shortcut"
+    (corner_before, add_before), (corner_after, add_after) = arm_before, arm_after
     # distinct removable corners always sit in distinct rows, so the
     # reindexing below never faces a tie
     if corner_before.row == corner_after.row:

@@ -25,6 +25,7 @@ from . import reference
 from .cliques import (
     NOT_TRIANGLE,
     STAR,
+    NotACliqueError,
     TheoremViolationError,
     _full_simplex,
     _triangle_class,
@@ -129,14 +130,19 @@ def _suite_triangles(ctx: NContext) -> str:
 
 def _suite_cliques(ctx: NContext) -> str:
     """Every clique of size >= 3 is star- or top-type at its lowest vertex,
-    never both, and the witness fiber really contains the other members."""
+    never both, and the witness fiber really contains the other members.
+    A listed clique that classify_clique refuses is the witness, with its
+    error as the claim."""
     g = ctx.graph
     checked = 0
     for clique in ctx.all_cliques:
         if len(clique) < 3:
             continue
         checked += 1
-        verdict = classify_clique(g, clique)
+        try:
+            verdict = classify_clique(g, clique)
+        except (TheoremViolationError, NotACliqueError) as exc:
+            raise _Counterexample({"clique": _literals(g, clique), "claim": str(exc)})
         base_id = min(clique, key=lambda vid: g.heights[vid])
         if verdict.base != base_id:
             raise _Counterexample({
@@ -350,31 +356,30 @@ def _suite_anchors(ctx: NContext) -> str:
 
 
 def _suite_poset(ctx: NContext) -> str:
-    """Restricted poset generators match the all-cliques definition, chains
-    stay short, non-singleton elements are single-vertex or single-edge
-    intersections, and all three Euler characteristics agree."""
-    g = ctx.graph
+    """The poset's elements match the all-cliques definition, chains stay
+    short, non-singleton elements are single-vertex or single-edge
+    intersections, and all three Euler characteristics agree.  One pass
+    over every clique gives both the definition and the intersections of
+    single vertices and edges."""
     nerve = ctx.nerve
     poset = ctx.poset
-    unrestricted = set()
+    all_cliques = set()
+    small = set()
     for clique in ctx.all_cliques:
         common = anchor_intersection_ids(nerve, clique)
         if common:
-            unrestricted.add(tuple(sorted(common)))
-    if set(poset.elements) != unrestricted:
+            element = tuple(sorted(common))
+            all_cliques.add(element)
+            if len(clique) <= 2:
+                small.add(element)
+    if set(poset.elements) != all_cliques:
         raise _Counterexample({
-            "restricted": len(poset.elements), "unrestricted": len(unrestricted)})
+            "poset": len(poset.elements), "all_cliques": len(all_cliques)})
     chain = max_chain_length(poset)
     if chain > 2:
         raise _Counterexample({"max_chain_length": chain})
-    single_vertex = {tuple(sorted(s)) for s in nerve.anchor_sets if s}
-    single_edge = set()
-    for u, v in g.edges():
-        common = anchor_intersection_ids(nerve, (u, v))
-        if common:
-            single_edge.add(tuple(sorted(common)))
     for element in poset.elements:
-        if len(element) >= 2 and element not in single_vertex and element not in single_edge:
+        if len(element) >= 2 and element not in small:
             raise _Counterexample({
                 "element": list(element),
                 "claim": "non-singleton elements arise from a vertex or an edge"})
@@ -412,7 +417,9 @@ def _suite_closure(ctx: NContext) -> str:
     The order reversal compares two relations computed in full over the
     closed cliques: inclusion of their vertex sets, and reversed inclusion
     of their member intersections, each from one posting list per element.
-    A fail names the smallest pair on which they differ.
+    A fail names the smallest pair on which they differ.  A listed clique
+    whose closure closure_ids refuses to close again, as no clique, is the
+    witness, with the error as the claim.
     """
     g = ctx.graph
     nerve = ctx.nerve
@@ -429,13 +436,17 @@ def _suite_closure(ctx: NContext) -> str:
 
     for clique in ctx.all_cliques:
         closed = close(clique)
+        try:
+            reclosed = close(closed)
+        except NotACliqueError as exc:
+            raise _Counterexample({"clique": _literals(g, clique), "claim": str(exc)})
         closed_set = frozenset(closed)
         checked += 1
         if not closed_set.issuperset(clique):
             raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "closure must contain its argument"})
-        if close(closed) != closed:
+        if reclosed != closed:
             raise _Counterexample({
                 "clique": _literals(g, clique),
                 "claim": "closure must be idempotent"})
@@ -645,13 +656,4 @@ def verify_single_n(n: int, suites, seed: Optional[int],
                        " rerun with --ignore-budget"))
         else:
             outcomes.append(run_suite(name, ctx))
-    return outcomes
-
-
-def run_verification(max_n: int, suites, seed: Optional[int] = None,
-                     ignore_budget: bool = False) -> list[VerificationOutcome]:
-    chosen = set(suites)
-    outcomes = []
-    for n in range(1, max_n + 1):
-        outcomes.extend(verify_single_n(n, chosen, seed, ignore_budget))
     return outcomes

@@ -20,7 +20,6 @@ from partition_complex.verification import (
     FAIL,
     PASS,
     homology_concentrated,
-    run_verification,
     verify_single_n,
 )
 
@@ -38,6 +37,12 @@ def report(announce, name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     announce(f"acceptance {name}: {'PASS' if ok else 'FAIL'}{suffix}")
     assert ok, f"acceptance criterion failed: {name}"
+
+
+def verify_up_to(max_n, suites):
+    """Outcomes of the suites for n = 1..max_n, as `verify --max-n` runs them."""
+    return [outcome for n in range(1, max_n + 1)
+            for outcome in verify_single_n(n, set(suites), None)]
 
 
 def no_failures(outcomes):
@@ -82,25 +87,25 @@ def test_homology_concentration(announce):
 
 
 def test_triangle_oracle(announce):
-    outcomes = run_verification(10, ["triangles"])
+    outcomes = verify_up_to(10, ["triangles"])
     report(announce, "triangle-oracle", no_failures(outcomes),
            "classification matches raw adjacency, n<=10")
 
 
 def test_facet_oracle(announce):
-    outcomes = run_verification(10, ["facets"])
+    outcomes = verify_up_to(10, ["facets"])
     report(announce, "facet-oracle", no_failures(outcomes),
            "classified facets equal generic maximal cliques, n<=10")
 
 
 def test_cover_and_anchors(announce):
-    outcomes = run_verification(10, ["cover", "anchors"])
+    outcomes = verify_up_to(10, ["cover", "anchors"])
     report(announce, "cover-and-anchors", no_failures(outcomes),
            "coverage and anchor intersection trichotomy, n<=10")
 
 
 def test_poset_dimension(announce):
-    outcomes = run_verification(12, ["poset"])
+    outcomes = verify_up_to(12, ["poset"])
     checked = [o for o in outcomes if o.n >= 2]
     ok = no_failures(outcomes) and all(o.status == PASS for o in checked)
     report(announce, "poset-dimension", ok,
@@ -108,13 +113,13 @@ def test_poset_dimension(announce):
 
 
 def test_closure_laws(announce):
-    outcomes = run_verification(8, ["closure"])
+    outcomes = verify_up_to(8, ["closure"])
     report(announce, "closure-laws", no_failures(outcomes),
            "extensive, monotone, idempotent, n<=8")
 
 
 def test_height_lemmas(announce):
-    outcomes = run_verification(12, ["heights"])
+    outcomes = verify_up_to(12, ["heights"])
     report(announce, "height-lemmas", no_failures(outcomes),
            "row-difference identity and distinct edge heights, n<=12")
 

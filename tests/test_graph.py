@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from partition_complex import oracles
+from partition_complex import graph, oracles
 from partition_complex.graph import UnknownVertexError, build_graph
 from partition_complex.oracles import (
     adjacency_by_conjugate,
@@ -13,6 +13,7 @@ from partition_complex.oracles import (
 )
 from partition_complex.partitions import (
     InvalidPartitionError,
+    TheoremViolationError,
     admissible_transfers,
     height,
 )
@@ -166,7 +167,16 @@ def test_heights_cached_on_graph():
     assert g.heights == tuple(height(lam) for lam in g.vertices)
 
 
-def test_connected_for_small_n():
-    for n in range(1, 11):
-        assert build_graph(n).is_connected()
+def test_one_sided_transfer_breaks_the_symmetry_check(monkeypatch):
+    # [4] loses its one transfer, to [3,1]; [3,1] keeps its transfer back to
+    # [4], so the adjacency is no longer symmetric.
+    real = graph._transfers
 
+    def dropping(lam, removable, addable):
+        transfers = real(lam, removable, addable)
+        return transfers[1:] if lam == (4,) else transfers
+
+    monkeypatch.setattr(graph, "_transfers", dropping)
+    with pytest.raises(TheoremViolationError,
+                       match=r"not symmetric and irreflexive at \(3, 1\), \(4,\)"):
+        build_graph(4)

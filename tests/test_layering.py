@@ -14,13 +14,20 @@ NContext chains.
 homology.py reduces any chain complex, not only the partition complexes,
 so it imports nothing from the package but TheoremViolationError and the
 alternating sum, both from the base module partitions.py.
-These rules are read off the import statements, without importing anything.
+The triangle rule, cliques._triangle_class, is written once: loop peak
+reduction imports it, and neither it nor clique classification compares
+corners itself.
+These rules are read off the source, without importing anything.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+CLIQUES = ROOT / "src" / "partition_complex" / "cliques.py"
+LOOPS = ROOT / "src" / "partition_complex" / "loops.py"
 ORACLES = ROOT / "src" / "partition_complex" / "oracles.py"
 CLI = ROOT / "src" / "partition_complex" / "cli.py"
 HOMOLOGY = ROOT / "src" / "partition_complex" / "homology.py"
@@ -121,3 +128,40 @@ def test_homology_imports_only_the_theorem_error():
     assert imports == [("partitions", "TheoremViolationError"),
                        ("partitions", "_alternating_sum")], (
         f"homology.py imports {imports} from the package")
+
+
+def test_loops_imports_the_triangle_rule_from_cliques():
+    assert ("cliques", "_triangle_class") in package_imports(LOOPS)
+
+
+def function_def(path, name):
+    """The top-level function called name in the file at path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+@pytest.mark.parametrize("path, name", [(LOOPS, "_replace_peak"),
+                                        (CLIQUES, "classify_clique")])
+def test_triangle_verdicts_come_from_the_one_rule(path, name):
+    # A peak's shortcut and a clique's kind are _triangle_class verdicts:
+    # the function calls it, tests no two names unpacked from tuples for
+    # equality (as in c1 == c2 for (c1, a1), (c2, a2) = arms), and gathers
+    # no set out of unpacked corner pairs (as in {c for c, _ in arms}).
+    nodes = list(ast.walk(function_def(path, name)))
+    called = {node.func.id for node in nodes
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_triangle_class" in called
+    unpacked = {sub.id for node in nodes
+                if isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Store)
+                for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+    equalities = [ast.unparse(node) for node in nodes
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                  and all(isinstance(side, ast.Name) and side.id in unpacked
+                          for side in (node.left, *node.comparators))]
+    assert not equalities, f"{name} compares {equalities}"
+    corner_sets = [ast.unparse(node) for node in nodes
+                   if isinstance(node, ast.SetComp)
+                   and any(isinstance(gen.target, ast.Tuple) for gen in node.generators)]
+    assert not corner_sets, f"{name} gathers {corner_sets}"

@@ -222,15 +222,15 @@ def test_poset_matches_all_clique_generation():
     for n in range(1, 21):
         g = build_graph(n)
         nerve = build_nerve(g, canonical_cover(g))
-        restricted = set(build_poset(nerve).elements)
-        unrestricted = set()
+        elements = set(build_poset(nerve).elements)
+        from_cliques = set()
         for clique in all_cliques_reference(g):
             common = set(nerve.anchor_sets[clique[0]])
             for vid in clique[1:]:
                 common &= nerve.anchor_sets[vid]
             if common:
-                unrestricted.add(tuple(sorted(common)))
-        assert restricted == unrestricted, n
+                from_cliques.add(tuple(sorted(common)))
+        assert elements == from_cliques, n
 
 
 def test_poset_order_matches_all_pairs_inclusion():

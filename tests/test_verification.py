@@ -15,7 +15,7 @@ from partition_complex.cliques import STAR, TOP, CliqueClass, FVector
 from partition_complex.graph import build_graph
 from partition_complex.homology import HomologyReport
 from partition_complex.loops import format_loop, normalize_ids, random_closed_walk
-from partition_complex.nerve import closure_ids
+from partition_complex.nerve import IntersectionPoset, closure_ids
 from partition_complex.partitions import Corner, format_partition
 from partition_complex.verification import (
     FAIL,
@@ -26,7 +26,6 @@ from partition_complex.verification import (
     VerificationOutcome,
     homology_concentrated,
     run_suite,
-    run_verification,
     verify_single_n,
 )
 
@@ -43,7 +42,8 @@ def test_suite_exception_becomes_fail_outcome(monkeypatch):
         raise KeyError("missing")
 
     monkeypatch.setitem(verification._SUITE_FUNCS, "facets", broken)
-    outcomes = run_verification(3, SUITE_ORDER)
+    outcomes = [outcome for n in range(1, 4)
+                for outcome in verify_single_n(n, set(SUITE_ORDER), None)]
     assert [(o.suite, o.n) for o in outcomes] == [
         (suite, n) for n in range(1, 4) for suite in SUITE_ORDER]
     for outcome in outcomes:
@@ -373,6 +373,44 @@ def test_triangles_fail_names_a_path_classified_closed_without_its_edge():
         "classified": STAR, "edge_present": False}
 
 
+def test_cliques_fail_names_a_clique_that_shares_no_corner():
+    # The star triangle [3,1] [2,2] [2,1,1] moves the corner (1, 3) of [3,1]
+    # to (2, 2) and to (3, 1); the copy below moves (2, 1) to (1, 4) on the
+    # second arm, so the two arms share neither corner.
+    ctx = NContext(4)
+    assert run_suite("cliques", ctx).status == PASS
+    g = ctx.graph
+    base = g.index[(3, 1)]
+    doctored = copy.copy(g)
+    doctored.moves = tuple(dict(moves) for moves in g.moves)
+    doctored.moves[base][g.index[(2, 1, 1)]] = (Corner(2, 1), Corner(1, 4))
+    ctx.graph = doctored
+    outcome = run_suite("cliques", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {
+        "clique": ["[3,1]", "[2,2]", "[2,1,1]"],
+        "claim": "clique [(3, 1), (2, 2), (2, 1, 1)] shares no corner at (3, 1)"}
+
+
+def test_closure_fail_names_a_clique_whose_closure_is_no_clique():
+    # [4] lies in one member, the edge [4]-[3,1], so that edge is its
+    # closure; the copy below drops [3,1] from the moves of [4] alone, so
+    # closing the edge again finds no clique.
+    ctx = NContext(4)
+    assert run_suite("closure", ctx).status == PASS
+    g = ctx.graph
+    u, v = g.index[(4,)], g.index[(3, 1)]
+    doctored = copy.copy(g)
+    doctored.moves = tuple({w: move for w, move in moves.items() if (x, w) != (u, v)}
+                           for x, moves in enumerate(g.moves))
+    ctx = NContext(4)
+    ctx.graph = doctored
+    outcome = run_suite("closure", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {
+        "clique": ["[4]"], "claim": "(4,) and (3, 1) are not adjacent"}
+
+
 def test_facets_fail_names_the_extra_and_missing_facets():
     # n = 4 has the facets [4]-[3,1], the triangle [3,1] [2,2] [2,1,1] and
     # [2,1,1]-[1,1,1,1]; the stage below lists the triangle's edges instead.
@@ -412,6 +450,68 @@ def test_poset_fail_names_a_chain_longer_than_two():
     outcome = run_suite("poset", ctx)
     assert outcome.status == FAIL
     assert outcome.counterexample == {"max_chain_length": size - 1}
+
+
+def test_poset_fail_names_the_element_counts_that_disagree():
+    # A poset that lacks its last element: the all-cliques definition
+    # has one element more.
+    ctx = NContext(6)
+    assert run_suite("poset", ctx).status == PASS
+    elements = ctx.poset.elements
+    ctx.__dict__["poset"] = IntersectionPoset(elements[:-1])
+    outcome = run_suite("poset", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == {
+        "poset": len(elements) - 1, "all_cliques": len(elements)}
+
+
+def _nerve_with_anchors(ctx, vertex, anchor):
+    """ctx's nerve with the anchor of one vertex replaced."""
+    anchors = list(ctx.nerve.anchor_sets)
+    anchors[vertex] = anchor
+    return dataclasses.replace(ctx.nerve, anchor_sets=tuple(anchors))
+
+
+def _plant_empty_anchor(ctx):
+    # the anchor of [4,1,1] is emptied, so the clique [4,1,1] meets no member
+    vertex = ctx.graph.index[(4, 1, 1)]
+    ctx.__dict__["nerve"] = _nerve_with_anchors(ctx, vertex, frozenset())
+    return {"clique": ["[4,1,1]"], "claim": "cliques must have nonempty member intersection"}
+
+
+def _plant_stray_pair(ctx):
+    # the anchor of [6] holds every member, so [6] shares one with each
+    # non-neighbour; the first of them makes the smallest stray pair
+    g = ctx.graph
+    ctx.__dict__["nerve"] = _nerve_with_anchors(ctx, 0, frozenset(range(len(ctx.cover))))
+    stray = next(v for v in range(1, len(g.vertices)) if v not in g.moves[0])
+    return {"pair": [format_partition(g.vertices[v]) for v in (0, stray)],
+            "claim": "non-edges must have empty member intersection"}
+
+
+def _plant_inverted_fvector(ctx):
+    counts = list(ctx.nerve_fvector.counts)
+    ctx.__dict__["nerve_fvector"] = FVector(tuple(counts[:-1]) + (counts[-1] + 1,))
+    return {"inverted": counts[:-1] + [counts[-1] + 1], "brute": counts}
+
+
+def _plant_complex_fvector(ctx):
+    f0, f1, f2 = ctx.fvector.counts
+    ctx.__dict__["fvector"] = FVector((f0, f1, f2 + 1))
+    chi = ctx.nerve_fvector.euler_characteristic
+    return {"nerve_chi": chi, "complex_chi": chi + 1}
+
+
+@pytest.mark.parametrize("plant", [
+    _plant_empty_anchor, _plant_stray_pair, _plant_inverted_fvector, _plant_complex_fvector])
+def test_nerve_fail_names_each_witness(plant):
+    ctx = NContext(6)
+    assert run_suite("nerve", ctx).status == PASS
+    ctx = NContext(6)
+    witness = plant(ctx)
+    outcome = run_suite("nerve", ctx)
+    assert outcome.status == FAIL
+    assert outcome.counterexample == witness
 
 
 def test_heights_fail_names_a_transfer_whose_height_change_is_off():
